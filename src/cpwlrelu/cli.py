@@ -47,7 +47,13 @@ from .galerkin1d import (
 )
 from .mesh import interpolate, load_mesh, sample_points
 from .quantize import QuantGrid, check_structured, project_network
-from .relu_net import eval_network, load_network, network_stats, save_network
+from .relu_net import (
+    eval_network,
+    layer_outputs,
+    load_network,
+    network_stats,
+    save_network,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -352,12 +358,7 @@ def _cmd_demo_region_plot(args) -> int:
     else:
         g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
         X = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    act = X
-    patterns = []
-    for W, b in net.layers[:-1]:
-        pre = np.asarray((W @ act.T).T + b)
-        patterns.append(pre > 0)
-        act = np.maximum(pre, 0.0)
+    patterns = [act > 0 for act in layer_outputs(net, X)][:-1]
     codes = np.hstack(patterns) if patterns else np.zeros((X.shape[0], 1), dtype=bool)
     labels = {}
     out_labels = np.empty(X.shape[0], dtype=int)

@@ -7,9 +7,8 @@ Two constructive pathways, both exact (no approximation):
   ``max(0, min_k g_k)`` over the star's local affine functions.  The min is
   realized by a balanced binary tree of 4-neuron gadgets, topped by one
   max-with-zero gadget; hidden depth is ``ceil(log2(valence)) + 1``.  A
-  finite element function compiles as a combination of scaled hats; scaling
-  happens in the first layer so every later layer keeps weights in
-  ``{0, +-1/2, +-1}`` with zero bias.
+  finite element function is the signed sum of its hats scaled by
+  ``|c_i|`` in the first layer.
 
 * **Shallow pathway** (`compile_lattice_shallow`, `compile_cpwl_shallow`,
   `compile_basis_shallow`, `compile_fem_shallow`): a max-of-mins lattice
@@ -17,7 +16,16 @@ Two constructive pathways, both exact (no approximation):
   than ``d + 1`` arguments are rewritten — using exact max-algebra
   identities, numerically verified at every step — into terms of at most
   ``d + 1`` arguments, so the final network has hidden depth
-  ``ceil(log2(d + 1))`` regardless of the input's complexity.
+  ``ceil(log2(d + 1))`` regardless of the input's complexity.  A term's
+  integer weight ``w`` is folded into its first layer
+  (``|w| max(S) = max(|w| S)``), leaving only its sign to the output.
+
+Both pathways emit every gadget through one :class:`NetBuilder` per
+compile, level by level, as sparse CSR layers: all hats or terms share the
+builder, each tree's root is carried to the common depth, and the output
+layer sums the roots with their signs.  Every layer past the first keeps
+weights in ``{0, +-1/2, +-1}`` with zero bias.  `compile_max_of_m` combines
+arbitrary networks pairwise, seeding a builder on each pair side by side.
 
 Every compile function returns the network together with a
 :class:`BoundReport` whose predicted depth and size bounds have been
@@ -33,7 +41,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.typing import NDArray
 
 from .cpwl import (
@@ -62,12 +69,10 @@ from .mesh import (
     vertex_star,
 )
 from .relu_net import (
+    ChannelRef,
     NetBuilder,
     ReluNetwork,
-    affine_network,
     eval_network,
-    linear_combine,
-    pad_network,
     parallel,
     prune_dead_channels,
 )
@@ -208,59 +213,112 @@ def _self_check(net: ReluNetwork, reference, X: NDArray, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Network-level min/max gadget trees (shallow pathway and generic max-of-m)
+# Min/max gadget trees, emitted level-synchronously through one NetBuilder
 # ---------------------------------------------------------------------------
 
-_MIN_PATTERNS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
-_MIN_COMBO = (0.5, -0.5, -0.5, -0.5)
-_MAX_PATTERNS = ((-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0))
-_MAX_COMBO = (-0.5, 0.5, 0.5, 0.5)
 
+class _Node:
+    """A balanced min/max expression over level-0 builder channels.
 
-def _pair_gadget(a: ReluNetwork, b: ReluNetwork, kind: str) -> ReluNetwork:
-    """One 4-neuron gadget computing min/max of two single-output networks."""
-    depth = max(a.hidden_layer_count, b.hidden_layer_count)
-    stacked = parallel([pad_network(a, depth), pad_network(b, depth)])
-    Wc, bc = stacked.layers[-1]
-    patterns = _MIN_PATTERNS if kind == "min" else _MAX_PATTERNS
-    combo = _MIN_COMBO if kind == "min" else _MAX_COMBO
-    sparse = sp.issparse(Wc)
-    rows = []
-    biases = []
-    for s0, s1 in patterns:
-        if sparse:
-            rows.append(s0 * Wc[[0]] + s1 * Wc[[1]])
-        else:
-            rows.append(s0 * Wc[0] + s1 * Wc[1])
-        biases.append(s0 * bc[0] + s1 * bc[1])
-    Wh = sp.vstack(rows, format="csr") if sparse else np.vstack(rows)
-    bh = np.array(biases)
-    Wo = np.array([combo])
-    if sparse:
-        Wo = sp.csr_matrix(Wo)
-    layers = list(stacked.layers[:-1]) + [(Wh, bh), (Wo, np.zeros(1))]
-    return ReluNetwork(a.input_dim, layers)
-
-
-def _gadget_tree(nets: list[ReluNetwork], kind: str) -> ReluNetwork:
-    """Balanced min/max tree over single-output networks.
-
-    The argument list splits recursively into a left half of
-    ``ceil(m/2)`` networks and a right half of ``floor(m/2)``.
+    ``kind`` is ``"leaf"`` (``ch`` is a level-0 channel), ``"zero"`` (the
+    constant zero, free at every level and never carried), ``"min"`` or
+    ``"max"``.  ``depth`` is the level at which the value becomes available
+    and ``size`` the neurons its subtree costs: 4 per gadget plus 2 per
+    identity carry of a child finished before its parent's level.
     """
-    if not nets:
-        raise EmptyList(f"cannot take {kind} of zero networks")
+
+    __slots__ = ("kind", "children", "ch", "depth", "size")
+
+    def __init__(self, kind: str, children: tuple = (), ch=None):
+        self.kind = kind
+        self.children = children
+        self.ch = ch
+        self.depth = self.size = 0
+        if children:
+            self.depth = 1 + max(c.depth for c in children)
+            carried = [c for c in children if c.kind != "zero"]
+            self.size = 4 + sum(c.size + 2 * (self.depth - 1 - c.depth) for c in carried)
+
+
+_ZERO = _Node("zero")
+
+
+def _balanced(kind: str, nodes: list[_Node]) -> _Node:
+    """Balanced tree: the left half takes ``ceil(m/2)`` of the nodes."""
+    if not nodes:
+        raise EmptyList(f"cannot take {kind} of zero arguments")
+    if len(nodes) == 1:
+        return nodes[0]
+    k = (len(nodes) + 1) // 2
+    return _Node(kind, (_balanced(kind, nodes[:k]), _balanced(kind, nodes[k:])))
+
+
+def _affine_leaves(
+    builder: NetBuilder, affs: list[AffineFunc], scale: float = 1.0
+) -> list[_Node]:
+    return [
+        _Node("leaf", ch=builder.affine_channel(scale * a.gradient, scale * a.offset))
+        for a in affs
+    ]
+
+
+def _emit_trees(builder: NetBuilder, roots: list[_Node]) -> list[ChannelRef]:
+    """Emits the trees into ``builder``, one hidden layer per level.
+
+    A gadget sits at the level of its node's depth.  A value finished before
+    its consumer's level rides identity carries (2 neurons per level), and
+    every root is carried to the deepest root's level.
+
+    Returns:
+        Each root's channel at that common level.
+    """
+    top = max((r.depth for r in roots), default=0)
+    ops_at: dict[int, list[tuple[str, _Node]]] = {}
+
+    def schedule(node: _Node, needed: int) -> None:
+        for t in range(node.depth + 1, needed + 1):
+            ops_at.setdefault(t, []).append(("id", node))
+        if node.children:
+            ops_at.setdefault(node.depth, []).append((node.kind, node))
+            for c in node.children:
+                if c.kind != "zero":
+                    schedule(c, node.depth - 1)
+
+    for r in roots:
+        schedule(r, top)
+
+    def ch(node: _Node) -> ChannelRef:
+        return builder.zero() if node.kind == "zero" else node.ch
+
+    for level in range(1, top + 1):
+        todo = ops_at.get(level, [])
+        ops = [
+            ("id", node.ch) if op == "id" else (op, *map(ch, node.children))
+            for op, node in todo
+        ]
+        for (_, node), out in zip(todo, builder.apply_level(ops)):
+            node.ch = out
+    return [r.ch for r in roots]
+
+
+def _max_of_nets(nets: list[ReluNetwork]) -> ReluNetwork:
+    """Balanced pairwise max: each pair step runs the two halves side by
+    side, then adds one 4-neuron max gadget on their outputs."""
     if len(nets) == 1:
         return nets[0]
     k = (len(nets) + 1) // 2
-    return _pair_gadget(_gadget_tree(nets[:k], kind), _gadget_tree(nets[k:], kind), kind)
+    pair = parallel([_max_of_nets(nets[:k]), _max_of_nets(nets[k:])])
+    builder, (a, b) = NetBuilder.from_network(pair)
+    (out,) = builder.apply_level([("max", a, b)])
+    return builder.finish([[(1.0, out)]])
 
 
 def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]:
     """Maximum of ``m`` single-output networks via a balanced gadget tree.
 
-    Depth bound: ``max_i depth_i + ceil(log2 m) + 1``.  Size bound: the sum
-    of the equal-depth padded input sizes plus ``4 (2m - 1)``.
+    Each pair step pads only the shallower of its two arguments.  Depth
+    bound: ``max_i depth_i + ceil(log2 m) + 1``.  Size bound: the sum of the
+    equal-depth padded input sizes plus ``4 (2m - 1)``.
 
     Returns:
         The max network and its checked bound report.
@@ -270,7 +328,7 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
     m = len(nets)
     depth = max(n.hidden_layer_count for n in nets)
     padded_sizes = [n.size + 2 * (depth - n.hidden_layer_count) for n in nets]
-    net = prune_dead_channels(_gadget_tree(nets, "max"))
+    net = prune_dead_channels(_max_of_nets(nets))
     report = BoundReport(
         pathway="max-of-m",
         predicted_depth=depth + ceil_log2(m) + 1,
@@ -288,80 +346,28 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
 # ---------------------------------------------------------------------------
 
 
-class _TreeNode:
-    __slots__ = ("left", "right", "leaf", "depth", "ch")
+def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
+    """Network for ``sum_i c_i * max(0, min_k g_k^(i))`` over the given vertices.
 
-    def __init__(self, left=None, right=None, leaf=None):
-        self.left = left
-        self.right = right
-        self.leaf = leaf
-        self.depth = 0 if leaf is not None else 1 + max(left.depth, right.depth)
-        self.ch = None
-
-
-def _split_tree(items: list[int]) -> _TreeNode:
-    if len(items) == 1:
-        return _TreeNode(leaf=items[0])
-    k = (len(items) + 1) // 2
-    return _TreeNode(left=_split_tree(items[:k]), right=_split_tree(items[k:]))
-
-
-def _walk(node: _TreeNode, out: list[_TreeNode]) -> None:
-    out.append(node)
-    if node.leaf is None:
-        _walk(node.left, out)
-        _walk(node.right, out)
-
-
-def _hat_net_deep(
-    mesh: SimplicialMesh, vertex: int, scale: float, sign: float
-) -> ReluNetwork:
-    """Network for ``sign * max(0, min_k (scale * g_k))`` at one vertex.
-
-    ``g_k`` are the vertex star's local affine functions; for a convex star
-    the expression equals ``sign * scale`` times the nodal hat function on
-    the meshed domain.  Built level-synchronously: each min-tree level is
-    one layer; values finished early ride identity carries (2 neurons per
-    level); the constant-zero channel of the final max gadget is free.
+    ``g_k^(i)`` are vertex ``i``'s star affines; for a convex star the
+    expression equals ``c_i`` times its nodal hat on the meshed domain.
+    Each hat's affines are scaled by ``|c_i|`` in the first layer and its
+    sign lands in the output combination; all hats share one builder.
     """
-    if not is_locally_convex(mesh, vertex):
-        raise NotLocallyConvex(
-            f"the star of vertex {vertex} is not convex; the deep construction "
-            "does not apply"
-        )
-    star = vertex_star(mesh, vertex)
-    n = len(star.incident)
     builder = NetBuilder(mesh.dim)
-    root = _split_tree(list(range(n)))
-    nodes: list[_TreeNode] = []
-    _walk(root, nodes)
-    for node in nodes:
-        if node.leaf is not None:
-            g = star.local_affines[node.leaf]
-            node.ch = builder.affine_channel(scale * g.gradient, scale * g.offset)
-    # Identity-carry schedule: a child finished at its own depth must be
-    # re-emitted at every level until its parent consumes it.
-    carries: dict[int, list[_TreeNode]] = {}
-    for node in nodes:
-        if node.leaf is None:
-            for child in (node.left, node.right):
-                for t in range(child.depth + 1, node.depth):
-                    carries.setdefault(t, []).append(child)
-    for level in range(1, root.depth + 1):
-        ops = []
-        producers = []
-        for node in nodes:
-            if node.leaf is None and node.depth == level:
-                ops.append(("min", node.left.ch, node.right.ch))
-                producers.append(node)
-        for node in carries.get(level, []):
-            ops.append(("id", node.ch))
-            producers.append(node)
-        results = builder.apply_level(ops)
-        for node, ch in zip(producers, results):
-            node.ch = ch
-    (final,) = builder.apply_level([("max", root.ch, builder.zero())])
-    return builder.finish([[(float(sign), final)]], [0.0])
+    trees = []
+    for i, c in coeffs.items():
+        if not is_locally_convex(mesh, i):
+            raise NotLocallyConvex(
+                f"the star of vertex {i} is not convex; the deep construction "
+                "does not apply"
+            )
+        star = vertex_star(mesh, i)
+        mins = _balanced("min", _affine_leaves(builder, star.local_affines, abs(c)))
+        trees.append(_Node("max", (mins, _ZERO)))
+    roots = _emit_trees(builder, trees)
+    signs = [float(np.sign(c)) for c in coeffs.values()]
+    return prune_dead_channels(builder.finish([list(zip(signs, roots))]))
 
 
 def compile_basis_deep(
@@ -376,7 +382,7 @@ def compile_basis_deep(
         NotLocallyConvex: If the vertex star is not convex.
     """
     rng = rng or np.random.default_rng(12345)
-    net = prune_dead_channels(_hat_net_deep(mesh, vertex, 1.0, 1.0))
+    net = _deep_net(mesh, {vertex: 1.0})
     kh = compute_kh(mesh)
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[vertex] = 1.0
@@ -402,11 +408,12 @@ def compile_fem_deep(
 ) -> tuple[ReluNetwork, BoundReport]:
     """Compiles a nodal finite element function via the deep pathway.
 
-    The function ``sum_i c_i phi_i`` is built hat by hat; each hat's first
-    layer is scaled by ``|c_i|`` and the sign lands in the output
-    combination, so all layers past the first stay on the low-bit grid with
-    zero bias.  Bounds (checked): hidden depth ``ceil(log2 kh) + 1``, size
-    ``8 kh N`` with ``N`` the number of nonzero coefficients.
+    The function ``sum_i c_i phi_i`` is built hat by hat in one builder;
+    each hat's first layer is scaled by ``|c_i|`` and the sign lands in the
+    output combination, so all layers past the first stay on the low-bit
+    grid with zero bias.  Bounds (checked): hidden depth
+    ``ceil(log2 kh) + 1``, size ``8 kh N`` with ``N`` the number of nonzero
+    coefficients.
 
     Raises:
         NotLocallyConvex: If a used vertex has a non-convex star.
@@ -417,18 +424,7 @@ def compile_fem_deep(
         raise ValueError("need one coefficient per mesh vertex")
     used = [i for i in range(mesh.num_vertices) if coeffs[i] != 0.0]
     kh = compute_kh(mesh)
-    if not used:
-        net = ReluNetwork(mesh.dim, [(np.zeros((1, mesh.dim)), np.zeros(1))])
-        report = BoundReport(
-            pathway="deep", predicted_depth=ceil_log2(kh) + 1, actual_depth=0,
-            predicted_size_bound=0, actual_size=0, d=mesh.dim, kh=kh, m=0, M=0,
-        )
-        return net, report
-    hats = [
-        _hat_net_deep(mesh, i, abs(float(coeffs[i])), float(np.sign(coeffs[i])))
-        for i in used
-    ]
-    net = prune_dead_channels(linear_combine(hats, np.ones(len(hats))))
+    net = _deep_net(mesh, {i: float(coeffs[i]) for i in used})
     X = sample_points(mesh, 128, rng)
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), X, "deep FE function")
     report = BoundReport(
@@ -705,15 +701,6 @@ def reduce_term_width(
 # --- pure terms to networks ------------------------------------------------
 
 
-def _term_network(c0: float | None, affs: list[AffineFunc], dim: int) -> ReluNetwork:
-    """Network for ``max({c0} U affs)`` via a balanced max-gadget tree."""
-    leaves: list[ReluNetwork] = []
-    if c0 is not None:
-        leaves.append(affine_network(np.zeros(dim), c0))
-    leaves.extend(affine_network(a.gradient, a.offset) for a in affs)
-    return _gadget_tree(leaves, "max")
-
-
 def _affine_key(a: AffineFunc) -> tuple:
     return tuple(np.round(a.gradient, 12)) + (round(a.offset, 12),)
 
@@ -735,27 +722,25 @@ def _merge_pure_terms(
     return [(w, c0, affs) for w, c0, affs in acc.values() if w != 0]
 
 
-def _emit_weighted(
+def _terms_net(
     merged: list[tuple[int, float | None, list[AffineFunc]]], dim: int
-) -> tuple[list[ReluNetwork], list[float]]:
-    """Materializes term networks, splitting weights into ``+-1 / +-2``.
+) -> ReluNetwork:
+    """One network for ``sum w * max({c0} U affs)`` over the merged terms.
 
-    An integer weight ``w`` becomes ``ceil(|w|/2)`` copies of the term's
-    network with weights ``+-2`` (and one ``+-1`` for odd ``|w|``), keeping
-    every output-layer entry in ``{+-1/2, +-1}``.
+    Each term is one balanced max tree in a shared builder.  Its integer
+    weight folds into the first layer (``k max(S) = max(k S)`` for
+    ``k > 0``), so only the sign reaches the output combination and every
+    output entry lies in ``{+-1/2, +-1}``.
     """
-    nets: list[ReluNetwork] = []
-    weights: list[float] = []
+    builder = NetBuilder(dim)
+    trees = []
     for w, c0, affs in merged:
-        s = 1.0 if w > 0 else -1.0
         k = abs(w)
-        base = _term_network(c0, affs, dim)
-        while k > 0:
-            step = 2 if k >= 2 else 1
-            nets.append(base)
-            weights.append(s * step)
-            k -= step
-    return nets, weights
+        consts = [] if c0 is None else [AffineFunc(np.zeros(dim), c0)]
+        trees.append(_balanced("max", _affine_leaves(builder, consts + affs, k)))
+    roots = _emit_trees(builder, trees)
+    signs = [1.0 if w > 0 else -1.0 for w, _, _ in merged]
+    return prune_dead_channels(builder.finish([list(zip(signs, roots))]))
 
 
 # --- shallow compile entry points ------------------------------------------
@@ -764,7 +749,7 @@ def _emit_weighted(
 def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]:
     """Compiles a max-of-mins form whose clauses have at most d+1 members.
 
-    Per-clause min trees (depth ``ceil(log2(d+1))`` each, checked) feed a
+    Per-clause min trees (depth at most ``ceil(log2(d+1))`` each) feed a
     balanced max tree; total depth is at most
     ``ceil(log2(d+1)) + ceil(log2 M) + 1`` and the size obeys the generic
     max-of-m bound over the padded clause networks.
@@ -774,23 +759,23 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
     """
     d = lat.pieces[0].dim
     M = lat.num_clauses
-    clause_nets = []
     for k, s in enumerate(lat.clauses):
         if len(s) > d + 1:
             raise ClauseTooWide(
                 f"clause {k} has {len(s)} members, above d+1 = {d + 1}; "
                 "rewrite the form first (compile_cpwl_shallow does this)"
             )
-        leaves = [affine_network(lat.pieces[i].gradient, lat.pieces[i].offset) for i in s]
-        cnet = _gadget_tree(leaves, "min")
-        if cnet.hidden_layer_count > ceil_log2(d + 1):
-            raise BoundViolated(
-                f"clause {k} network is deeper than ceil(log2(d+1))"
-            )
-        clause_nets.append(cnet)
-    depth = max(n.hidden_layer_count for n in clause_nets)
-    padded_sizes = [n.size + 2 * (depth - n.hidden_layer_count) for n in clause_nets]
-    net = prune_dead_channels(_gadget_tree(clause_nets, "max"))
+    builder = NetBuilder(d)
+    clauses = [
+        _balanced("min", _affine_leaves(builder, [lat.pieces[i] for i in s]))
+        for s in lat.clauses
+    ]
+    depth = max(c.depth for c in clauses)
+    if depth > ceil_log2(d + 1):
+        raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
+    padded_sizes = [c.size + 2 * (depth - c.depth) for c in clauses]
+    (root,) = _emit_trees(builder, [_balanced("max", clauses)])
+    net = prune_dead_channels(builder.finish([[(1.0, root)]]))
     report = BoundReport(
         pathway="shallow-lattice",
         predicted_depth=ceil_log2(d + 1) + ceil_log2(M) + 1,
@@ -814,7 +799,8 @@ def compile_cpwl_shallow(
     Builds a max-of-mins form (via the unique-order partition for d <= 2,
     or via the convex piece regions otherwise), expands it into a signed
     sum of plain max terms, rewrites every term to at most ``d + 1``
-    arguments, and emits one balanced max tree per term.  Hidden depth is
+    arguments, and emits one balanced max tree per term into a shared
+    builder.  Hidden depth is
     at most ``ceil(log2(d+1))`` — independent of the number of pieces.
 
     Args:
@@ -866,8 +852,7 @@ def compile_cpwl_shallow(
         )
         weighted.extend((w, t) for t in pures)
     merged = _merge_pure_terms(weighted)
-    nets, weights = _emit_weighted(merged, d)
-    net = prune_dead_channels(linear_combine(nets, np.array(weights)))
+    net = _terms_net(merged, d)
     _self_check(net, lambda P: np.asarray(f(P)), pts, "shallow CPWL compile")
     predicted_size = (
         (10 * d + 6)
@@ -926,7 +911,7 @@ def compile_basis_shallow(
 
     Expands ``max(0, min_k g_k)`` over the vertex star by inclusion-
     exclusion into ``2^n - 1`` signed max terms, rewrites wide terms to at
-    most ``d + 1`` arguments, and sums term networks.  Hidden depth is at
+    most ``d + 1`` arguments, and sums the terms' max trees.  Hidden depth is at
     most ``ceil(log2(d+1))``; the size bound is combinatorial in the
     valence ``n`` (see report).
 
@@ -937,8 +922,7 @@ def compile_basis_shallow(
     pts = sample_points(mesh, 64, rng)
     weighted = _basis_shallow_terms(mesh, vertex, 1.0, pts)
     merged = _merge_pure_terms(weighted)
-    nets, weights = _emit_weighted(merged, mesh.dim)
-    net = prune_dead_channels(linear_combine(nets, np.array(weights)))
+    net = _terms_net(merged, mesh.dim)
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[vertex] = 1.0
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), pts, "shallow hat")
@@ -966,8 +950,9 @@ def compile_fem_shallow(
 
     Each hat with nonzero coefficient is expanded as in
     :func:`compile_basis_shallow` with its first-layer affines scaled by
-    ``|c_i|`` (the expansion is positively homogeneous), signs going into
-    the ``+-1`` output combination.  Hidden depth stays at most
+    ``|c_i|`` (the expansion is positively homogeneous); identical terms
+    merge across hats, and each merged term's sign goes into the output
+    combination.  Hidden depth stays at most
     ``ceil(log2(d+1))`` regardless of the mesh.
 
     Raises:
@@ -980,12 +965,6 @@ def compile_fem_shallow(
     used = [i for i in range(mesh.num_vertices) if coeffs[i] != 0.0]
     kh = compute_kh(mesh)
     d = mesh.dim
-    if not used:
-        net = ReluNetwork(d, [(np.zeros((1, d)), np.zeros(1))])
-        return net, BoundReport(
-            pathway="shallow", predicted_depth=ceil_log2(d + 1), actual_depth=0,
-            predicted_size_bound=0, actual_size=0, d=d, kh=kh, m=0, M=0,
-        )
     pts = sample_points(mesh, 128, rng)
     weighted: list[tuple[int, _Term]] = []
     for i in used:
@@ -993,8 +972,7 @@ def compile_fem_shallow(
         local = _basis_shallow_terms(mesh, i, abs(float(coeffs[i])), pts)
         weighted.extend((sgn * w, t) for w, t in local)
     merged = _merge_pure_terms(weighted)
-    nets, weights = _emit_weighted(merged, d)
-    net = prune_dead_channels(linear_combine(nets, np.array(weights)))
+    net = _terms_net(merged, d)
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), pts, "shallow FE function")
     bound = sum(
         _basis_shallow_size_bound(len(mesh.vertex_to_simplices[i]), d) for i in used

@@ -3,8 +3,9 @@
 A network is a plain sequence of affine layers with ReLU applied between
 consecutive layers (not after the last).  Weight matrices may be dense
 numpy arrays or scipy CSR matrices; evaluation and serialization handle
-both.  ``hidden_layer_count`` is the number of layers minus one, and
-``size`` is the total number of hidden neurons.
+both, and every composition operation below builds CSR.
+``hidden_layer_count`` is the number of layers minus one, and ``size`` is
+the total number of hidden neurons.
 
 :class:`NetBuilder` assembles networks level by level from *channels*: a
 channel is a value represented as a fixed linear combination of the current
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +40,8 @@ def relu(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.maximum(x, 0.0)
 
 
-def _is_sparse(W) -> bool:
-    return sp.issparse(W)
-
-
 def _nnz(W) -> int:
-    if _is_sparse(W):
+    if sp.issparse(W):
         return int(W.count_nonzero())
     return int(np.count_nonzero(W))
 
@@ -116,6 +114,22 @@ def network_stats(net: ReluNetwork) -> NetworkStats:
     return NetworkStats(net.hidden_layer_count, net.size, int(nz))
 
 
+def layer_outputs(
+    net: ReluNetwork, X: NDArray[np.float64]
+) -> Iterator[NDArray[np.float64]]:
+    """Yields each layer's output on the batch ``X`` of shape ``(n, input_dim)``.
+
+    Hidden layers yield their post-ReLU activations, shape ``(n, width)``;
+    the last item is the linear output layer's value, shape ``(n, q)``.
+    """
+    act = X
+    for idx, (W, b) in enumerate(net.layers):
+        act = np.asarray((W @ act.T).T + b)
+        if idx < net.hidden_layer_count:
+            act = relu(act)
+        yield act
+
+
 def eval_network(net: ReluNetwork, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluates the network on a batch.
 
@@ -134,11 +148,8 @@ def eval_network(net: ReluNetwork, X: NDArray[np.float64]) -> NDArray[np.float64
         raise DimensionMismatch(
             f"network expects input dimension {net.input_dim}, got {act.shape[1]}"
         )
-    for W, b in net.layers[:-1]:
-        pre = (W @ act.T).T + b
-        act = relu(np.asarray(pre))
-    W, b = net.layers[-1]
-    out = np.asarray((W @ act.T).T + b)
+    for out in layer_outputs(net, act):
+        pass  # keep only the last layer's output
     if net.output_dim == 1:
         out = out[:, 0]
         return float(out[0]) if single else out
@@ -167,17 +178,12 @@ def pad_network(net: ReluNetwork, target_hidden: int) -> ReluNetwork:
         raise DimensionMismatch("padding is defined for single-output networks")
     if net.hidden_layer_count > target_hidden:
         raise ValueError("network is already deeper than the padding target")
-    layers = list(net.layers)
+    layers = [(sp.csr_matrix(W), b) for W, b in net.layers]
     while len(layers) - 1 < target_hidden:
         W, b = layers[-1]
-        if _is_sparse(W):
-            W_id = sp.vstack([W, -W], format="csr")
-            W_out = sp.csr_matrix(np.array([[1.0, -1.0]]))
-        else:
-            W_id = np.vstack([W, -W])
-            W_out = np.array([[1.0, -1.0]])
-        b_id = np.concatenate([b, -b])
-        layers = layers[:-1] + [(W_id, b_id), (W_out, np.zeros(1))]
+        W_id = sp.vstack([W, -W], format="csr")
+        W_out = sp.csr_matrix(np.array([[1.0, -1.0]]))
+        layers = layers[:-1] + [(W_id, np.concatenate([b, -b])), (W_out, np.zeros(1))]
     return ReluNetwork(net.input_dim, layers)
 
 
@@ -197,7 +203,7 @@ def prune_dead_channels(net: ReluNetwork, tol: float = 1e-12) -> ReluNetwork:
         changed = False
         for li in range(len(layers) - 1):
             W, b = layers[li]
-            if _is_sparse(W):
+            if sp.issparse(W):
                 row_max = np.asarray(abs(W).max(axis=1).todense()).ravel()
             else:
                 row_max = (
@@ -218,30 +224,12 @@ def prune_dead_channels(net: ReluNetwork, tol: float = 1e-12) -> ReluNetwork:
     return ReluNetwork(net.input_dim, layers)
 
 
-def _stack_first(Ws: list, sparse: bool):
-    return sp.vstack([sp.csr_matrix(W) for W in Ws], format="csr") if sparse else np.vstack(Ws)
-
-
-def _block_diag(Ws: list, sparse: bool):
-    if sparse:
-        return sp.block_diag([sp.csr_matrix(W) for W in Ws], format="csr")
-    total_r = sum(W.shape[0] for W in Ws)
-    total_c = sum(W.shape[1] for W in Ws)
-    out = np.zeros((total_r, total_c))
-    r = c = 0
-    for W in Ws:
-        out[r : r + W.shape[0], c : c + W.shape[1]] = W
-        r += W.shape[0]
-        c += W.shape[1]
-    return out
-
-
 def parallel(nets: list[ReluNetwork]) -> ReluNetwork:
     """Runs networks side by side on a shared input, concatenating outputs.
 
     Networks are first padded to a common depth.  The first layer stacks the
     nets' first layers over the shared input; later layers are block
-    diagonal.
+    diagonal.  Every layer of the result is CSR.
     """
     if not nets:
         raise EmptyList("need at least one network")
@@ -250,13 +238,11 @@ def parallel(nets: list[ReluNetwork]) -> ReluNetwork:
         raise DimensionMismatch("parallel networks must share the input dimension")
     depth = max(n.hidden_layer_count for n in nets)
     nets = [pad_network(n, depth) if n.hidden_layer_count < depth else n for n in nets]
-    sparse = any(_is_sparse(W) for n in nets for W, _ in n.layers)
     layers = []
     for li in range(depth + 1):
-        Ws = [n.layers[li][0] for n in nets]
-        bs = [n.layers[li][1] for n in nets]
-        W = _stack_first(Ws, sparse) if li == 0 else _block_diag(Ws, sparse)
-        layers.append((W, np.concatenate(bs)))
+        Ws = [sp.csr_matrix(n.layers[li][0]) for n in nets]
+        W = sp.vstack(Ws, format="csr") if li == 0 else sp.block_diag(Ws, format="csr")
+        layers.append((W, np.concatenate([n.layers[li][1] for n in nets])))
     return ReluNetwork(d, layers)
 
 
@@ -272,20 +258,9 @@ def linear_combine(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(nets),):
         raise DimensionMismatch("need exactly one weight per network")
-    if len(nets) == 1:
-        # Scale the output layer in place; no padding needed.
-        net = nets[0]
-        W, b = net.layers[-1]
-        Wn = W * weights[0] if not _is_sparse(W) else W.multiply(weights[0]).tocsr()
-        return ReluNetwork(
-            net.input_dim, list(net.layers[:-1]) + [(Wn, b * weights[0] + bias)]
-        )
     stacked = parallel(nets)
     W, b = stacked.layers[-1]
-    if _is_sparse(W):
-        Wn = sp.csr_matrix(weights[None, :]) @ W
-    else:
-        Wn = weights[None, :] @ W
+    Wn = sp.csr_matrix(weights[None, :]) @ W
     bn = np.array([float(weights @ b) + bias])
     return ReluNetwork(stacked.input_dim, list(stacked.layers[:-1]) + [(Wn, bn)])
 
@@ -371,16 +346,29 @@ def _make_ref(level: int, coeffs: dict[int, float], bias: float) -> ChannelRef:
     return ChannelRef(level, items, float(bias))
 
 
+#: The builder's operations: ``kind -> (sign pairs, output weights)``.
+#: Hidden neuron ``k`` computes ``relu(sa_k * a + sb_k * b)`` and the result
+#: is ``sum_k combo_k * neuron_k``; e.g. ``min(a, b) = relu(a + b)/2 -
+#: relu(-a - b)/2 - |a - b|/2``.  The identity carry has no ``b`` and
+#: computes ``relu(a) - relu(-a)``.
+GADGETS = {
+    "min": (((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)), (0.5, -0.5, -0.5, -0.5)),
+    "max": (((-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)), (-0.5, 0.5, 0.5, 0.5)),
+    "id": (((1.0, 0.0), (-1.0, 0.0)), (1.0, -1.0)),
+}
+
+
 class NetBuilder:
     """Assembles a ReLU network one level at a time from channels.
 
-    Start from the input channels (one per coordinate) and constants; each
+    Start from the input channels (one per coordinate) and constants, or
+    from the outputs of an existing network (:meth:`from_network`); each
     :meth:`apply_level` call turns a list of gadget operations on current-
     level channels into one sparse hidden layer and returns the next-level
-    channels.  Biases are only ever written into the first layer; all later
-    layers have zero bias, and gadget/identity coefficients keep their
-    weights in ``{0, +-1/2, +-1}`` whenever the consumed channels have
-    integer or half-integer coefficients.
+    channels.  Biases are only ever written into the first layer the
+    builder emits; all later layers have zero bias, and gadget/identity
+    coefficients keep their weights in ``{0, +-1/2, +-1}`` whenever the
+    consumed channels have integer or half-integer coefficients.
 
     Operations (each a tuple):
         ``("min", a, b)`` — 4 neurons, channel for ``min(a, b)``.
@@ -393,6 +381,27 @@ class NetBuilder:
         self.level = 0
         self._width = int(input_dim)  # width of the current activation vector
         self.layers: list[tuple[object, NDArray[np.float64]]] = []
+        self._seeded = 0  # layers taken over from a seed network
+
+    @classmethod
+    def from_network(cls, net: ReluNetwork) -> tuple[NetBuilder, list[ChannelRef]]:
+        """A builder continuing ``net``: its hidden layers become the
+        builder's first layers and each output row becomes a channel.
+
+        Returns:
+            The builder and one channel per output of ``net``.
+        """
+        builder = cls(net.input_dim)
+        builder.layers = list(net.layers[:-1])
+        builder._seeded = len(builder.layers)
+        builder.level = net.hidden_layer_count
+        W, b = net.layers[-1]
+        builder._width = W.shape[1]
+        outs = [
+            _make_ref(builder.level, dict(zip(row.indices, row.data)), b[r])
+            for r, row in enumerate(sp.csr_matrix(W))
+        ]
+        return builder, outs
 
     def input_channel(self, i: int) -> ChannelRef:
         """Channel for the raw input coordinate ``x_i`` (level 0 only)."""
@@ -452,42 +461,20 @@ class NetBuilder:
                 combo[c] = combo.get(c, 0.0) + sb * v
             return combo, sa * a.bias + sb * b.bias
 
-        for op in ops:
-            kind = op[0]
-            if kind in ("min", "max"):
-                _, a, b = op
-                self._check(a)
-                self._check(b)
-                if kind == "min":
-                    patterns = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
-                    combo_w = (0.5, -0.5, -0.5, -0.5)
-                else:
-                    patterns = [(-1, -1), (1, 1), (-1, 1), (1, -1)]
-                    combo_w = (-0.5, 0.5, 0.5, 0.5)
-                ids = []
-                for sa, sb in patterns:
-                    combo, bias = lin(float(sa), a, float(sb), b)
-                    ids.append(emit_row(combo, bias))
-                out_channels.append(
-                    _make_ref(self.level + 1, dict(zip(ids, combo_w)), 0.0)
-                )
-            elif kind == "id":
-                _, a = op
-                self._check(a)
-                cp, bp = lin(1.0, a, 0.0, self.zero())
-                cn, bn = lin(-1.0, a, 0.0, self.zero())
-                ip = emit_row(cp, bp)
-                im = emit_row(cn, bn)
-                out_channels.append(
-                    _make_ref(self.level + 1, {ip: 1.0, im: -1.0}, 0.0)
-                )
-            else:
+        for kind, a, *rest in ops:
+            if kind not in GADGETS:
                 raise ValueError(f"unknown builder operation {kind!r}")
+            b = rest[0] if rest else self.zero()
+            self._check(a)
+            self._check(b)
+            patterns, combo_w = GADGETS[kind]
+            ids = [emit_row(*lin(sa, a, sb, b)) for sa, sb in patterns]
+            out_channels.append(_make_ref(self.level + 1, dict(zip(ids, combo_w)), 0.0))
 
         bias_vec = np.array(biases)
-        if self.level >= 1 and np.any(bias_vec != 0.0):
+        if len(self.layers) > self._seeded and np.any(bias_vec != 0.0):
             raise AssertionError(
-                "internal builder error: nonzero bias past the first layer"
+                "internal builder error: nonzero bias past the first emitted layer"
             )
         W = sp.csr_matrix(
             (vals, (rows, cols)), shape=(neuron, self._width), dtype=float
@@ -547,7 +534,7 @@ def network_to_dict(net: ReluNetwork) -> dict:
             raise ValueError(
                 f"layer with {entries} entries is too large to serialize densely"
             )
-        Wd = W.toarray() if _is_sparse(W) else np.asarray(W)
+        Wd = W.toarray() if sp.issparse(W) else np.asarray(W)
         layers.append({"W": Wd.tolist(), "b": np.asarray(b).tolist()})
     return {
         "schema": NETWORK_SCHEMA_VERSION,

@@ -51,7 +51,13 @@ from cpwlrelu.mesh import (
     vertex_star,
 )
 from cpwlrelu.quantize import QuantGrid, check_structured, project
-from cpwlrelu.relu_net import ReluNetwork, eval_network, independence_check, network_to_dict
+from cpwlrelu.relu_net import (
+    GADGETS,
+    ReluNetwork,
+    eval_network,
+    independence_check,
+    network_to_dict,
+)
 
 from helpers import (
     chain_mesh,
@@ -81,10 +87,8 @@ def test_criterion_01_gadget_identity_exact():
     """
     start = time.perf_counter()
     rng = np.random.default_rng(20260823)
-    W_min = np.array(comp._MIN_PATTERNS, dtype=float)
-    v_min = np.array(comp._MIN_COMBO)
-    W_max = np.array(comp._MAX_PATTERNS, dtype=float)
-    v_max = np.array(comp._MAX_COMBO)
+    W_min, v_min = (np.array(t, dtype=float) for t in GADGETS["min"])
+    W_max, v_max = (np.array(t, dtype=float) for t in GADGETS["max"])
 
     Z = rng.uniform(-1.0, 1.0, size=(1_000_000, 2))
     tiny = 5e-324  # smallest subnormal double

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from helpers import (
     crisscross_mesh,
     random_fan,
@@ -41,7 +42,13 @@ from cpwlrelu.errors import (
 )
 from cpwlrelu.mesh import build_mesh, compute_kh, interpolate, sample_points
 from cpwlrelu.quantize import check_structured
-from cpwlrelu.relu_net import affine_network, eval_network, network_stats
+from cpwlrelu.relu_net import (
+    GADGETS,
+    NetBuilder,
+    affine_network,
+    eval_network,
+    network_stats,
+)
 
 
 def test_ceil_log2_oracle():
@@ -61,10 +68,16 @@ ORACLE_MAX_V = np.array([-0.5, 0.5, 0.5, 0.5])
 
 
 def test_gadget_patterns_match_hardcoded_oracle():
-    assert np.array_equal(np.array(C._MIN_PATTERNS), ORACLE_MIN_W)
-    assert np.array_equal(np.array(C._MIN_COMBO), ORACLE_MIN_V)
-    assert np.array_equal(np.array(C._MAX_PATTERNS), ORACLE_MAX_W)
-    assert np.array_equal(np.array(C._MAX_COMBO), ORACLE_MAX_V)
+    for kind, W, v in (("min", ORACLE_MIN_W, ORACLE_MIN_V), ("max", ORACLE_MAX_W, ORACLE_MAX_V)):
+        patterns, combo = GADGETS[kind]
+        assert np.array_equal(np.array(patterns), W), kind
+        assert np.array_equal(np.array(combo), v), kind
+        # the builder writes exactly these rows and output weights
+        nb = NetBuilder(2)
+        (out,) = nb.apply_level([(kind, nb.input_channel(0), nb.input_channel(1))])
+        net = nb.finish([[(1.0, out)]])
+        assert np.array_equal(net.layers[0][0].toarray(), W), kind
+        assert np.array_equal(net.layers[1][0].toarray(), v[None, :]), kind
 
 
 def test_scalar_gadget_exact(rng):
@@ -118,6 +131,18 @@ def test_compile_max_of_m_mixed_depths(rng):
     ref = np.maximum(X[:, 0], np.maximum(X[:, 0] - 0.5, 0.5 - X[:, 0]))
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
     assert net.hidden_layer_count <= nested.hidden_layer_count + ceil_log2(2) + 1
+
+
+def test_compile_max_of_m_pads_lazily():
+    """Each pair step pads only its shallower argument: padding all three
+    inputs to the common depth first would give depth 4."""
+    x = lambda a, b: affine_network(np.array([a]), b)
+    third, _ = compile_max_of_m([x(1.0, 0.0), x(-1.0, 0.0), x(0.5, -0.25)])
+    net, rep = compile_max_of_m([x(2.0, -1.0), x(-2.0, -1.0), third])
+    assert (net.hidden_layer_count, net.size) == (3, 17)
+    X = np.linspace(-2, 2, 401)[:, None]
+    ref = np.max(np.stack([2 * X - 1, -2 * X - 1, X, -X, X / 2 - 0.25]), axis=0)[:, 0]
+    assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +364,39 @@ def test_fem_shallow_small_mesh(rng):
     assert np.max(diff) < 1e-9
     assert check_structured(net).passed
     assert net.hidden_layer_count <= 2
+
+
+def test_weighted_term_folds_into_one_subnetwork(rng):
+    """Weight 3 scales the term's affines instead of copying its network."""
+    affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
+    net = C._terms_net([(3, None, affs)], 2)
+    assert net.hidden_layer_count == 2
+    assert net.size == 10  # two gadgets and one carry, not two copies (20)
+    X = rng.uniform(-2, 2, size=(2000, 2))
+    ref = 3 * np.max(np.stack([a(X) for a in affs]), axis=0)
+    assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
+    out = net.layers[-1][0].toarray()
+    assert set(out[out != 0].tolist()) <= {0.5, -0.5}
+
+
+def test_compiled_layers_are_all_csr(rng):
+    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    coeffs = rng.normal(size=mesh.num_vertices)
+    f = random_max_affine(2, 4, rng)
+    pieces = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(4)]
+    lat = LatticeForm(pieces, [(0, 1, 2), (1, 3), (2,)])
+    nets = {
+        "fem-deep": compile_fem_deep(mesh, coeffs)[0],
+        "fem-shallow": compile_fem_shallow(mesh, coeffs)[0],
+        "cpwl-shallow": compile_cpwl_shallow(f, rng)[0],
+        "lattice-shallow": compile_lattice_shallow(lat)[0],
+        "max-of-m": compile_max_of_m(
+            [affine_network(rng.normal(size=2), 0.0) for _ in range(3)]
+        )[0],
+    }
+    for name, net in nets.items():
+        assert net.hidden_layer_count >= 1, name
+        assert all(sp.isspmatrix_csr(W) for W, _ in net.layers), name
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,31 @@ def test_parallel_empty_rejected():
         parallel([])
 
 
+def test_composition_builds_csr(rng):
+    a = _random_net(rng, widths=(3,))
+    b = _random_net(rng, widths=(4, 2))
+    for net in (pad_network(a, 3), parallel([a, b]),
+                linear_combine([a, b], np.array([1.0, 2.0]))):
+        assert all(sp.isspmatrix_csr(W) for W, _ in net.layers)
+
+
+def test_builder_from_network_continues_it(rng):
+    """Seeding on two nets side by side and adding a max gadget gives their
+    max; only the first emitted layer may carry bias."""
+    a = _random_net(rng, widths=(3,))
+    b = _random_net(rng, widths=(4,))
+    nb, (ca, cb) = NetBuilder.from_network(parallel([a, b]))
+    assert nb.level == 1
+    (m,) = nb.apply_level([("max", ca, cb)])
+    (m2,) = nb.apply_level([("id", m)])
+    net = nb.finish([[(1.0, m2)]])
+    X = rng.normal(size=(200, 2))
+    ref = np.maximum(eval_network(a, X), eval_network(b, X))
+    assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-10
+    assert net.hidden_layer_count == 3
+    assert np.all(net.layers[2][1] == 0.0)
+
+
 def test_linear_combine(rng):
     a = _random_net(rng, widths=(3,))
     b = _random_net(rng, widths=(4,))
