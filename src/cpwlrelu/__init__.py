@@ -15,7 +15,7 @@ SCHEMA_VERSIONS = {
     "mesh": "1",
     "cpwl": "1",
     "lattice": "1",
-    "network": "1",
+    "network": "2",
 }
 
 __all__ = ["CpwlReluError", "SCHEMA_VERSIONS", "__version__"]

@@ -228,8 +228,7 @@ def _cmd_quantize(args) -> int:
     out = project_network(net, QuantGrid(k, l), include_first=args.include_first)
     save_network(out, args.output)
     changed = sum(
-        int(np.count_nonzero(np.asarray(a[0]) != np.asarray(b[0])))
-        for a, b in zip(net.layers, out.layers)
+        int((a[0] - b[0]).count_nonzero()) for a, b in zip(net.layers, out.layers)
     )
     print(f"projected onto grid ({k},{l}); {changed} weight entries changed")
     report = RunReport(

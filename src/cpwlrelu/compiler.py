@@ -507,14 +507,18 @@ def _terms_value(terms: list[_Term], X: NDArray) -> NDArray:
     return out
 
 
+def _check_rewrite(before: NDArray, after: NDArray, what: str) -> None:
+    """Raises AssertionError unless ``|after - before| <= REWRITE_TOL *
+    max(1, max|before|)`` at every point."""
+    scale = max(1.0, float(np.max(np.abs(before))))
+    if np.max(np.abs(before - after)) > REWRITE_TOL * scale:
+        raise AssertionError(f"{what} failed numerical check")
+
+
 def _audit_rewrite(t: _Term, parts: list[_Term], pts: NDArray, what: str) -> None:
     """Numerically re-checks one rewrite step (and counts it)."""
     global REWRITE_CHECKS_PASSED
-    before = _term_value(t, pts)
-    after = _terms_value(parts, pts)
-    scale = max(1.0, float(np.max(np.abs(before))))
-    if np.max(np.abs(before - after)) > REWRITE_TOL * scale:
-        raise AssertionError(f"{what} rewrite failed numerical check")
+    _check_rewrite(_term_value(t, pts), _terms_value(parts, pts), f"{what} rewrite")
     REWRITE_CHECKS_PASSED += 1
 
 
@@ -689,11 +693,7 @@ def reduce_term_width(
                 f"elimination produced {len(pieces)} terms, above the "
                 f"guaranteed 2^(d+1)-1 = {2 ** (d + 1) - 1}"
             )
-        before = _term_value(t, pts)
-        after = _terms_value(pieces, pts)
-        scale = max(1.0, float(np.max(np.abs(before))))
-        if np.max(np.abs(before - after)) > REWRITE_TOL * scale:
-            raise AssertionError("elimination step failed numerical check")
+        _check_rewrite(_term_value(t, pts), _terms_value(pieces, pts), "elimination step")
         queue.extend(pieces)
     return done
 
@@ -841,10 +841,7 @@ def compile_cpwl_shallow(
     for S, w in state.items():
         V = np.stack([lat.pieces[i](pts) for i in sorted(S)], axis=1)
         acc += w * V.max(axis=1)
-    ref = eval_lattice(lat, pts)
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    if np.max(np.abs(acc - ref)) > REWRITE_TOL * scale:
-        raise AssertionError("internal error: lattice expansion mismatch")
+    _check_rewrite(eval_lattice(lat, pts), acc, "internal error: lattice expansion")
     weighted: list[tuple[int, _Term]] = []
     for S, w in sorted(state.items(), key=lambda kv: sorted(kv[0])):
         pures = reduce_term_width(

@@ -1,9 +1,9 @@
 """ReLU network containers, composition operations, and a layer builder.
 
 A network is a plain sequence of affine layers with ReLU applied between
-consecutive layers (not after the last).  Weight matrices may be dense
-numpy arrays or scipy CSR matrices; evaluation and serialization handle
-both, and every composition operation below builds CSR.
+consecutive layers (not after the last).  Every weight matrix is a scipy
+CSR matrix: :class:`ReluNetwork` converts whatever it is given, so
+evaluation, composition and serialization know one format.
 ``hidden_layer_count`` is the number of layers minus one, and ``size`` is
 the total number of hidden neurons.
 
@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, EmptyList, PairwiseDependent
 
 logger = logging.getLogger(__name__)
 
-NETWORK_SCHEMA_VERSION = "1"
+NETWORK_SCHEMA_VERSION = "2"
 
 #: Feature-matrix rank threshold factor for the independence check.
 RANK_TOL_FACTOR = 1e-8
@@ -40,12 +40,6 @@ def relu(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.maximum(x, 0.0)
 
 
-def _nnz(W) -> int:
-    if sp.issparse(W):
-        return int(W.count_nonzero())
-    return int(np.count_nonzero(W))
-
-
 @dataclass
 class ReluNetwork:
     """A feed-forward ReLU network.
@@ -53,16 +47,17 @@ class ReluNetwork:
     Attributes:
         input_dim: Dimension of the input.
         layers: List of ``(W, b)`` pairs; ReLU is applied after every layer
-            except the last.  ``W`` may be dense or CSR sparse; ``b`` is a
-            dense vector.
+            except the last.  ``W`` is a float CSR matrix, converted on
+            construction from any other format; ``b`` is a dense vector.
     """
 
     input_dim: int
-    layers: list[tuple[object, NDArray[np.float64]]]
+    layers: list[tuple[sp.csr_matrix, NDArray[np.float64]]]
 
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("a network needs at least one (output) layer")
+        self.layers = [(sp.csr_matrix(W, dtype=float), b) for W, b in self.layers]
         cur = self.input_dim
         for idx, (W, b) in enumerate(self.layers):
             if W.shape[1] != cur:
@@ -110,7 +105,7 @@ class NetworkStats:
 
 
 def network_stats(net: ReluNetwork) -> NetworkStats:
-    nz = sum(_nnz(W) + int(np.count_nonzero(b)) for W, b in net.layers)
+    nz = sum(W.count_nonzero() + np.count_nonzero(b) for W, b in net.layers)
     return NetworkStats(net.hidden_layer_count, net.size, int(nz))
 
 
@@ -178,7 +173,7 @@ def pad_network(net: ReluNetwork, target_hidden: int) -> ReluNetwork:
         raise DimensionMismatch("padding is defined for single-output networks")
     if net.hidden_layer_count > target_hidden:
         raise ValueError("network is already deeper than the padding target")
-    layers = [(sp.csr_matrix(W), b) for W, b in net.layers]
+    layers = list(net.layers)
     while len(layers) - 1 < target_hidden:
         W, b = layers[-1]
         W_id = sp.vstack([W, -W], format="csr")
@@ -203,13 +198,7 @@ def prune_dead_channels(net: ReluNetwork, tol: float = 1e-12) -> ReluNetwork:
         changed = False
         for li in range(len(layers) - 1):
             W, b = layers[li]
-            if sp.issparse(W):
-                row_max = np.asarray(abs(W).max(axis=1).todense()).ravel()
-            else:
-                row_max = (
-                    np.max(np.abs(W), axis=1) if W.shape[1] else np.zeros(W.shape[0])
-                )
-            alive = (row_max > tol) | (b > tol)
+            alive = ((abs(W) > tol).getnnz(axis=1) > 0) | (b > tol)
             if alive.all():
                 continue
             if not alive.any():
@@ -240,7 +229,7 @@ def parallel(nets: list[ReluNetwork]) -> ReluNetwork:
     nets = [pad_network(n, depth) if n.hidden_layer_count < depth else n for n in nets]
     layers = []
     for li in range(depth + 1):
-        Ws = [sp.csr_matrix(n.layers[li][0]) for n in nets]
+        Ws = [n.layers[li][0] for n in nets]
         W = sp.vstack(Ws, format="csr") if li == 0 else sp.block_diag(Ws, format="csr")
         layers.append((W, np.concatenate([n.layers[li][1] for n in nets])))
     return ReluNetwork(d, layers)
@@ -380,7 +369,7 @@ class NetBuilder:
         self.input_dim = int(input_dim)
         self.level = 0
         self._width = int(input_dim)  # width of the current activation vector
-        self.layers: list[tuple[object, NDArray[np.float64]]] = []
+        self.layers: list[tuple[sp.csr_matrix, NDArray[np.float64]]] = []
         self._seeded = 0  # layers taken over from a seed network
 
     @classmethod
@@ -399,7 +388,7 @@ class NetBuilder:
         builder._width = W.shape[1]
         outs = [
             _make_ref(builder.level, dict(zip(row.indices, row.data)), b[r])
-            for r, row in enumerate(sp.csr_matrix(W))
+            for r, row in enumerate(W)
         ]
         return builder, outs
 
@@ -522,35 +511,46 @@ class NetBuilder:
 # Serialization
 # ---------------------------------------------------------------------------
 
-#: Refuse to densify layers with more entries than this when serializing.
-MAX_DENSE_ENTRIES = 4_000_000
-
 
 def network_to_dict(net: ReluNetwork) -> dict:
-    layers = []
-    for W, b in net.layers:
-        entries = W.shape[0] * W.shape[1]
-        if entries > MAX_DENSE_ENTRIES:
-            raise ValueError(
-                f"layer with {entries} entries is too large to serialize densely"
-            )
-        Wd = W.toarray() if sp.issparse(W) else np.asarray(W)
-        layers.append({"W": Wd.tolist(), "b": np.asarray(b).tolist()})
-    return {
-        "schema": NETWORK_SCHEMA_VERSION,
-        "input_dim": net.input_dim,
-        "layers": layers,
-    }
+    """Schema "2": each layer's CSR arrays and bias, as exact JSON floats."""
+    layers = [
+        {"shape": list(W.shape), "indptr": W.indptr.tolist(), "indices": W.indices.tolist(),
+         "data": W.data.tolist(), "b": np.asarray(b).tolist()}
+        for W, b in net.layers
+    ]
+    return {"schema": NETWORK_SCHEMA_VERSION, "input_dim": net.input_dim, "layers": layers}
+
+
+def _layer_from_dict(layer: dict, schema: str) -> tuple[object, NDArray[np.float64]]:
+    """One layer's ``(W, b)``; raises ValueError if a schema-2 layer's arrays
+    are not a valid CSR matrix of the stated shape."""
+    b = np.array(layer["b"], dtype=float)
+    if schema == "1":
+        return np.array(layer["W"], dtype=float), b
+    indptr, indices = np.asarray(layer["indptr"]), np.asarray(layer["indices"])
+    if any(a.size and a.dtype.kind != "i" for a in (indptr, indices)):
+        raise ValueError("indptr and indices must hold integers")
+    data = np.asarray(layer["data"], dtype=float)
+    W = sp.csr_matrix((data, indices, indptr), shape=tuple(layer["shape"]))
+    W.check_format(full_check=True)  # the constructor skips index bounds
+    if W.nnz != data.size:  # the constructor drops entries past indptr[-1]
+        raise ValueError(f"indptr covers {W.nnz} of {data.size} stored entries")
+    return W, b
 
 
 def network_from_dict(d: dict) -> ReluNetwork:
-    if d.get("schema", NETWORK_SCHEMA_VERSION) != NETWORK_SCHEMA_VERSION:
-        raise ValueError(f"unsupported network schema {d.get('schema')!r}")
-    layers = [
-        (np.array(layer["W"], dtype=float), np.array(layer["b"], dtype=float))
-        for layer in d["layers"]
-    ]
-    return ReluNetwork(int(d["input_dim"]), layers)
+    """Reads schema "2" or the older dense schema "1" into CSR layers; a
+    malformed dict raises ValueError (DimensionMismatch if shapes do not chain)."""
+    schema = d.get("schema", "1")
+    if schema not in ("1", "2"):
+        raise ValueError(f"unsupported network schema {schema!r}")
+    try:
+        layers = [_layer_from_dict(layer, schema) for layer in d["layers"]]
+        input_dim = int(d["input_dim"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed network dict: {exc!r}") from exc
+    return ReluNetwork(input_dim, layers)
 
 
 def save_network(net: ReluNetwork, path: str) -> None:

@@ -26,7 +26,13 @@ def main(argv):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
         return _cli_main(argv)
 from cpwlrelu.mesh import mesh_to_dict
-from cpwlrelu.relu_net import eval_network, network_from_dict, network_to_dict
+from cpwlrelu.relu_net import (
+    ReluNetwork,
+    eval_network,
+    network_from_dict,
+    network_to_dict,
+    save_network,
+)
 
 from helpers import crisscross_mesh, square_two_triangles
 
@@ -88,7 +94,7 @@ def test_compile_then_verify_ok(tmp_path, mesh_file, coeff_file):
 def test_verify_detects_corruption(tmp_path, mesh_file, coeff_file):
     out = _compile(tmp_path, mesh_file, coeff_file)
     payload = json.loads(out.read_text())
-    payload["layers"][1]["W"][0][0] += 0.25
+    payload["layers"][1]["data"][0] += 0.25  # first stored weight of layer 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     rc = main(
@@ -101,6 +107,25 @@ def test_verify_detects_corruption(tmp_path, mesh_file, coeff_file):
         ]
     )
     assert rc == 2
+
+
+def test_verify_rejects_malformed_network_file(tmp_path, mesh_file, coeff_file):
+    out = _compile(tmp_path, mesh_file, coeff_file)
+    payload = json.loads(out.read_text())
+    layer = payload["layers"][1]
+    layer["indices"][0] = layer["shape"][1]  # one past the last column
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(
+        [
+            "verify",
+            "--net", str(bad),
+            "--against", "mesh",
+            "--mesh", str(mesh_file[0]),
+            "--coeffs", str(coeff_file[0]),
+        ]
+    )
+    assert rc == 1
 
 
 def test_verify_requires_reference_args(tmp_path, mesh_file, coeff_file):
@@ -183,13 +208,26 @@ def test_check_structured_fails_off_grid(tmp_path):
     assert main(["check-structured", "--net", str(path)]) == 2
 
 
+def test_quantize_reports_changed_entries(tmp_path):
+    net = ReluNetwork(
+        1, [(np.array([[1.0], [-1.0]]), np.zeros(2)), (np.array([[0.3, 0.5]]), np.zeros(1))]
+    )
+    path = tmp_path / "net.json"
+    save_network(net, str(path))
+    report = tmp_path / "run.json"
+    rc = main(["quantize", "--net", str(path), "-o", str(tmp_path / "q.json"),
+               "--report", str(report)])
+    assert rc == 0
+    assert json.loads(report.read_text())["results"]["changed_entries"] == 1  # 0.3 -> 0.5
+
+
 def test_quantize_custom_grid(tmp_path, mesh_file, coeff_file):
     out = _compile(tmp_path, mesh_file, coeff_file)
     q = tmp_path / "quant.json"
     assert main(["quantize", "--net", str(out), "--grid", "0,2", "-o", str(q)]) == 0
     net = network_from_dict(json.loads(q.read_text()))
     for W, _ in net.layers[1:]:
-        vals = np.unique(np.round(W, 12))
+        vals = np.unique(np.round(W.toarray(), 12))
         assert set(vals).issubset({-1.0, 0.0, 1.0})
 
 
@@ -366,3 +404,19 @@ def test_square_mesh_compile_smoke(tmp_path, rng):
          "--pathway", "shallow", "-o", str(out)]
     )
     assert rc == 0
+
+
+def test_shallow_cli_roundtrip_on_4x4_grid(tmp_path, rng):
+    """Compile, verify and structure-check a shallow network whose hidden
+    layers have millions of entries but few nonzeros."""
+    mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(mesh_to_dict(mesh)))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(rng.normal(size=mesh.num_vertices).tolist()))
+    out = tmp_path / "n.json"
+    assert main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(cpath),
+                 "--pathway", "shallow", "-o", str(out)]) == 0
+    assert main(["verify", "--net", str(out), "--against", "mesh",
+                 "--mesh", str(mpath), "--coeffs", str(cpath)]) == 0
+    assert main(["check-structured", "--net", str(out)]) == 0

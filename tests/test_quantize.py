@@ -81,10 +81,11 @@ def test_project_idempotent(rng):
 
 def test_project_matrix_sparse_stays_sparse():
     g = QuantGrid(0, 3)
-    W = sp.csr_matrix(np.array([[0.6, 0.0], [0.0, -1.2]]))
+    W = sp.csr_matrix(np.array([[0.6, 0.0, 0.2], [0.0, -1.2, 0.0]]))
     P = project_matrix(W, g)
     assert sp.issparse(P)
-    assert np.allclose(P.toarray(), [[0.5, 0.0], [0.0, -1.0]])
+    assert np.allclose(P.toarray(), [[0.5, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    assert P.nnz == 2  # 0.2 projects to 0 and is no longer stored
 
 
 def test_project_network_skips_first_layer(rng):
@@ -94,10 +95,10 @@ def test_project_network_skips_first_layer(rng):
     ]
     net = ReluNetwork(2, layers)
     out = project_network(net, QuantGrid(0, 3))
-    assert np.array_equal(np.asarray(out.layers[0][0]), layers[0][0])
-    assert np.allclose(np.asarray(out.layers[1][0]), [[0.5, -0.5, 1.0, 0.0]])
+    assert np.array_equal(out.layers[0][0].toarray(), layers[0][0])
+    assert np.allclose(out.layers[1][0].toarray(), [[0.5, -0.5, 1.0, 0.0]])
     withfirst = project_network(net, QuantGrid(0, 3), include_first=True)
-    assert not np.array_equal(np.asarray(withfirst.layers[0][0]), layers[0][0])
+    assert not np.array_equal(withfirst.layers[0][0].toarray(), layers[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_check_structured_passes_on_grid():
     rep = check_structured(_structured_net())
     assert rep.passed and not rep.vacuous
     assert rep.checked_layers == [1, 2]
-    assert rep.checked_params == 6
+    assert rep.checked_params == 5
     assert rep.violations == []
 
 

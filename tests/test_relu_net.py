@@ -42,9 +42,9 @@ def _random_net(rng, d=2, widths=(5, 4), out=1):
 def _forward_oracle(layers, X):
     act = X
     for W, b in layers[:-1]:
-        act = np.maximum(act @ np.asarray(W).T + b, 0.0)
+        act = np.maximum(act @ W.toarray().T + b, 0.0)
     W, b = layers[-1]
-    return act @ np.asarray(W).T + b
+    return act @ W.toarray().T + b
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_network_stats_counts(rng):
     s = network_stats(net)
     assert s.hidden_layers == 2
     assert s.size == 6
-    dense_params = sum(np.count_nonzero(W) for W, _ in net.layers)
+    dense_params = sum(np.count_nonzero(W.toarray()) for W, _ in net.layers)
     assert s.nonzero_params >= dense_params  # biases may add to the count
 
 
@@ -250,8 +250,63 @@ def test_roundtrip_dense_and_sparse(rng, tmp_path):
 
 def test_dict_schema_version(rng):
     d = network_to_dict(_random_net(rng))
-    assert d["schema"] == "1"
+    assert d["schema"] == "2"
     network_from_dict(d)
+
+
+def test_roundtrip_large_sparse_layer_is_exact(tmp_path):
+    """A 2100 x 2100 hidden layer: 4.4 M entries, 2100 of them nonzero."""
+    n = 2100
+    eye = sp.identity(n, format="csr")
+    net = ReluNetwork(
+        n, [(eye, np.zeros(n)), (eye, np.zeros(n)), (np.ones((1, n)), np.zeros(1))]
+    )
+    p = tmp_path / "big.json"
+    save_network(net, str(p))
+    back = load_network(str(p))
+    for (W, b), (W2, b2) in zip(net.layers, back.layers):
+        assert sp.isspmatrix_csr(W2)
+        for arr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(W, arr), getattr(W2, arr))
+        assert np.array_equal(b, b2)
+    X = np.random.default_rng(0).normal(size=(20, n))
+    assert np.max(np.abs(eval_network(back, X) - eval_network(net, X))) == 0.0
+
+
+def test_schema_1_dict_loads_as_csr(rng):
+    W0, b0 = [[1.0, -2.0], [0.0, 0.5], [0.25, 0.0]], [0.25, -1.0, 0.0]
+    W1, b1 = [[0.5, -1.0, 2.0]], [0.75]
+    net = network_from_dict({
+        "schema": "1", "input_dim": 2,
+        "layers": [{"W": W0, "b": b0}, {"W": W1, "b": b1}],
+    })
+    assert all(sp.isspmatrix_csr(W) for W, _ in net.layers)
+    assert net.layers[0][0].nnz == 4
+    # dyadic weights and points: every sum and product below is exact
+    X = rng.integers(-8, 9, size=(50, 2)) / 4.0
+    ref = np.maximum(X @ np.array(W0).T + b0, 0.0) @ np.array(W1).T + b1
+    assert np.array_equal(eval_network(net, X), ref[:, 0])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("indices", [5], "indices must be < 2"),  # column out of range
+        ("indptr", [0], "index pointer size"),  # one entry short
+        ("indices", [0.5], "must hold integers"),
+        ("indptr", [0, 0], "covers 0 of 1"),  # the stored entry left out
+        ("shape", [1, 2.5], "malformed"),
+        ("b", None, "malformed"),  # missing field
+    ],
+)
+def test_loader_rejects_malformed_layer(field, value, message):
+    d = network_to_dict(ReluNetwork(2, [(np.array([[1.0, 0.0]]), np.zeros(1))]))
+    if value is None:
+        del d["layers"][0][field]
+    else:
+        d["layers"][0][field] = value
+    with pytest.raises(ValueError, match=message):
+        network_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
