@@ -228,7 +228,8 @@ def _cmd_quantize(args) -> int:
     out = project_network(net, QuantGrid(k, l), include_first=args.include_first)
     save_network(out, args.output)
     changed = sum(
-        int((a[0] - b[0]).count_nonzero()) for a, b in zip(net.layers, out.layers)
+        int((a[0] - b[0]).count_nonzero())
+        for a, b in zip(net.layers, out.layers)
     )
     print(f"projected onto grid ({k},{l}); {changed} weight entries changed")
     report = RunReport(

@@ -40,6 +40,13 @@ def relu(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.maximum(x, 0.0)
 
 
+def _canonical_csr(W) -> sp.csr_matrix:
+    """``W`` as float CSR with repeated entries of a row summed (on a copy), so
+    entrywise code sees the weights a product computes with."""
+    W = sp.csr_matrix(W, dtype=float)
+    return W if W.has_canonical_format else W.tocoo().tocsr()
+
+
 @dataclass
 class ReluNetwork:
     """A feed-forward ReLU network.
@@ -48,7 +55,8 @@ class ReluNetwork:
         input_dim: Dimension of the input.
         layers: List of ``(W, b)`` pairs; ReLU is applied after every layer
             except the last.  ``W`` is a float CSR matrix, converted on
-            construction from any other format; ``b`` is a dense vector.
+            construction from any other format, with duplicate entries
+            summed; ``b`` is a dense vector.
     """
 
     input_dim: int
@@ -57,7 +65,7 @@ class ReluNetwork:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("a network needs at least one (output) layer")
-        self.layers = [(sp.csr_matrix(W, dtype=float), b) for W, b in self.layers]
+        self.layers = [(_canonical_csr(W), b) for W, b in self.layers]
         cur = self.input_dim
         for idx, (W, b) in enumerate(self.layers):
             if W.shape[1] != cur:
@@ -515,11 +523,20 @@ class NetBuilder:
 def network_to_dict(net: ReluNetwork) -> dict:
     """Schema "2": each layer's CSR arrays and bias, as exact JSON floats."""
     layers = [
-        {"shape": list(W.shape), "indptr": W.indptr.tolist(), "indices": W.indices.tolist(),
-         "data": W.data.tolist(), "b": np.asarray(b).tolist()}
+        {
+            "shape": list(W.shape),
+            "indptr": W.indptr.tolist(),
+            "indices": W.indices.tolist(),
+            "data": W.data.tolist(),
+            "b": np.asarray(b).tolist(),
+        }
         for W, b in net.layers
     ]
-    return {"schema": NETWORK_SCHEMA_VERSION, "input_dim": net.input_dim, "layers": layers}
+    return {
+        "schema": NETWORK_SCHEMA_VERSION,
+        "input_dim": net.input_dim,
+        "layers": layers,
+    }
 
 
 def _layer_from_dict(layer: dict, schema: str) -> tuple[object, NDArray[np.float64]]:
@@ -541,7 +558,8 @@ def _layer_from_dict(layer: dict, schema: str) -> tuple[object, NDArray[np.float
 
 def network_from_dict(d: dict) -> ReluNetwork:
     """Reads schema "2" or the older dense schema "1" into CSR layers; a
-    malformed dict raises ValueError (DimensionMismatch if shapes do not chain)."""
+    malformed dict raises ValueError (DimensionMismatch if shapes do not chain).
+    Repeated column indices in a row are summed, as a product would."""
     schema = d.get("schema", "1")
     if schema not in ("1", "2"):
         raise ValueError(f"unsupported network schema {schema!r}")

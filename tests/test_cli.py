@@ -208,6 +208,18 @@ def test_check_structured_fails_off_grid(tmp_path):
     assert main(["check-structured", "--net", str(path)]) == 2
 
 
+def test_check_structured_sums_duplicate_indices(tmp_path):
+    net_dict = network_to_dict(
+        ReluNetwork(1, [(np.array([[1.0], [-1.0]]), np.zeros(2)),
+                        (np.array([[1.0, 0.0]]), np.zeros(1))])
+    )
+    # column 0 stored twice in the output row: 1.0 + 1.0 = 2.0 is off the grid
+    net_dict["layers"][1].update(indptr=[0, 2], indices=[0, 0], data=[1.0, 1.0])
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net_dict))
+    assert main(["check-structured", "--net", str(path)]) == 2
+
+
 def test_quantize_reports_changed_entries(tmp_path):
     net = ReluNetwork(
         1, [(np.array([[1.0], [-1.0]]), np.zeros(2)), (np.array([[0.3, 0.5]]), np.zeros(1))]

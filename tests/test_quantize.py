@@ -154,6 +154,21 @@ def test_check_structured_tolerance():
     assert check_structured(net, tol=1e-9).passed
 
 
+def test_duplicate_entries_checked_and_projected_as_their_sum():
+    # layer 1 stores column 0 of row 0 twice, 1.0 + 1.0: each copy is on the
+    # (0,3) grid, the weight the network computes with (2.0) is not
+    W1 = sp.csr_matrix(
+        (np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2)
+    )
+    net = ReluNetwork(1, [(np.array([[1.0], [-1.0]]), np.zeros(2)), (W1, np.zeros(1))])
+    rep = check_structured(net)
+    assert not rep.passed
+    assert rep.violations[0].layer == 1 and rep.violations[0].example == 2.0
+    q = project_network(net, QuantGrid(0, 3))
+    assert check_structured(q).passed
+    assert np.array_equal(q.layers[1][0].toarray(), [[1.0, 0.0]])
+
+
 def test_check_structured_vacuous_single_layer():
     net = affine_network(np.array([1.0, 2.0]), 0.5)
     rep = check_structured(net)

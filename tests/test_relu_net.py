@@ -309,6 +309,35 @@ def test_loader_rejects_malformed_layer(field, value, message):
         network_from_dict(d)
 
 
+def _duplicate_csr():
+    # row 0 stores column 0 twice (1.0 and 1.0): a product reads weight 2.0
+    return sp.csr_matrix(
+        (np.array([1.0, 1.0, 0.5]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+        shape=(2, 2),
+    )
+
+
+def test_duplicate_indices_are_summed_on_construction():
+    W = _duplicate_csr()
+    net = ReluNetwork(2, [(W, np.zeros(2))])
+    W2 = net.layers[0][0]
+    assert W2.has_canonical_format
+    assert np.array_equal(W2.indices, [0, 1]) and np.array_equal(W2.data, [2.0, 0.5])
+    assert np.array_equal(W.indices, [0, 0, 1])  # the caller's matrix is untouched
+    X = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    assert np.array_equal(eval_network(net, X), X @ np.array([[2.0, 0.0], [0.0, 0.5]]).T)
+
+
+def test_loader_sums_duplicate_indices():
+    d = network_to_dict(ReluNetwork(2, [(np.eye(2), np.zeros(2))]))
+    W = _duplicate_csr()
+    d["layers"][0].update(indptr=W.indptr.tolist(), indices=W.indices.tolist(),
+                          data=W.data.tolist())
+    W2 = network_from_dict(d).layers[0][0]
+    assert np.array_equal(W2.toarray(), [[2.0, 0.0], [0.0, 0.5]])
+    assert W2.nnz == 2
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
