@@ -182,6 +182,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     net = load_network(args.net)
     if args.against == "mesh":

@@ -670,21 +670,26 @@ def pieces_to_dict(f: CpwlPieces) -> dict:
 
 
 def pieces_from_dict(d: dict) -> CpwlPieces:
+    """Reads a piece-list dict; a malformed dict raises ValueError."""
     if d.get("schema", CPWL_SCHEMA_VERSION) != CPWL_SCHEMA_VERSION:
         raise ValueError(f"unsupported piece-list schema {d.get('schema')!r}")
-    pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]
-    regions = []
-    for reg in d["regions"]:
-        if reg:
-            A = np.array([h["n"] for h in reg], dtype=float)
-            c = np.array([h["c"] for h in reg], dtype=float)
-        else:
-            A = np.zeros((0, int(d["dim"])))
-            c = np.zeros(0)
-        regions.append((A, c))
-    box = d.get("domain_box")
-    domain = None if box is None else (np.array(box[0], float), np.array(box[1], float))
-    return CpwlPieces(int(d["dim"]), pieces, regions, domain)
+    try:
+        pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]
+        regions = []
+        for reg in d["regions"]:
+            if reg:
+                A = np.array([h["n"] for h in reg], dtype=float)
+                c = np.array([h["c"] for h in reg], dtype=float)
+            else:
+                A = np.zeros((0, int(d["dim"])))
+                c = np.zeros(0)
+            regions.append((A, c))
+        box = d.get("domain_box")
+        domain = None if box is None else (np.array(box[0], float), np.array(box[1], float))
+        dim = int(d["dim"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed piece-list dict: {exc!r}") from exc
+    return CpwlPieces(dim, pieces, regions, domain)
 
 
 def lattice_to_dict(f: LatticeForm) -> dict:
@@ -698,8 +703,12 @@ def lattice_to_dict(f: LatticeForm) -> dict:
 def lattice_from_dict(d: dict) -> LatticeForm:
     if d.get("schema", LATTICE_SCHEMA_VERSION) != LATTICE_SCHEMA_VERSION:
         raise ValueError(f"unsupported lattice schema {d.get('schema')!r}")
-    pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]
-    return LatticeForm(pieces, [tuple(s) for s in d["clauses"]])
+    try:
+        pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]
+        clauses = [tuple(s) for s in d["clauses"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed lattice dict: {exc!r}") from exc
+    return LatticeForm(pieces, clauses)
 
 
 def save_pieces(f: CpwlPieces, path: str) -> None:

@@ -4,7 +4,13 @@ A mesh is a list of vertices in R^d plus a list of d-simplices given by
 vertex indices.  Loading or building a mesh can run a conformity check:
 simplices must be non-degenerate, pairwise non-overlapping in their
 interiors, and no vertex may lie inside or on a simplex it is not part of
-(no hanging nodes).
+(no hanging nodes).  Every geometric test reads the stored barycentric
+transforms (``bary_inverse``): a point is on an element when its
+coordinates there are all ``>= -BARY_TOL``, and two elements are disjoint
+when, for some facet of one, every vertex of the other has that facet's
+coordinate ``<= BARY_TOL``.  A linear program decides only the pairs that
+no facet separates; on a conforming mesh these occur only for d >= 3,
+where two elements can be separated along a pair of edges.
 
 The module also provides the local objects the network compiler consumes:
 the star of a vertex (its incident simplices together with the affine
@@ -15,10 +21,10 @@ quality numbers (maximum vertex valence, shape regularity).
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,49 +126,19 @@ def _facets(simplex: NDArray[np.int64]) -> list[frozenset[int]]:
     return [frozenset(verts[:i] + verts[i + 1 :]) for i in range(len(verts))]
 
 
-def _check_no_interior_overlap(
-    mesh: SimplicialMesh, k1: int, k2: int, shared: set[int]
-) -> None:
+def _check_no_interior_overlap(mesh: SimplicialMesh, k1: int, k2: int) -> None:
     """Raises NonConforming if elements k1, k2 share interior points.
 
-    Pairs sharing a full facet are tested by requiring the two opposite
-    vertices on strictly opposite sides of the facet's hyperplane.  Other
-    pairs are tested with a linear program that maximizes the joint
-    barycentric slack: a positive optimum means a common interior point.
+    A linear program maximizes eps subject to all barycentric coordinates
+    of a common point being >= eps in both elements: a positive optimum
+    means a common interior point.
     """
     d = mesh.dim
-    s1, s2 = mesh.simplices[k1], mesh.simplices[k2]
-    if len(shared) == d:
-        P = mesh.vertices[sorted(shared)]
-        if d == 1:
-            n = np.array([1.0])
-        else:
-            E = P[1:] - P[0]
-            _, _, Vt = np.linalg.svd(E)
-            n = Vt[-1]
-        o1 = next(int(v) for v in s1 if int(v) not in shared)
-        o2 = next(int(v) for v in s2 if int(v) not in shared)
-        side1 = float(n @ (mesh.vertices[o1] - P[0]))
-        side2 = float(n @ (mesh.vertices[o2] - P[0]))
-        if side1 * side2 >= 0:
-            raise NonConforming(
-                f"elements {k1} and {k2} lie on the same side of their shared facet"
-            )
-        return
-    # General pair: maximize eps subject to all barycentric coordinates of a
-    # common point being >= eps, for both elements.  The barycentric
-    # coordinate functionals are the rows of the stored inverse transforms.
-    rows = []
-    rhs = []
-    for k in (k1, k2):
-        B = mesh.bary_inverse[k]  # lam_j(x) = B[j, :d] @ x + B[j, d]
-        for j in range(d + 1):
-            rows.append(np.concatenate([-B[j, :d], [1.0]]))
-            rhs.append(B[j, d])
+    B = mesh.bary_inverse[[k1, k2]].reshape(2 * d + 2, d + 1)  # lam_j(x) = B[j, :d] @ x + B[j, d]
     res = linprog(
         c=np.concatenate([np.zeros(d), [-1.0]]),
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        A_ub=np.hstack([-B[:, :d], np.ones((2 * d + 2, 1))]),
+        b_ub=B[:, d],
         bounds=[(None, None)] * (d + 1),
         method="highs",
     )
@@ -173,6 +149,44 @@ def _check_no_interior_overlap(
         )
 
 
+def _check_conformity(mesh: SimplicialMesh) -> None:
+    """Raises NonConforming on a hanging node or an interior overlap.
+
+    Each element is tested against the later ones (in the order of the
+    boxes' lower x-bounds) whose bounding boxes meet its own, each box
+    padded by ``(d+1) BARY_TOL extent + BARY_TOL`` so that it holds every
+    point with all coordinates ``>= -BARY_TOL``.  A facet-separated pair
+    needs no linear program: its optimum is ``<= BARY_TOL`` as well.
+    """
+    d, S, B = mesh.dim, mesh.simplices, mesh.bary_inverse
+    hom = np.hstack([mesh.vertices, np.ones((mesh.num_vertices, 1))])[S]  # (m, d+1, d+1)
+    lo, hi = hom[:, :, :d].min(axis=1), hom[:, :, :d].max(axis=1)
+    pad = (d + 1) * BARY_TOL * (hi - lo).max(axis=1, keepdims=True) + BARY_TOL
+    lo, hi = lo - pad, hi + pad
+    order = np.argsort(lo[:, 0], kind="stable")
+    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    for p, k in enumerate(order):
+        ls = order[p + 1 : ends[p]]
+        ls = ls[np.all((lo[ls] <= hi[k]) & (hi[ls] >= lo[k]), axis=1)]
+        # lam_lk[c, a, i]: coordinate i in k of vertex a of ls[c]; lam_kl the reverse.
+        lam_lk = hom[ls] @ B[k].T
+        lam_kl = hom[k] @ B[ls].transpose(0, 2, 1)
+        shared = S[ls][:, :, None] == S[k][None, None, :]
+        on_k = ~shared.any(axis=2) & np.all(lam_lk >= -BARY_TOL, axis=2)
+        on_l = ~shared.any(axis=1) & np.all(lam_kl >= -BARY_TOL, axis=2)
+        hanging = np.argwhere(on_k | on_l)
+        if hanging.size:
+            c, a = hanging[0]
+            v, host = (S[ls[c], a], k) if on_k[c, a] else (S[k, a], ls[c])
+            raise NonConforming(
+                f"vertex {v} lies on or inside element {host} without being one of its vertices"
+            )
+        apart = np.any(np.all(lam_lk <= BARY_TOL, axis=1), axis=1)
+        apart |= np.any(np.all(lam_kl <= BARY_TOL, axis=1), axis=1)
+        for l in ls[~apart]:
+            _check_no_interior_overlap(mesh, int(k), int(l))
+
+
 def build_mesh(
     vertices: NDArray[np.float64],
     simplices: NDArray[np.int64],
@@ -180,10 +194,13 @@ def build_mesh(
 ) -> SimplicialMesh:
     """Builds a mesh, precomputing transforms and optionally validating it.
 
-    Always checked: index bounds, repeated vertices within an element,
-    element non-degeneracy, duplicate elements.  With ``validate=True``,
-    additionally: no vertex inside or on a foreign element (hanging nodes)
-    and pairwise disjoint element interiors.
+    Always checked: finite coordinates, index bounds, repeated vertices
+    within an element, element non-degeneracy, duplicate elements.  With
+    ``validate=True``, additionally: no vertex inside or on a foreign
+    element (hanging nodes) and pairwise disjoint element interiors, both
+    read from the barycentric coordinates of each element's vertices in the
+    elements whose bounding boxes meet its own; a linear program decides
+    only pairs that no facet separates.
 
     Args:
         vertices: Coordinates, shape ``(n, d)`` (a 1D array is treated as
@@ -195,6 +212,8 @@ def build_mesh(
         The constructed mesh.
 
     Raises:
+        ValueError: If a coordinate is NaN or infinite, or the element
+            width does not match the dimension.
         DegenerateSimplex: If an element has (near-)zero volume.
         NonConforming: If the conformity check fails.
     """
@@ -206,6 +225,8 @@ def build_mesh(
         simplices = simplices[None, :]
     n, d = vertices.shape
     m, dd = simplices.shape
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertex coordinates must be finite")
     if dd != d + 1:
         raise ValueError(f"elements of a {d}-dimensional mesh need {d + 1} vertices")
     if simplices.min() < 0 or simplices.max() >= n:
@@ -214,28 +235,23 @@ def build_mesh(
         if len(set(int(v) for v in simplices[k])) != d + 1:
             raise NonConforming(f"element {k} repeats a vertex")
 
-    # Homogeneous vertex matrices, their inverses and element volumes.
-    bary_inverse = np.empty((m, d + 1, d + 1))
-    volumes = np.empty(m)
-    fact = math.factorial(d)
-    for k in range(m):
-        V = vertices[simplices[k]]  # (d+1, d)
-        A = np.vstack([V.T, np.ones(d + 1)])  # columns are homogeneous vertices
-        det = np.linalg.det(A)
-        if abs(det) < DEGENERACY_TOL:
-            raise DegenerateSimplex(f"element {k} has volume ~ {abs(det) / fact:.3e}")
-        bary_inverse[k] = np.linalg.inv(A)
-        volumes[k] = abs(det) / fact
+    # Homogeneous vertex matrices (columns are vertices), their inverses and volumes.
+    A = np.concatenate([vertices[simplices].transpose(0, 2, 1), np.ones((m, 1, d + 1))], axis=1)
+    det = np.abs(np.linalg.det(A))
+    bad = np.flatnonzero(det < DEGENERACY_TOL)
+    if bad.size:
+        raise DegenerateSimplex(
+            f"element {bad[0]} has volume ~ {det[bad[0]] / math.factorial(d):.3e}"
+        )
+    bary_inverse = np.linalg.inv(A)
+    volumes = det / math.factorial(d)
 
     keys = [frozenset(int(v) for v in simplices[k]) for k in range(m)]
     if len(set(keys)) != m:
         raise NonConforming("duplicate elements")
 
     # Boundary vertices from facets used by exactly one element.
-    facet_count: dict[frozenset[int], int] = {}
-    for k in range(m):
-        for f in _facets(simplices[k]):
-            facet_count[f] = facet_count.get(f, 0) + 1
+    facet_count = Counter(f for k in range(m) for f in _facets(simplices[k]))
     if any(cnt > 2 for cnt in facet_count.values()):
         raise NonConforming("a facet is shared by more than two elements")
     boundary: set[int] = set()
@@ -262,25 +278,7 @@ def build_mesh(
     )
 
     if validate:
-        # Hanging nodes: no vertex inside or on a foreign closed element.
-        for k in range(m):
-            members = set(int(v) for v in simplices[k])
-            lam = mesh.barycentric(k, vertices)
-            inside = np.all(lam >= -BARY_TOL, axis=1)
-            for v in np.nonzero(inside)[0]:
-                if int(v) not in members:
-                    raise NonConforming(
-                        f"vertex {int(v)} lies on or inside element {k} "
-                        "without being one of its vertices"
-                    )
-        # Pairwise interior overlaps, with a bounding-box prefilter.
-        los = np.array([vertices[simplices[k]].min(axis=0) for k in range(m)])
-        his = np.array([vertices[simplices[k]].max(axis=0) for k in range(m)])
-        for k1, k2 in itertools.combinations(range(m), 2):
-            if np.any(los[k1] > his[k2] + BARY_TOL) or np.any(los[k2] > his[k1] + BARY_TOL):
-                continue
-            shared = set(int(v) for v in simplices[k1]) & set(int(v) for v in simplices[k2])
-            _check_no_interior_overlap(mesh, k1, k2, shared)
+        _check_conformity(mesh)
         logger.debug("mesh validated: %d vertices, %d elements, d=%d", n, m, d)
 
     return mesh
@@ -323,32 +321,19 @@ def is_locally_convex(mesh: SimplicialMesh, i: int, tol: float = BARY_TOL) -> bo
 
     The star is star-shaped, so it is convex exactly when every boundary
     facet of the star (a facet belonging to exactly one incident element)
-    supports it: all star vertices must lie weakly on the inner side of the
-    facet's hyperplane, oriented by the element vertex opposite the facet.
+    supports it.  The facet opposite local vertex ``j`` of element ``k``
+    supports the star iff every star vertex has barycentric coordinate
+    ``lam_j >= -tol`` in ``k``; ``tol`` is therefore barycentric.
     """
     incident = mesh.vertex_to_simplices[i]
-    facet_owner: dict[frozenset[int], list[int]] = {}
+    facet_count = Counter(f for k in incident for f in _facets(mesh.simplices[k]))
+    star = np.unique(mesh.simplices[list(incident)])
+    hom = np.hstack([mesh.vertices[star], np.ones((star.size, 1))])
     for k in incident:
-        for f in _facets(mesh.simplices[k]):
-            facet_owner.setdefault(f, []).append(k)
-    star_vertices = sorted({int(v) for k in incident for v in mesh.simplices[k]})
-    P_all = mesh.vertices[star_vertices]
-    for f, owners in facet_owner.items():
-        if len(owners) != 1:
-            continue
-        P = mesh.vertices[sorted(f)]
-        if mesh.dim == 1:
-            normal = np.array([1.0])
-        else:
-            E = P[1:] - P[0]
-            _, _, Vt = np.linalg.svd(E)
-            normal = Vt[-1]
-        opp = next(int(v) for v in mesh.simplices[owners[0]] if int(v) not in f)
-        if float(normal @ (mesh.vertices[opp] - P[0])) > 0:
-            normal = -normal
-        # Now the owning element lies on the side normal . (x - P0) <= 0.
-        if np.any(P_all @ normal - normal @ P[0] > tol):
-            return False
+        lam_min = (hom @ mesh.bary_inverse[k].T).min(axis=0)
+        for f, lam_j in zip(_facets(mesh.simplices[k]), lam_min):
+            if facet_count[f] == 1 and lam_j < -tol:
+                return False
     return True
 
 
@@ -446,12 +431,9 @@ def interpolate(
     if np.any(ks < 0):
         bad = X[ks < 0][0]
         raise OutsideDomain(f"point {bad!r} lies outside the mesh")
-    vals = np.empty(X.shape[0])
-    for k in np.unique(ks):
-        sel = ks == k
-        lam = mesh.barycentric(int(k), X[sel])
-        vals[sel] = lam @ coeffs[mesh.simplices[int(k)]]
-    return vals
+    hom = np.hstack([X, np.ones((X.shape[0], 1))])
+    lam = np.einsum("qij,qj->qi", mesh.bary_inverse[ks], hom)
+    return np.einsum("qi,qi->q", lam, coeffs[mesh.simplices[ks]])
 
 
 def sample_points(
@@ -466,11 +448,7 @@ def sample_points(
     probs = mesh.volumes / mesh.volumes.sum()
     ks = rng.choice(mesh.num_simplices, size=n, p=probs)
     lam = rng.dirichlet(np.ones(mesh.dim + 1), size=n)
-    out = np.empty((n, mesh.dim))
-    for k in np.unique(ks):
-        sel = ks == k
-        out[sel] = lam[sel] @ mesh.vertices[mesh.simplices[int(k)]]
-    return out
+    return np.einsum("qj,qjd->qd", lam, mesh.vertices[mesh.simplices[ks]])
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +467,17 @@ def mesh_to_dict(mesh: SimplicialMesh) -> dict:
 
 
 def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
+    """Reads a mesh dict; a malformed dict raises ValueError."""
     if d.get("schema", MESH_SCHEMA_VERSION) != MESH_SCHEMA_VERSION:
         raise ValueError(f"unsupported mesh schema {d.get('schema')!r}")
-    mesh = build_mesh(
-        np.array(d["vertices"], dtype=float),
-        np.array(d["simplices"], dtype=np.int64),
-        validate=validate,
-    )
-    if "boundary" in d and d["boundary"] is not None:
-        given = sorted(int(v) for v in d["boundary"])
+    try:
+        vertices = np.array(d["vertices"], dtype=float)
+        simplices = np.array(d["simplices"], dtype=np.int64)
+        given = None if d.get("boundary") is None else sorted(int(v) for v in d["boundary"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed mesh dict: {exc!r}") from exc
+    mesh = build_mesh(vertices, simplices, validate=validate)
+    if given is not None:
         derived = mesh.boundary_vertices.tolist()
         if given != derived:
             raise NonConforming(

@@ -146,6 +146,40 @@ def test_compile_missing_file_is_usage_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_compile_rejects_non_finite_mesh(tmp_path, mesh_file, coeff_file, capsys, bad):
+    payload = json.loads(mesh_file[0].read_text())
+    payload["vertices"][4][0] = bad  # json writes NaN / Infinity
+    mpath = tmp_path / "bad_mesh.json"
+    mpath.write_text(json.dumps(payload))
+    rc = _cli_main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(coeff_file[0]),
+                    "-o", str(tmp_path / "n.json")])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("compile-fem", "--mesh"), ("compile-cpwl", "--cpwl")])
+def test_malformed_input_file_is_an_error_not_a_traceback(
+    tmp_path, coeff_file, capsys, command, flag
+):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"schema": "1", "dim": 2}))
+    extra = ["--coeffs", str(coeff_file[0])] if command == "compile-fem" else []
+    rc = _cli_main([command, flag, str(src), *extra, "-o", str(tmp_path / "n.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_verify_rejects_zero_samples(tmp_path, mesh_file, coeff_file, capsys):
+    out = _compile(tmp_path, mesh_file, coeff_file)
+    rc = _cli_main(["verify", "--net", str(out), "--against", "mesh",
+                    "--mesh", str(mesh_file[0]), "--coeffs", str(coeff_file[0]),
+                    "--samples", "0"])
+    assert rc == 1
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -416,6 +450,22 @@ def test_square_mesh_compile_smoke(tmp_path, rng):
          "--pathway", "shallow", "-o", str(out)]
     )
     assert rc == 0
+
+
+def test_deep_cli_roundtrip_on_16x16_grid(tmp_path, rng):
+    """Compile, verify and structure-check the deep network of a 16x16-vertex
+    grid (450 triangles): mesh validation must not dominate."""
+    mesh = crisscross_mesh(np.linspace(0, 1, 16), np.linspace(0, 1, 16))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(mesh_to_dict(mesh)))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(rng.normal(size=mesh.num_vertices).tolist()))
+    out = tmp_path / "n.json"
+    assert main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(cpath),
+                 "-o", str(out)]) == 0
+    assert main(["verify", "--net", str(out), "--against", "mesh",
+                 "--mesh", str(mpath), "--coeffs", str(cpath)]) == 0
+    assert main(["check-structured", "--net", str(out)]) == 0
 
 
 def test_shallow_cli_roundtrip_on_4x4_grid(tmp_path, rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from helpers import chain_mesh, crisscross_mesh, kuhn_cube_mesh, square_two_triangles
 
+from cpwlrelu import mesh as mesh_module
 from cpwlrelu.errors import (
     DegenerateSimplex,
     NonConforming,
@@ -79,6 +80,80 @@ def test_rejects_hanging_node():
         build_mesh(verts, simp)
     # without deep validation the same mesh is accepted
     build_mesh(verts, simp, validate=False)
+
+
+def test_rejects_hanging_node_at_large_scale():
+    # The same mesh scaled by 1e4, with the hanging vertex 5e-7 below the
+    # edge: its barycentric coordinate there is -5e-11, within BARY_TOL, but
+    # the two bounding boxes are 5e-7 apart.
+    verts = 1e4 * np.array(
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1.5, -1.0], [-0.5, -1.0]]
+    )
+    verts[3, 1] = -5e-7
+    with pytest.raises(NonConforming):
+        build_mesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_vertex(bad):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    verts[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build_mesh(verts, np.array([[0, 1, 3], [0, 3, 2]]))
+
+
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Counts the linear programs build_mesh solves."""
+    calls = []
+    real = mesh_module.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "linprog", counting)
+    return calls
+
+
+def test_overlap_without_contained_vertices_goes_to_lp(lp_calls):
+    # Each triangle pokes through the other's long edge; no vertex of one
+    # lies in the other, and no edge separates them.
+    verts = np.array(
+        [[0.0, 0.0], [1.0, 0.0], [0.5, 0.9], [0.0, 0.6], [1.0, 0.6], [0.5, -0.3]]
+    )
+    with pytest.raises(NonConforming, match="overlap"):
+        build_mesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+    assert len(lp_calls) == 1
+
+
+def _edge_separated_tets(shift: float) -> np.ndarray:
+    """Tet A has an x-edge at z=0 and a y-edge at z=1; tet B (shifted up by
+    ``shift``) a y-edge at z=-0.1 and an x-edge at z=-1.1.  Only the plane
+    between the two middle edges separates them, and it is no facet plane.
+    Both are rotated 45 degrees about x and then 30 about y, so that their
+    bounding boxes meet."""
+    A = [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, -1, 1]]
+    B = [[0, 1, -0.1], [0, -1, -0.1], [1, 0, -1.1], [-1, 0, -1.1]]
+    V = np.array(A + B, dtype=float)
+    V[4:, 2] += shift
+    a, b = np.pi / 4, np.pi / 6
+    Rx = np.array([[1, 0, 0], [0, np.cos(a), -np.sin(a)], [0, np.sin(a), np.cos(a)]])
+    Ry = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
+    return V @ (Ry @ Rx).T
+
+
+def test_edge_separated_tets_accepted_by_one_lp(lp_calls):
+    build_mesh(_edge_separated_tets(0.0), np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+    assert len(lp_calls) == 1
+    with pytest.raises(NonConforming, match="overlap"):
+        build_mesh(_edge_separated_tets(0.3), np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+
+
+def test_conforming_meshes_need_no_lp(lp_calls):
+    crisscross_mesh(np.linspace(0, 1, 16), np.linspace(0, 1, 16))
+    kuhn_cube_mesh()
+    assert len(lp_calls) == 0
 
 
 def test_rejects_overlap_without_shared_vertices():
@@ -172,6 +247,16 @@ def test_interpolation_patch_test(mesh_corpus, rng):
         X = sample_points(mesh, 200, rng)
         vals = interpolate(mesh, coeffs, X)
         assert np.max(np.abs(vals - (X @ a + b))) < 1e-12, name
+
+
+def test_interpolate_matches_per_element_reference(mesh_corpus, rng):
+    """The gathered evaluation agrees with a loop over the containing elements."""
+    for name, mesh in mesh_corpus:
+        coeffs = rng.normal(size=len(mesh.vertices))
+        X = sample_points(mesh, 200, rng)
+        ks = find_simplex(mesh, X)
+        ref = [mesh.barycentric(k, x)[0] @ coeffs[mesh.simplices[k]] for k, x in zip(ks, X)]
+        assert np.max(np.abs(interpolate(mesh, coeffs, X) - ref)) < 1e-13, name
 
 
 def test_sample_points_inside(mesh_corpus, rng):
