@@ -488,16 +488,30 @@ class _Term:
     alphas: NDArray[np.float64] | None = None
     alpha0: float = 0.0
 
+    @property
+    def width(self) -> int:
+        """Arguments besides the dependent one, the constant included."""
+        return len(self.affs) + (self.c0 is not None)
+
 
 def _term_value(t: _Term, X: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``t`` at every row of ``X``.
+
+    One product ``G @ X.T + offsets`` fills the affine rows of one matrix,
+    one row per argument; the dependent and constant rows follow.  The max
+    runs down the columns, which is faster than along short rows.
+    """
     X = np.atleast_2d(X)
-    cols = [a(X) for a in t.affs]
+    L = len(t.affs)
+    V = np.empty((L + (t.alphas is not None) + (t.c0 is not None), X.shape[0]))
+    if L:
+        np.matmul(np.array([a.gradient for a in t.affs]), X.T, out=V[:L])
+        V[:L] += np.array([a.offset for a in t.affs])[:, None]
     if t.alphas is not None:
-        V = np.stack(cols, axis=1) if cols else np.zeros((X.shape[0], 0))
-        cols.append(V @ t.alphas + t.alpha0)
+        V[L] = t.alphas @ V[:L] + t.alpha0
     if t.c0 is not None:
-        cols.append(np.full(X.shape[0], t.c0))
-    return t.sign * np.max(np.stack(cols, axis=1), axis=1)
+        V[-1] = t.c0
+    return t.sign * V.max(axis=0)
 
 
 def _terms_value(terms: list[_Term], X: NDArray) -> NDArray:
@@ -515,20 +529,36 @@ def _check_rewrite(before: NDArray, after: NDArray, what: str) -> None:
         raise AssertionError(f"{what} failed numerical check")
 
 
-def _audit_rewrite(t: _Term, parts: list[_Term], pts: NDArray, what: str) -> None:
-    """Numerically re-checks one rewrite step (and counts it)."""
+def _audit_rewrite(
+    before: NDArray, parts: list[_Term], pts: NDArray, what: str
+) -> list[NDArray]:
+    """Numerically re-checks one rewrite step (and counts it).
+
+    ``before`` is the rewritten term's value at ``pts``.  Each part is
+    evaluated from its own arguments, never derived from ``before``.
+
+    Returns:
+        The parts' values at ``pts``, for reuse when they are rewritten in
+        turn.
+    """
     global REWRITE_CHECKS_PASSED
-    _check_rewrite(_term_value(t, pts), _terms_value(parts, pts), f"{what} rewrite")
+    vals = [_term_value(p, pts) for p in parts]
+    _check_rewrite(before, sum(vals), f"{what} rewrite")
     REWRITE_CHECKS_PASSED += 1
+    return vals
 
 
-def _resolve_dependent(t: _Term, pts: NDArray, out: list[_Term]) -> None:
+def _resolve_dependent(
+    t: _Term, value: NDArray, pts: NDArray, out: list[tuple[_Term, NDArray]]
+) -> None:
     """Eliminates the dependent argument of ``t``, appending pure terms.
 
     Implements the exact rewriting recursion; every rewrite is re-verified
     numerically on ``pts`` and any mismatch aborts (it would mean a bug, not
     an input problem).  Branching is at most ``2^(k+1) - 1`` for dependent
-    support size ``k``.
+    support size ``k``.  ``value`` is ``t`` at ``pts``; each appended term
+    comes with its own value there, computed once by the audit that
+    produced it.
     """
     alphas, a0 = t.alphas, t.alpha0
     assert alphas is not None
@@ -536,8 +566,8 @@ def _resolve_dependent(t: _Term, pts: NDArray, out: list[_Term]) -> None:
     if not J:
         c0 = a0 if t.c0 is None else max(t.c0, a0)
         result = _Term(t.sign, c0, list(t.affs))
-        _audit_rewrite(t, [result], pts, "constant-merge")
-        out.append(result)
+        (rv,) = _audit_rewrite(value, [result], pts, "constant-merge")
+        out.append((result, rv))
         return
     ones = [j for j in J if abs(alphas[j] - 1.0) <= 1e-12]
     if len(J) == 1 and len(ones) == 1:
@@ -548,8 +578,8 @@ def _resolve_dependent(t: _Term, pts: NDArray, out: list[_Term]) -> None:
             result = _Term(t.sign, t.c0, affs)
         else:
             result = _Term(t.sign, t.c0, list(t.affs))
-        _audit_rewrite(t, [result], pts, "domination")
-        out.append(result)
+        (rv,) = _audit_rewrite(value, [result], pts, "domination")
+        out.append((result, rv))
         return
     if len(ones) == len(J):
         # All unit coefficients: re-root the dependency on a new member
@@ -566,8 +596,8 @@ def _resolve_dependent(t: _Term, pts: NDArray, out: list[_Term]) -> None:
         for j in J[:-1]:
             alphas2[j] = -1.0
         t2 = _Term(t.sign, t.c0, affs, alphas2, -a0)
-        _audit_rewrite(t, [t2], pts, "re-rooting")
-        _resolve_dependent(t2, pts, out)
+        (v2,) = _audit_rewrite(value, [t2], pts, "re-rooting")
+        _resolve_dependent(t2, v2, pts, out)
         return
     # General pivot: largest index with coefficient outside {0, 1}.
     eta = max(j for j in J if abs(alphas[j] - 1.0) > 1e-12)
@@ -603,10 +633,12 @@ def _resolve_dependent(t: _Term, pts: NDArray, out: list[_Term]) -> None:
     affs_b[eta] = gprime
     branch_b = _Term(t.sign * signs[1], t.c0, affs_b, alphas_h.copy(), const_h)
     branch_c = _Term(t.sign * signs[2], t.c0, affs_c)
-    _audit_rewrite(t, [branch_a, branch_b, branch_c], pts, f"three-term (alpha={alpha:.6g})")
-    _resolve_dependent(branch_a, pts, out)
-    _resolve_dependent(branch_b, pts, out)
-    out.append(branch_c)
+    va, vb, vc = _audit_rewrite(
+        value, [branch_a, branch_b, branch_c], pts, f"three-term (alpha={alpha:.6g})"
+    )
+    _resolve_dependent(branch_a, va, pts, out)
+    _resolve_dependent(branch_b, vb, pts, out)
+    out.append((branch_c, vc))
 
 
 def _find_dependency(
@@ -629,15 +661,17 @@ def _find_dependency(
             dependency is found.
     """
     L = len(affs)
+    # Column j < L is [gradient_j; offset_j]; column L is the constant [0; 1].
+    A = np.zeros((d + 1, L + 1))
+    A[:d, :L] = np.array([a.gradient for a in affs]).T
+    A[d, :L] = [a.offset for a in affs]
+    A[d, L] = 1.0
     for tgt in range(L - 1, -1, -1):
         others = [j for j in range(L) if j != tgt]
-        v = np.concatenate([affs[tgt].gradient, [affs[tgt].offset]])
+        v = A[:, tgt]
         scale = max(1.0, float(np.max(np.abs(v))))
         for subset in itertools.combinations(others, min(d, len(others))):
-            M = np.column_stack(
-                [np.concatenate([affs[j].gradient, [affs[j].offset]]) for j in subset]
-                + [np.concatenate([np.zeros(d), [1.0]])]
-            )
+            M = A[:, subset + (L,)]
             x, *_ = np.linalg.lstsq(M, v, rcond=None)
             resid = float(np.max(np.abs(M @ x - v)))
             if resid < DEP_ACCEPT * scale:
@@ -675,25 +709,28 @@ def reduce_term_width(
         Pure terms (no dependents) whose signed sum equals the input term.
     """
     d = affs[0].dim if affs else 0
-    queue = [_Term(sign, c0, list(affs))]
+    first = _Term(sign, c0, list(affs))
+    if first.width <= max_args:
+        return [first]
+    # Each queued term travels with its value at ``pts``, computed once.
+    queue = [(first, _term_value(first, pts))]
     done: list[_Term] = []
     while queue:
-        t = queue.pop()
-        width = len(t.affs) + (1 if t.c0 is not None else 0)
-        if width <= max_args:
+        t, value = queue.pop()
+        if t.width <= max_args:
             done.append(t)
             continue
         tgt, alphas, a0 = _find_dependency(t.affs, d)
         reduced_affs = [a for j, a in enumerate(t.affs) if j != tgt]
         twd = _Term(t.sign, t.c0, reduced_affs, alphas, a0)
-        pieces: list[_Term] = []
-        _resolve_dependent(twd, pts, pieces)
+        pieces: list[tuple[_Term, NDArray]] = []
+        _resolve_dependent(twd, _term_value(twd, pts), pts, pieces)
         if len(pieces) > 2 ** (d + 1) - 1:
             raise AssertionError(
                 f"elimination produced {len(pieces)} terms, above the "
                 f"guaranteed 2^(d+1)-1 = {2 ** (d + 1) - 1}"
             )
-        _check_rewrite(_term_value(t, pts), _terms_value(pieces, pts), "elimination step")
+        _check_rewrite(value, sum(v for _, v in pieces), "elimination step")
         queue.extend(pieces)
     return done
 
@@ -837,10 +874,10 @@ def compile_cpwl_shallow(
     pts = f.sample_domain(64, rng)
     state = _expand_lattice_terms(lat.clauses)
     # Sanity: the expansion must reproduce the lattice form exactly.
+    piece_vals = np.stack([p(pts) for p in lat.pieces], axis=1)
     acc = np.zeros(pts.shape[0])
     for S, w in state.items():
-        V = np.stack([lat.pieces[i](pts) for i in sorted(S)], axis=1)
-        acc += w * V.max(axis=1)
+        acc += w * piece_vals[:, sorted(S)].max(axis=1)
     _check_rewrite(eval_lattice(lat, pts), acc, "internal error: lattice expansion")
     weighted: list[tuple[int, _Term]] = []
     for S, w in sorted(state.items(), key=lambda kv: sorted(kv[0])):

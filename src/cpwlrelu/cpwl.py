@@ -671,6 +671,8 @@ def pieces_to_dict(f: CpwlPieces) -> dict:
 
 def pieces_from_dict(d: dict) -> CpwlPieces:
     """Reads a piece-list dict; a malformed dict raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a piece list must be a JSON object, not {type(d).__name__}")
     if d.get("schema", CPWL_SCHEMA_VERSION) != CPWL_SCHEMA_VERSION:
         raise ValueError(f"unsupported piece-list schema {d.get('schema')!r}")
     try:
@@ -701,6 +703,9 @@ def lattice_to_dict(f: LatticeForm) -> dict:
 
 
 def lattice_from_dict(d: dict) -> LatticeForm:
+    """Reads a lattice dict; a malformed dict raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a lattice must be a JSON object, not {type(d).__name__}")
     if d.get("schema", LATTICE_SCHEMA_VERSION) != LATTICE_SCHEMA_VERSION:
         raise ValueError(f"unsupported lattice schema {d.get('schema')!r}")
     try:

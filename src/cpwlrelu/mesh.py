@@ -468,15 +468,20 @@ def mesh_to_dict(mesh: SimplicialMesh) -> dict:
 
 def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
     """Reads a mesh dict; a malformed dict raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a mesh must be a JSON object, not {type(d).__name__}")
     if d.get("schema", MESH_SCHEMA_VERSION) != MESH_SCHEMA_VERSION:
         raise ValueError(f"unsupported mesh schema {d.get('schema')!r}")
     try:
         vertices = np.array(d["vertices"], dtype=float)
-        simplices = np.array(d["simplices"], dtype=np.int64)
+        indices = np.array(d["simplices"], dtype=float)
         given = None if d.get("boundary") is None else sorted(int(v) for v in d["boundary"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed mesh dict: {exc!r}") from exc
-    mesh = build_mesh(vertices, simplices, validate=validate)
+    # Casting straight to int64 would truncate 2.7 to 2 without a word.
+    if not np.all(np.isfinite(indices) & (indices == np.round(indices))):
+        raise ValueError("mesh simplices must hold integer vertex indices")
+    mesh = build_mesh(vertices, indices.astype(np.int64), validate=validate)
     if given is not None:
         derived = mesh.boundary_vertices.tolist()
         if given != derived:

@@ -560,6 +560,8 @@ def network_from_dict(d: dict) -> ReluNetwork:
     """Reads schema "2" or the older dense schema "1" into CSR layers; a
     malformed dict raises ValueError (DimensionMismatch if shapes do not chain).
     Repeated column indices in a row are summed, as a product would."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a network must be a JSON object, not {type(d).__name__}")
     schema = d.get("schema", "1")
     if schema not in ("1", "2"):
         raise ValueError(f"unsupported network schema {schema!r}")

@@ -25,7 +25,8 @@ def main(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
         return _cli_main(argv)
-from cpwlrelu.mesh import mesh_to_dict
+from cpwlrelu.cpwl import lattice_from_dict, pieces_from_dict
+from cpwlrelu.mesh import mesh_from_dict, mesh_to_dict
 from cpwlrelu.relu_net import (
     ReluNetwork,
     eval_network,
@@ -169,6 +170,43 @@ def test_malformed_input_file_is_an_error_not_a_traceback(
     err = capsys.readouterr().err
     assert rc == 1
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "load", [mesh_from_dict, pieces_from_dict, lattice_from_dict, network_from_dict]
+)
+def test_loaders_require_a_json_object(load):
+    with pytest.raises(ValueError, match="must be a JSON object, not list"):
+        load([1, 2])
+
+
+@pytest.mark.parametrize("flag", ["--mesh", "--net"])
+def test_non_object_input_file_is_an_error_not_a_traceback(
+    tmp_path, mesh_file, coeff_file, capsys, flag
+):
+    src = tmp_path / "list.json"
+    src.write_text("[1, 2]")
+    if flag == "--mesh":
+        argv = ["compile-fem", "--mesh", str(src), "--coeffs", str(coeff_file[0]),
+                "-o", str(tmp_path / "n.json")]
+    else:
+        argv = ["verify", "--net", str(src), "--against", "mesh",
+                "--mesh", str(mesh_file[0]), "--coeffs", str(coeff_file[0])]
+    rc = _cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and "JSON object" in err and "Traceback" not in err
+
+
+def test_compile_rejects_fractional_vertex_index(tmp_path, mesh_file, coeff_file, capsys):
+    payload = json.loads(mesh_file[0].read_text())
+    payload["simplices"][0][2] += 0.7
+    mpath = tmp_path / "frac_mesh.json"
+    mpath.write_text(json.dumps(payload))
+    rc = _cli_main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(coeff_file[0]),
+                    "-o", str(tmp_path / "n.json")])
+    assert rc == 1
+    assert "integer vertex indices" in capsys.readouterr().err
 
 
 def test_verify_rejects_zero_samples(tmp_path, mesh_file, coeff_file, capsys):

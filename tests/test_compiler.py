@@ -224,6 +224,106 @@ def test_reduce_width_noop_when_narrow(rng):
     assert len(out) == 1 and out[0].alphas is None
 
 
+def _record_audits(monkeypatch) -> list:
+    """Wraps the rewrite audit; returns the list of (kind, parts) it sees."""
+    seen = []
+    audit = C._audit_rewrite
+
+    def recording(v, parts, p, what):
+        seen.append((what.split()[0], parts))
+        return audit(v, parts, p, what)
+
+    monkeypatch.setattr(C, "_audit_rewrite", recording)
+    return seen
+
+
+def test_reduce_term_width_audit_count_is_pinned(monkeypatch):
+    # Three random arguments, one parallel to the first and one equal to the
+    # sum of the first two plus a constant, so that every rewrite kind runs.
+    # 164 audited steps and 133 pure terms were recorded for this input
+    # before term values were memoised; every step must still be audited.
+    rng = np.random.default_rng(31)
+    g = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(4)]
+    affs = g[:3] + [
+        AffineFunc(g[0].gradient, g[0].offset + 0.5),
+        AffineFunc(g[0].gradient + g[1].gradient, g[0].offset + g[1].offset - 0.3),
+    ]
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    seen = _record_audits(monkeypatch)
+    before = C.REWRITE_CHECKS_PASSED
+    out = reduce_term_width(1, 0.25, affs, 3, pts)
+    assert C.REWRITE_CHECKS_PASSED - before == len(seen) == 164
+    assert len(out) == 133
+    kinds = [kind for kind, _ in seen]
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        "constant-merge": 90, "domination": 7, "re-rooting": 1, "three-term": 66
+    }
+
+
+def test_audit_rejects_a_wrong_rewrite(rng, monkeypatch):
+    # A dependent argument 2.5 a0 + 0.7 a1 - 0.1 takes the three-term pivot;
+    # capture that rewrite's branches, then corrupt them.
+    affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(2)]
+    t = C._Term(1, 0.3, affs, np.array([2.5, 0.7]), -0.1)
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    value = C._term_value(t, pts)
+    seen = _record_audits(monkeypatch)
+    C._resolve_dependent(t, value, pts, [])
+    monkeypatch.undo()
+    kind, branches = seen[0]
+    assert kind == "three-term" and len(branches) == 3
+    audit = C._audit_rewrite
+    audit(value, branches, pts, "three-term")  # the true rewrite passes
+
+    a, b, c = branches
+    flipped = C._Term(-a.sign, a.c0, a.affs, a.alphas, a.alpha0)
+    with pytest.raises(AssertionError):
+        audit(value, [flipped, b, c], pts, "sign-flipped")
+
+    # Move the offset of the argument of the pure branch that is its max
+    # most often, so the move shows at the audit points.
+    winners = np.argmax(np.stack([g(pts) for g in c.affs], axis=1), axis=1)
+    j = int(np.bincount(winners).argmax())
+    moved_affs = list(c.affs)
+    moved_affs[j] = AffineFunc(c.affs[j].gradient, c.affs[j].offset + 1e-6)
+    moved = C._Term(c.sign, c.c0, moved_affs)
+    assert np.any(C._term_value(moved, pts) != C._term_value(c, pts))
+    with pytest.raises(AssertionError):
+        audit(value, [a, b, moved], pts, "offset-moved")
+
+
+def test_term_value_matches_per_argument_evaluation(rng):
+    affs = [AffineFunc(rng.normal(size=3), float(rng.normal())) for _ in range(4)]
+    X = rng.uniform(-2, 2, size=(100, 3))
+    cols = np.stack([a(X) for a in affs], axis=1)
+    cases = ((None, None, 0.0), (0.4, None, 0.0), (-0.2, rng.normal(size=4), 0.3))
+    for c0, alphas, a0 in cases:
+        want = cols
+        if alphas is not None:
+            want = np.column_stack([want, cols @ alphas + a0])
+        if c0 is not None:
+            want = np.column_stack([want, np.full(len(X), c0)])
+        got = C._term_value(C._Term(-1, c0, affs, alphas, a0), X)
+        assert np.allclose(got, -want.max(axis=1), rtol=0, atol=1e-12)
+
+
+def test_shallow_compiles_repeat_exactly(rng):
+    f = random_max_affine(2, 5, rng)
+    mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
+    coeffs = rng.normal(size=mesh.num_vertices)
+    for compile_once in (
+        lambda: compile_cpwl_shallow(f)[0],
+        lambda: compile_fem_shallow(mesh, coeffs)[0],
+    ):
+        first, second = compile_once(), compile_once()
+        assert len(first.layers) == len(second.layers)
+        for (W1, b1), (W2, b2) in zip(first.layers, second.layers):
+            assert np.array_equal(W1.indptr, W2.indptr)
+            assert np.array_equal(W1.indices, W2.indices)
+            assert np.array_equal(W1.data, W2.data)
+            assert np.array_equal(b1, b2)
+
+
 def test_ambiguous_dependency_is_a_hard_error(rng):
     # Gradients of the first candidate subset span only the x-axis while the
     # target has a 1e-6 y-component: the fit residual lands in the ambiguity

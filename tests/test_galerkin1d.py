@@ -8,7 +8,9 @@ of a Galerkin state to its energy.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
+import cpwlrelu.galerkin1d as G
 from cpwlrelu.errors import KnotOrderViolated, TargetUnreachable
 from cpwlrelu.galerkin1d import (
     Bvp1dProblem,
@@ -230,6 +232,86 @@ def test_solver_rejects_bad_init(problem):
     cfg = SolverConfig(N=9)
     with pytest.raises(KnotOrderViolated):
         solve_algorithm1(problem, cfg, t_init=np.array([0.0, 0.7, 0.3, 1.0] + [0.8] * 5))
+
+
+# ---------------------------------------------------------------------------
+# Vectorized kernels against per-knot loops
+# ---------------------------------------------------------------------------
+
+
+def _gauss_cells_loop(t, order):
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    a, b = t[:-1][:, None], t[1:][:, None]
+    return 0.5 * (b - a) * gx[None, :] + 0.5 * (a + b), 0.5 * (b - a) * gw[None, :]
+
+
+def _grad_knots_loop(problem, t, theta, quad_order=5):
+    X, W = _gauss_cells_loop(t, quad_order)
+    F_cell = np.sum(W * problem.f(X), axis=1)
+    tails = float(np.sum(F_cell)) - np.cumsum(F_cell)
+    g = np.zeros_like(t)
+    for j in range(1, len(t) - 1):
+        g[j] = 0.5 * (theta[j - 1] ** 2 - theta[j] ** 2) + (
+            theta[j] - theta[j - 1]
+        ) * tails[j - 1]
+    return g
+
+
+def _solve_fem_on_grid_loop(problem, t, quad_order=5):
+    h = np.diff(t)
+    N = len(t) - 2
+    if N == 0:
+        return np.zeros(1)
+    X, W = _gauss_cells_loop(t, quad_order)
+    fX = problem.f(X)
+    lam_right = (X - t[:-1][:, None]) / h[:, None]
+    load_right = np.sum(W * fX * lam_right, axis=1)
+    load_left = np.sum(W * fX * (1.0 - lam_right), axis=1)
+    b = np.zeros(N)
+    for j in range(1, N + 1):
+        b[j - 1] = load_right[j - 1] + load_left[j]
+    ab = np.zeros((3, N))
+    ab[1] = 1.0 / h[:-1] + 1.0 / h[1:]
+    ab[0, 1:] = -1.0 / h[1:-1]
+    ab[2, :-1] = -1.0 / h[1:-1]
+    v = np.concatenate([[0.0], solve_banded((1, 1), ab, b), [0.0]])
+    return np.diff(v) / h
+
+
+def test_gauss_rule_is_cached_and_read_only():
+    gx, gw = G._gauss_rule(5)
+    assert G._gauss_rule(5)[0] is gx
+    ref_x, ref_w = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(gx, ref_x) and np.array_equal(gw, ref_w)
+    for arr in (gx, gw):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_vectorized_kernels_equal_loops_bit_for_bit(problem, rng):
+    for n_cells in (1, 2, 7, 22, 60, 200):
+        for order in (5, 9):
+            t = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, n_cells - 1)), [1.0]])
+            theta = rng.normal(size=n_cells)
+            assert np.array_equal(
+                grad_knots(problem, t, theta, order),
+                _grad_knots_loop(problem, t, theta, order),
+            )
+            assert np.array_equal(
+                solve_fem_on_grid(problem, t, order),
+                _solve_fem_on_grid_loop(problem, t, order),
+            )
+
+
+def test_free_knot_solve_unchanged_by_vectorization(problem, monkeypatch):
+    state = solve_algorithm1(problem, SolverConfig(N=23))
+    monkeypatch.setattr(G, "grad_knots", _grad_knots_loop)
+    monkeypatch.setattr(G, "solve_fem_on_grid", _solve_fem_on_grid_loop)
+    ref = solve_algorithm1(problem, SolverConfig(N=23))
+    assert np.array_equal(state.t, ref.t)
+    assert np.array_equal(state.theta, ref.theta)
+    # The energy these per-knot loops reached before vectorization.
+    assert state.energy == pytest.approx(-0.7380096784351625, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

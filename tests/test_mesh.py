@@ -339,3 +339,17 @@ def test_mesh_dict_tampered_boundary_rejected():
     d["boundary"] = [0]  # wrong: all four corners are boundary
     with pytest.raises(NonConforming):
         mesh_from_dict(d)
+
+
+def test_mesh_dict_rejects_fractional_vertex_indices():
+    d = mesh_to_dict(square_two_triangles())
+    d["simplices"][0][2] += 0.7
+    with pytest.raises(ValueError, match="integer vertex indices"):
+        mesh_from_dict(d)
+
+
+def test_mesh_dict_accepts_integral_float_indices():
+    mesh = square_two_triangles()
+    d = mesh_to_dict(mesh)
+    d["simplices"] = [[float(v) for v in s] for s in d["simplices"]]
+    assert np.array_equal(mesh_from_dict(d).simplices, mesh.simplices)
