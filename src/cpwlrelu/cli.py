@@ -360,8 +360,8 @@ def _cmd_demo_region_plot(args) -> int:
     else:
         g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
         X = np.stack([g0.ravel(), g1.ravel()], axis=1)
-    patterns = [act > 0 for act in layer_outputs(net, X)][:-1]
-    codes = np.hstack(patterns) if patterns else np.zeros((X.shape[0], 1), dtype=bool)
+    patterns = [act > 0 for act in layer_outputs(net, X.T)][:-1]
+    codes = np.vstack(patterns).T if patterns else np.zeros((X.shape[0], 1), dtype=bool)
     labels = {}
     out_labels = np.empty(X.shape[0], dtype=int)
     for i in range(X.shape[0]):

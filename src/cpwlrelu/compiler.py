@@ -181,18 +181,12 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Compares network output against a reference callable on points ``X``.
 
-    Evaluation is chunked so very wide networks do not materialize huge
-    activation matrices.
+    :func:`eval_network` bounds the activation memory itself.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    widest = max(W.shape[0] for W, _ in net.layers)
-    chunk = max(1, min(X.shape[0], int(2**24 // max(widest, 1)) or 1))
-    diffs = np.empty(X.shape[0])
-    for s in range(0, X.shape[0], chunk):
-        sl = slice(s, min(s + chunk, X.shape[0]))
-        got = np.asarray(eval_network(net, X[sl]), dtype=float).reshape(-1)
-        want = np.asarray(reference(X[sl]), dtype=float).reshape(-1)
-        diffs[sl] = np.abs(got - want)
+    got = np.asarray(eval_network(net, X), dtype=float).reshape(-1)
+    want = np.asarray(reference(X), dtype=float).reshape(-1)
+    diffs = np.abs(got - want)
     worst = int(np.argmax(diffs))
     return EquivalenceReport(
         passed=bool(diffs[worst] <= tol),

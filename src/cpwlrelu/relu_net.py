@@ -35,6 +35,10 @@ NETWORK_SCHEMA_VERSION = "2"
 #: Feature-matrix rank threshold factor for the independence check.
 RANK_TOL_FACTOR = 1e-8
 
+#: Activation entries (float64) one evaluation chunk may hold in its widest
+#: layer; 2**22 entries are 32 MiB.
+EVAL_CHUNK_ENTRIES = 2**22
+
 
 def relu(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.maximum(x, 0.0)
@@ -118,23 +122,33 @@ def network_stats(net: ReluNetwork) -> NetworkStats:
 
 
 def layer_outputs(
-    net: ReluNetwork, X: NDArray[np.float64]
+    net: ReluNetwork, A: NDArray[np.float64]
 ) -> Iterator[NDArray[np.float64]]:
-    """Yields each layer's output on the batch ``X`` of shape ``(n, input_dim)``.
+    """Yields each layer's output on the column-major batch ``A``, shape
+    ``(input_dim, n)``: one column per point.
 
-    Hidden layers yield their post-ReLU activations, shape ``(n, width)``;
-    the last item is the linear output layer's value, shape ``(n, q)``.
+    Hidden layers yield their post-ReLU activations, shape ``(width, n)``;
+    the last item is the linear output layer's value, shape ``(q, n)``.
+    Each layer allocates only its sparse product: the bias is added and the
+    ReLU applied in place, and an all-zero bias (every layer a
+    :class:`NetBuilder` emits past the first) is skipped.
     """
-    act = X
     for idx, (W, b) in enumerate(net.layers):
-        act = np.asarray((W @ act.T).T + b)
+        A = W @ A
+        if b.any():
+            A += b[:, None]
         if idx < net.hidden_layer_count:
-            act = relu(act)
-        yield act
+            np.maximum(A, 0.0, out=A)
+        yield A
 
 
 def eval_network(net: ReluNetwork, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluates the network on a batch.
+
+    The points go through :func:`layer_outputs` in chunks of
+    ``EVAL_CHUNK_ENTRIES // widest`` points, so no layer's activations hold
+    more than about ``EVAL_CHUNK_ENTRIES`` floats at once, whatever the
+    batch size.
 
     Args:
         net: The network.
@@ -146,17 +160,22 @@ def eval_network(net: ReluNetwork, X: NDArray[np.float64]) -> NDArray[np.float64
     """
     X = np.asarray(X, dtype=float)
     single = X.ndim == 1
-    act = np.atleast_2d(X)
-    if act.shape[1] != net.input_dim:
+    X = np.atleast_2d(X)
+    if X.shape[1] != net.input_dim:
         raise DimensionMismatch(
-            f"network expects input dimension {net.input_dim}, got {act.shape[1]}"
+            f"network expects input dimension {net.input_dim}, got {X.shape[1]}"
         )
-    for out in layer_outputs(net, act):
-        pass  # keep only the last layer's output
+    n = X.shape[0]
+    widest = max(1, *(W.shape[0] for W, _ in net.layers))
+    chunk = max(1, EVAL_CHUNK_ENTRIES // widest)
+    out = np.empty((net.output_dim, n))
+    for s in range(0, n, chunk):
+        for last in layer_outputs(net, X[s : s + chunk].T):
+            pass  # keep only the output layer's block
+        out[:, s : s + chunk] = last
     if net.output_dim == 1:
-        out = out[:, 0]
-        return float(out[0]) if single else out
-    return out[0] if single else out
+        return float(out[0, 0]) if single else out[0]
+    return out[:, 0] if single else out.T
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,16 @@ import itertools
 import numpy as np
 from scipy.spatial import Delaunay
 
-from cpwlrelu.cpwl import AffineFunc, CpwlPieces
+from cpwlrelu.compiler import (
+    compile_cpwl_shallow,
+    compile_fem_deep,
+    compile_fem_shallow,
+    compile_lattice_shallow,
+    compile_max_of_m,
+)
+from cpwlrelu.cpwl import AffineFunc, CpwlPieces, LatticeForm
 from cpwlrelu.mesh import SimplicialMesh, build_mesh, is_locally_convex
+from cpwlrelu.relu_net import ReluNetwork, affine_network
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +271,26 @@ def cpwl_suite(seed: int = 0) -> list[tuple[str, CpwlPieces]]:
     for m in (3, 4, 5):
         out.append((f"zigzag-m{m}", random_zigzag(m, rng)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Networks
+# ---------------------------------------------------------------------------
+
+
+def net_per_compile_path(rng: np.random.Generator) -> dict[str, ReluNetwork]:
+    """One small 2D network from each compile path, keyed by path."""
+    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    coeffs = rng.normal(size=mesh.num_vertices)
+    f = random_max_affine(2, 4, rng)
+    pieces = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(4)]
+    lat = LatticeForm(pieces, [(0, 1, 2), (1, 3), (2,)])
+    return {
+        "fem-deep": compile_fem_deep(mesh, coeffs)[0],
+        "fem-shallow": compile_fem_shallow(mesh, coeffs)[0],
+        "cpwl-shallow": compile_cpwl_shallow(f, rng)[0],
+        "lattice-shallow": compile_lattice_shallow(lat)[0],
+        "max-of-m": compile_max_of_m(
+            [affine_network(rng.normal(size=2), 0.0) for _ in range(3)]
+        )[0],
+    }

@@ -434,6 +434,32 @@ def test_region_plot_grid(tmp_path, mesh_file, coeff_file):
     assert len(labels) > 1  # the hat structure induces several linear regions
 
 
+def test_region_plot_labels_match_row_major_patterns(tmp_path):
+    """Labels number the distinct activation patterns in order of first
+    appearance; the oracle reads the patterns row by row, one point a row."""
+    W0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -2.0]])
+    b0 = np.array([0.1, -0.3, -0.2, 0.25])
+    W1 = np.array([[1.0, -1.0, 0.5, 0.0], [0.0, 1.0, -1.0, 1.0]])
+    net = ReluNetwork(2, [(W0, b0), (W1, np.array([0.0, -0.1])),
+                          (np.array([[1.0, -1.0]]), np.zeros(1))])
+    path = tmp_path / "tiny.json"
+    save_network(net, str(path))
+    dest = tmp_path / "regions.csv"
+    rc = main(["demo-region-plot", "--net", str(path), "--resolution", "9",
+               "--box=-1,1", "-o", str(dest)])
+    assert rc == 0
+    grid = np.loadtxt(dest, delimiter=",")
+    X = grid[:, :2]
+    h0 = np.maximum(X @ W0.T + b0, 0.0)
+    h1 = np.maximum(h0 @ W1.T + [0.0, -0.1], 0.0)
+    codes = np.hstack([h0 > 0, h1 > 0])
+    first_seen = {}
+    want = [first_seen.setdefault(c.tobytes(), len(first_seen)) for c in codes]
+    assert grid.shape == (81, 3)
+    assert len(first_seen) > 4
+    assert np.array_equal(grid[:, 2], want)
+
+
 # ---------------------------------------------------------------------------
 # run report sidecar, --version, console script
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from helpers import (
     crisscross_mesh,
+    net_per_compile_path,
     random_fan,
     random_max_affine,
     random_zigzag,
@@ -482,32 +483,15 @@ def test_weighted_term_folds_into_one_subnetwork(rng):
     assert set(out[out != 0].tolist()) <= {0.5, -0.5}
 
 
-def _net_per_compile_path(rng) -> dict:
-    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
-    coeffs = rng.normal(size=mesh.num_vertices)
-    f = random_max_affine(2, 4, rng)
-    pieces = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(4)]
-    lat = LatticeForm(pieces, [(0, 1, 2), (1, 3), (2,)])
-    return {
-        "fem-deep": compile_fem_deep(mesh, coeffs)[0],
-        "fem-shallow": compile_fem_shallow(mesh, coeffs)[0],
-        "cpwl-shallow": compile_cpwl_shallow(f, rng)[0],
-        "lattice-shallow": compile_lattice_shallow(lat)[0],
-        "max-of-m": compile_max_of_m(
-            [affine_network(rng.normal(size=2), 0.0) for _ in range(3)]
-        )[0],
-    }
-
-
 def test_compiled_layers_are_all_csr(rng):
-    for name, net in _net_per_compile_path(rng).items():
+    for name, net in net_per_compile_path(rng).items():
         assert net.hidden_layer_count >= 1, name
         assert all(sp.isspmatrix_csr(W) for W, _ in net.layers), name
 
 
 def test_compiled_networks_roundtrip_bit_exact(rng):
     X = rng.uniform(0, 1, size=(500, 2))
-    for name, net in _net_per_compile_path(rng).items():
+    for name, net in net_per_compile_path(rng).items():
         back = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
         assert np.array_equal(eval_network(back, X), eval_network(net, X)), name
 

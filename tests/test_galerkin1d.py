@@ -34,14 +34,25 @@ def problem():
     return Bvp1dProblem.standard()
 
 
+GAP_FLOOR = 1e-3
+
+
 def _random_state(problem, rng, n_cells=12, quad_order=40):
-    while True:
-        interior = np.sort(rng.uniform(0.05, 0.95, n_cells - 1))
-        t = np.concatenate([[0.0], interior, [1.0]])
-        if np.min(np.diff(t)) > 1e-3:
-            break
+    """Knots ``0 = t_0 < ... < t_n = 1`` whose every gap exceeds GAP_FLOOR:
+    each gap is the floor plus a random share of the length the floors
+    leave, so any cell count returns at once."""
+    share = rng.uniform(0.05, 1.0, n_cells)
+    gaps = GAP_FLOOR + (1.0 - n_cells * GAP_FLOOR) * share / share.sum()
+    t = np.concatenate([[0.0], np.cumsum(gaps)[:-1], [1.0]])
     theta = rng.normal(size=n_cells)
     return t, theta
+
+
+def test_random_state_keeps_the_gap_floor_for_many_cells(problem, rng):
+    t, theta = _random_state(problem, rng, n_cells=200)
+    assert len(t) == 201 and theta.shape == (200,)
+    assert t[0] == 0.0 and t[-1] == 1.0
+    assert np.min(np.diff(t)) > GAP_FLOOR
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Network container, composition operators, builder, and independence.
 
-Oracles: direct numpy forward passes, np.minimum/np.maximum for gadget
-outputs, and numpy matrix rank for the independence check.
+Oracles: direct numpy forward passes, the row-major loop evaluation used
+before it chunked, np.minimum/np.maximum for gadget outputs, and numpy
+matrix rank for the independence check.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from helpers import net_per_compile_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpwlrelu.relu_net as R
 from cpwlrelu.errors import EmptyList, PairwiseDependent
 from cpwlrelu.relu_net import (
     NetBuilder,
@@ -336,6 +341,96 @@ def test_loader_sums_duplicate_indices():
     W2 = network_from_dict(d).layers[0][0]
     assert np.array_equal(W2.toarray(), [[2.0, 0.0], [0.0, 0.5]])
     assert W2.nnz == 2
+
+
+# ---------------------------------------------------------------------------
+# The column-major forward loop
+# ---------------------------------------------------------------------------
+
+
+def _row_major_eval(net, X):
+    """The row-major forward pass ``eval_network`` used before it chunked:
+    one ``(n, width)`` block per layer on the whole batch."""
+    X = np.asarray(X, dtype=float)
+    single = X.ndim == 1
+    act = np.atleast_2d(X)
+    for idx, (W, b) in enumerate(net.layers):
+        act = np.asarray((W @ act.T).T + b)
+        if idx < net.hidden_layer_count:
+            act = relu(act)
+    if net.output_dim == 1:
+        return float(act[0, 0]) if single else act[:, 0]
+    return act[0] if single else act
+
+
+def _equal_to_row_major(net, X):
+    got, want = eval_network(net, X), _row_major_eval(net, X)
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and (
+        np.array_equal(got, want)
+    )
+
+
+def _loop_nets(rng):
+    nets = net_per_compile_path(rng)
+    nets["multi-output"] = _random_net(rng, widths=(6, 5), out=3)
+    return nets
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_eval_equals_row_major_loop(rng, monkeypatch, chunked):
+    X = rng.uniform(0, 1, size=(37, 2))
+    for name, net in _loop_nets(rng).items():
+        if chunked:  # chunks of 4 points: nine full ones and a ragged one
+            widest = max(W.shape[0] for W, _ in net.layers)
+            monkeypatch.setattr(R, "EVAL_CHUNK_ENTRIES", 4 * widest)
+        assert _equal_to_row_major(net, X), name
+        assert _equal_to_row_major(net, X[5]), name  # scalar or (q,)
+        assert _equal_to_row_major(net, X[:0]), name  # empty (0, d) batch
+
+
+def test_eval_chunk_size_is_pinned_by_the_entry_budget(monkeypatch):
+    width = 5000
+    rng = np.random.default_rng(3)
+    W = sp.random(width, 2, density=0.5, random_state=4, format="csr")
+    net = ReluNetwork(2, [(W, rng.normal(size=width)), (np.ones((1, width)), np.zeros(1))])
+    seen = []
+    inner = R.layer_outputs
+
+    def recording(net, A):
+        seen.append(A.shape)
+        yield from inner(net, A)
+
+    monkeypatch.setattr(R, "layer_outputs", recording)
+    n = 2000
+    X = rng.normal(size=(n, 2))
+    got = eval_network(net, X)
+    chunk = R.EVAL_CHUNK_ENTRIES // width
+    assert chunk == 838
+    assert seen == [(2, chunk), (2, chunk), (2, n - 2 * chunk)]
+    assert np.array_equal(got, _row_major_eval(net, X))
+
+
+def test_eval_memory_is_bounded_by_the_entry_budget():
+    """Two 4096-wide sparse hidden layers on 4096 points: the row-major loop
+    allocates several 128 MiB blocks; the chunked loop holds two chunks."""
+    width, n = 4096, 4096
+    rng = np.random.default_rng(5)
+    W0 = sp.random(width, 2, density=0.5, random_state=6, format="csr")
+    W1 = sp.random(width, width, density=1e-3, random_state=7, format="csr")
+    net = ReluNetwork(2, [
+        (W0, rng.normal(size=width)),
+        (W1, np.zeros(width)),
+        (np.ones((1, width)), np.zeros(1)),
+    ])
+    X = rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        out = eval_network(net, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,)
+    assert peak < 3 * 8 * R.EVAL_CHUNK_ENTRIES + out.nbytes, peak
 
 
 # ---------------------------------------------------------------------------
