@@ -2,22 +2,21 @@
 
 Two constructive pathways, both exact (no approximation):
 
-* **Deep pathway** (`compile_basis_deep`, `compile_fem_deep`): a nodal hat
-  function on a mesh whose vertex star is convex equals
-  ``max(0, min_k g_k)`` over the star's local affine functions.  The min is
-  realized by a balanced binary tree of 4-neuron gadgets, topped by one
-  max-with-zero gadget; hidden depth is ``ceil(log2(valence)) + 1``.  A
-  finite element function is the signed sum of its hats scaled by
-  ``|c_i|`` in the first layer.
+* **Deep pathway** (`compile_fem_deep`): a nodal hat function on a mesh
+  whose vertex star is convex equals ``max(0, min_k g_k)`` over the star's
+  local affine functions.  The min is realized by a balanced binary tree of
+  4-neuron gadgets, topped by one max-with-zero gadget; hidden depth is
+  ``ceil(log2(valence)) + 1``.  A finite element function is the signed
+  sum of its hats scaled by ``|c_i|`` in the first layer; a single hat is
+  the function with one unit coefficient.
 
 * **Shallow pathway** (`compile_lattice_shallow`, `compile_cpwl_shallow`,
-  `compile_basis_shallow`, `compile_fem_shallow`): a max-of-mins lattice
-  form is expanded into a signed sum of plain max terms; terms with more
-  than ``d + 1`` arguments are rewritten — using exact max-algebra
-  identities, numerically verified at every step — into terms of at most
-  ``d + 1`` arguments, so the final network has hidden depth
-  ``ceil(log2(d + 1))`` regardless of the input's complexity.  A term's
-  integer weight ``w`` is folded into its first layer
+  `compile_fem_shallow`): a max-of-mins lattice form is expanded into a
+  signed sum of plain max terms; terms with more than ``d + 1`` arguments
+  are rewritten — using exact max-algebra identities, numerically verified
+  at every step — into terms of at most ``d + 1`` arguments, so the final
+  network has hidden depth ``ceil(log2(d + 1))`` regardless of the input's
+  complexity.  A term's integer weight ``w`` is folded into its first layer
   (``|w| max(S) = max(|w| S)``), leaving only its sign to the output.
 
 Both pathways emit every gadget through one :class:`NetBuilder` per
@@ -55,6 +54,7 @@ from .cpwl import (
 from .errors import (
     BoundViolated,
     ClauseTooWide,
+    DimensionMismatch,
     EmptyList,
     ExpansionOverflow,
     NotLocallyConvex,
@@ -181,12 +181,14 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Compares network output against a reference callable on points ``X``.
 
+    For a multi-output network a point's deviation is its worst output's.
     :func:`eval_network` bounds the activation memory itself.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    got = np.asarray(eval_network(net, X), dtype=float).reshape(-1)
-    want = np.asarray(reference(X), dtype=float).reshape(-1)
-    diffs = np.abs(got - want)
+    n = X.shape[0]
+    got = np.asarray(eval_network(net, X), dtype=float).reshape(n, -1)
+    want = np.asarray(reference(X), dtype=float).reshape(n, -1)
+    diffs = np.abs(got - want).max(axis=1)
     worst = int(np.argmax(diffs))
     return EquivalenceReport(
         passed=bool(diffs[worst] <= tol),
@@ -256,15 +258,15 @@ def _affine_leaves(
     ]
 
 
-def _emit_trees(builder: NetBuilder, roots: list[_Node]) -> list[ChannelRef]:
-    """Emits the trees into ``builder``, one hidden layer per level.
+def _emit_trees(
+    builder: NetBuilder, roots: list[_Node], signs: list[float]
+) -> ReluNetwork:
+    """Emits the trees into ``builder``, one hidden layer per level, and
+    returns the pruned network computing ``sum_k signs[k] * roots[k]``.
 
     A gadget sits at the level of its node's depth.  A value finished before
     its consumer's level rides identity carries (2 neurons per level), and
     every root is carried to the deepest root's level.
-
-    Returns:
-        Each root's channel at that common level.
     """
     top = max((r.depth for r in roots), default=0)
     ops_at: dict[int, list[tuple[str, _Node]]] = {}
@@ -292,7 +294,8 @@ def _emit_trees(builder: NetBuilder, roots: list[_Node]) -> list[ChannelRef]:
         ]
         for (_, node), out in zip(todo, builder.apply_level(ops)):
             node.ch = out
-    return [r.ch for r in roots]
+    output = [(sg, r.ch) for sg, r in zip(signs, roots)]
+    return prune_dead_channels(builder.finish([output]))
 
 
 def _max_of_nets(nets: list[ReluNetwork]) -> ReluNetwork:
@@ -319,6 +322,8 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
     """
     if not nets:
         raise EmptyList("cannot take the maximum of zero networks")
+    if any(n.output_dim != 1 for n in nets):
+        raise DimensionMismatch("the maximum is defined for single-output networks")
     m = len(nets)
     depth = max(n.hidden_layer_count for n in nets)
     padded_sizes = [n.size + 2 * (depth - n.hidden_layer_count) for n in nets]
@@ -340,6 +345,21 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
 # ---------------------------------------------------------------------------
 
 
+def _star_affines(mesh: SimplicialMesh, vertex: int) -> list[AffineFunc]:
+    """The local affines of a convex vertex star, whose hat is
+    ``max(0, min_k g_k)``.
+
+    Raises:
+        NotLocallyConvex: If the star is not convex.
+    """
+    if not is_locally_convex(mesh, vertex):
+        raise NotLocallyConvex(
+            f"the star of vertex {vertex} is not convex; its hat function is "
+            "not the max-min form of its local affines"
+        )
+    return vertex_star(mesh, vertex).local_affines
+
+
 def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
     """Network for ``sum_i c_i * max(0, min_k g_k^(i))`` over the given vertices.
 
@@ -351,48 +371,10 @@ def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
     builder = NetBuilder(mesh.dim)
     trees = []
     for i, c in coeffs.items():
-        if not is_locally_convex(mesh, i):
-            raise NotLocallyConvex(
-                f"the star of vertex {i} is not convex; the deep construction "
-                "does not apply"
-            )
-        star = vertex_star(mesh, i)
-        mins = _balanced("min", _affine_leaves(builder, star.local_affines, abs(c)))
+        mins = _balanced("min", _affine_leaves(builder, _star_affines(mesh, i), abs(c)))
         trees.append(_Node("max", (mins, _ZERO)))
-    roots = _emit_trees(builder, trees)
     signs = [float(np.sign(c)) for c in coeffs.values()]
-    return prune_dead_channels(builder.finish([list(zip(signs, roots))]))
-
-
-def compile_basis_deep(
-    mesh: SimplicialMesh, vertex: int, rng: np.random.Generator | None = None
-) -> tuple[ReluNetwork, BoundReport]:
-    """Compiles one nodal hat function via the deep pathway.
-
-    Bounds (checked): hidden depth ``ceil(log2 kh) + 1`` and size
-    ``8 kh``, with ``kh`` the mesh's maximum vertex valence.
-
-    Raises:
-        NotLocallyConvex: If the vertex star is not convex.
-    """
-    rng = rng or np.random.default_rng(12345)
-    net = _deep_net(mesh, {vertex: 1.0})
-    kh = compute_kh(mesh)
-    coeffs = np.zeros(mesh.num_vertices)
-    coeffs[vertex] = 1.0
-    X = sample_points(mesh, 64, rng)
-    _self_check(net, lambda P: interpolate(mesh, coeffs, P), X, f"deep hat {vertex}")
-    report = BoundReport(
-        pathway="deep",
-        predicted_depth=ceil_log2(kh) + 1,
-        actual_depth=net.hidden_layer_count,
-        predicted_size_bound=8 * kh,
-        actual_size=net.size,
-        d=mesh.dim,
-        kh=kh,
-        m=len(mesh.vertex_to_simplices[vertex]),
-    )
-    return net, _check_bounds(report)
+    return _emit_trees(builder, trees, signs)
 
 
 def compile_fem_deep(
@@ -506,13 +488,6 @@ def _term_value(t: _Term, X: NDArray[np.float64]) -> NDArray[np.float64]:
     if t.c0 is not None:
         V[-1] = t.c0
     return t.sign * V.max(axis=0)
-
-
-def _terms_value(terms: list[_Term], X: NDArray) -> NDArray:
-    out = np.zeros(np.atleast_2d(X).shape[0])
-    for t in terms:
-        out += _term_value(t, X)
-    return out
 
 
 def _check_rewrite(before: NDArray, after: NDArray, what: str) -> None:
@@ -769,9 +744,8 @@ def _terms_net(
         k = abs(w)
         consts = [] if c0 is None else [AffineFunc(np.zeros(dim), c0)]
         trees.append(_balanced("max", _affine_leaves(builder, consts + affs, k)))
-    roots = _emit_trees(builder, trees)
     signs = [1.0 if w > 0 else -1.0 for w, _, _ in merged]
-    return prune_dead_channels(builder.finish([list(zip(signs, roots))]))
+    return _emit_trees(builder, trees, signs)
 
 
 # --- shallow compile entry points ------------------------------------------
@@ -805,8 +779,7 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
     if depth > ceil_log2(d + 1):
         raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
     padded_sizes = [c.size + 2 * (depth - c.depth) for c in clauses]
-    (root,) = _emit_trees(builder, [_balanced("max", clauses)])
-    net = prune_dead_channels(builder.finish([[(1.0, root)]]))
+    net = _emit_trees(builder, [_balanced("max", clauses)], [1.0])
     report = BoundReport(
         pathway="shallow-lattice",
         predicted_depth=ceil_log2(d + 1) + ceil_log2(M) + 1,
@@ -910,65 +883,6 @@ def _basis_shallow_size_bound(n: int, d: int) -> int:
     return total
 
 
-def _basis_shallow_terms(
-    mesh: SimplicialMesh, vertex: int, scale: float, pts: NDArray
-) -> list[tuple[int, _Term]]:
-    """Signed pure terms for ``scale * max(0, min_k g_k)`` at one vertex."""
-    if not is_locally_convex(mesh, vertex):
-        raise NotLocallyConvex(
-            f"the star of vertex {vertex} is not convex; the lattice identity "
-            "for its hat function does not apply"
-        )
-    star = vertex_star(mesh, vertex)
-    gs = [AffineFunc(scale * g.gradient, scale * g.offset) for g in star.local_affines]
-    n = len(gs)
-    d = mesh.dim
-    weighted: list[tuple[int, _Term]] = []
-    for r in range(1, n + 1):
-        sgn = 1 if r % 2 == 1 else -1
-        for T in itertools.combinations(range(n), r):
-            pures = reduce_term_width(1, 0.0, [gs[i] for i in T], d + 1, pts)
-            weighted.extend((sgn, t) for t in pures)
-    return weighted
-
-
-def compile_basis_shallow(
-    mesh: SimplicialMesh, vertex: int, rng: np.random.Generator | None = None
-) -> tuple[ReluNetwork, BoundReport]:
-    """Compiles one nodal hat function via the shallow pathway.
-
-    Expands ``max(0, min_k g_k)`` over the vertex star by inclusion-
-    exclusion into ``2^n - 1`` signed max terms, rewrites wide terms to at
-    most ``d + 1`` arguments, and sums the terms' max trees.  Hidden depth is at
-    most ``ceil(log2(d+1))``; the size bound is combinatorial in the
-    valence ``n`` (see report).
-
-    Raises:
-        NotLocallyConvex: If the vertex star is not convex.
-    """
-    rng = rng or np.random.default_rng(12345)
-    pts = sample_points(mesh, 64, rng)
-    weighted = _basis_shallow_terms(mesh, vertex, 1.0, pts)
-    merged = _merge_pure_terms(weighted)
-    net = _terms_net(merged, mesh.dim)
-    coeffs = np.zeros(mesh.num_vertices)
-    coeffs[vertex] = 1.0
-    _self_check(net, lambda P: interpolate(mesh, coeffs, P), pts, "shallow hat")
-    n = len(mesh.vertex_to_simplices[vertex])
-    report = BoundReport(
-        pathway="shallow-basis",
-        predicted_depth=ceil_log2(mesh.dim + 1),
-        actual_depth=net.hidden_layer_count,
-        predicted_size_bound=_basis_shallow_size_bound(n, mesh.dim),
-        actual_size=net.size,
-        d=mesh.dim,
-        kh=compute_kh(mesh),
-        m=n,
-        M=2**n - 1,
-    )
-    return net, _check_bounds(report)
-
-
 def compile_fem_shallow(
     mesh: SimplicialMesh,
     coeffs: NDArray[np.float64],
@@ -976,12 +890,14 @@ def compile_fem_shallow(
 ) -> tuple[ReluNetwork, BoundReport]:
     """Compiles a nodal finite element function via the shallow pathway.
 
-    Each hat with nonzero coefficient is expanded as in
-    :func:`compile_basis_shallow` with its first-layer affines scaled by
-    ``|c_i|`` (the expansion is positively homogeneous); identical terms
-    merge across hats, and each merged term's sign goes into the output
-    combination.  Hidden depth stays at most
-    ``ceil(log2(d+1))`` regardless of the mesh.
+    Each hat ``max(0, min_k g_k)`` with nonzero coefficient is expanded by
+    inclusion-exclusion into ``2^n - 1`` signed terms
+    ``max(0, max_{k in T} g_k)`` over its ``n`` star affines, scaled by
+    ``|c_i|`` (the expansion is positively homogeneous); wide terms are
+    rewritten to at most ``d + 1`` arguments, identical terms merge across
+    hats, and each merged term's sign goes into the output combination.
+    Hidden depth stays at most ``ceil(log2(d+1))`` regardless of the mesh;
+    the size bound is combinatorial in the valences.
 
     Raises:
         NotLocallyConvex: If a used vertex has a non-convex star.
@@ -997,8 +913,11 @@ def compile_fem_shallow(
     weighted: list[tuple[int, _Term]] = []
     for i in used:
         sgn = 1 if coeffs[i] > 0 else -1
-        local = _basis_shallow_terms(mesh, i, abs(float(coeffs[i])), pts)
-        weighted.extend((sgn * w, t) for w, t in local)
+        k = abs(float(coeffs[i]))
+        gs = [AffineFunc(k * g.gradient, k * g.offset) for g in _star_affines(mesh, i)]
+        for T, w in _expand_lattice_terms([tuple(range(len(gs)))]).items():
+            pures = reduce_term_width(1, 0.0, [gs[j] for j in sorted(T)], d + 1, pts)
+            weighted.extend((sgn * w, t) for t in pures)
     merged = _merge_pure_terms(weighted)
     net = _terms_net(merged, d)
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), pts, "shallow FE function")

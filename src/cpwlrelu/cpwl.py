@@ -196,16 +196,6 @@ def polygon_area(poly: NDArray[np.float64]) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def interior_points(poly: NDArray[np.float64], n: int, rng: np.random.Generator) -> NDArray:
-    """Samples ``n`` interior points of a convex polygon/segment.
-
-    Each point is a strictly positive convex combination of the vertices
-    (Dirichlet weights), hence lies in the relative interior.
-    """
-    w = rng.dirichlet(np.ones(poly.shape[0]), size=n)
-    return w @ poly
-
-
 # ---------------------------------------------------------------------------
 # CPWL piece lists
 # ---------------------------------------------------------------------------
@@ -258,12 +248,6 @@ class CpwlPieces:
             if np.all(A @ x <= c + GEOM_TOL):
                 out.append(i)
         return out
-
-    def in_domain(self, x: NDArray[np.float64]) -> bool:
-        if self.domain_box is None:
-            return True
-        lo, hi = self.domain_box
-        return bool(np.all(x >= lo - GEOM_TOL) and np.all(x <= hi + GEOM_TOL))
 
     def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64] | float:
         single = np.asarray(X).ndim == 1

@@ -353,9 +353,6 @@ class ChannelRef:
     coeffs: tuple[tuple[int, float], ...]
     bias: float
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.coeffs)
-
 
 def _make_ref(level: int, coeffs: dict[int, float], bias: float) -> ChannelRef:
     items = tuple(sorted((int(k), float(v)) for k, v in coeffs.items() if v != 0.0))

@@ -46,6 +46,13 @@ def random_chain(n: int, seed: int) -> SimplicialMesh:
             return chain_mesh(t)
 
 
+def unit(mesh: SimplicialMesh, i: int) -> np.ndarray:
+    """The coefficient vector of vertex ``i``'s nodal hat: ``e_i``."""
+    c = np.zeros(mesh.num_vertices)
+    c[i] = 1.0
+    return c
+
+
 def crisscross_mesh(xs, ys) -> SimplicialMesh:
     """Tensor grid split into triangles along the SW-NE diagonal of each cell."""
     xs = np.asarray(xs, dtype=float)

@@ -22,10 +22,9 @@ import cpwlrelu.compiler as comp
 from cpwlrelu.cli import main as cli_main
 from cpwlrelu.compiler import (
     ceil_log2,
-    compile_basis_deep,
-    compile_basis_shallow,
     compile_cpwl_shallow,
     compile_fem_deep,
+    compile_fem_shallow,
     compile_max_of_m,
 )
 from cpwlrelu.cpwl import (
@@ -66,6 +65,7 @@ from helpers import (
     random_max_affine,
     random_path_instance,
     random_zigzag,
+    unit,
 )
 
 
@@ -180,9 +180,8 @@ def test_criterion_03_shallow_equivalence(mesh_corpus, cpwl_instances):
             n = len(vertex_star(mesh, i).incident)
             if n > 7:
                 continue
-            net, rep = compile_basis_shallow(mesh, i)
-            coeffs = np.zeros(mesh.num_vertices)
-            coeffs[i] = 1.0
+            coeffs = unit(mesh, i)
+            net, rep = compile_fem_shallow(mesh, coeffs)
             X = sample_points(mesh, 1000, rng)
             err = float(
                 np.max(np.abs(eval_network(net, X) - interpolate(mesh, coeffs, X)))
@@ -386,11 +385,11 @@ def test_criterion_06_low_bit_structure(mesh_corpus, cpwl_instances):
         net, _ = compile_fem_deep(mesh, rng.normal(size=mesh.num_vertices))
         nets.append((f"deep-fem:{name}", net))
     for name, mesh in mesh_corpus[:4]:
-        net, _ = compile_basis_deep(mesh, 1)
+        net, _ = compile_fem_deep(mesh, unit(mesh, 1))
         nets.append((f"deep-basis:{name}", net))
     cc = dict(mesh_corpus)["cc-2x2"]
     for i in range(cc.num_vertices):
-        net, _ = compile_basis_shallow(cc, i)
+        net, _ = compile_fem_shallow(cc, unit(cc, i))
         nets.append((f"shallow-basis:cc-2x2:{i}", net))
     for nm, f in cpwl_instances:
         net, _ = compile_cpwl_shallow(f)
@@ -554,9 +553,8 @@ def test_criterion_10_negative_control(tmp_path):
     rng = np.random.default_rng(10)
     mesh = chain_mesh(np.linspace(0, 1, 5))
     vertex = 2
-    net, _ = compile_basis_deep(mesh, vertex)
-    coeffs = np.zeros(mesh.num_vertices)
-    coeffs[vertex] = 1.0
+    coeffs = unit(mesh, vertex)
+    net, _ = compile_fem_deep(mesh, coeffs)
     X = rng.uniform(0, 1, size=(10_000, 1))
     ref = interpolate(mesh, coeffs, X)
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-9

@@ -18,6 +18,7 @@ from helpers import (
     random_max_affine,
     random_zigzag,
     square_two_triangles,
+    unit,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +26,6 @@ from hypothesis import strategies as st
 import cpwlrelu.compiler as C
 from cpwlrelu.compiler import (
     ceil_log2,
-    compile_basis_deep,
-    compile_basis_shallow,
     compile_cpwl_shallow,
     compile_fem_deep,
     compile_fem_shallow,
@@ -38,6 +37,7 @@ from cpwlrelu.compiler import (
 from cpwlrelu.cpwl import AffineFunc, LatticeForm, eval_pieces
 from cpwlrelu.errors import (
     ClauseTooWide,
+    DimensionMismatch,
     ExpansionOverflow,
     NotLocallyConvex,
     NumericalDependenceAmbiguous,
@@ -47,6 +47,7 @@ from cpwlrelu.quantize import check_structured
 from cpwlrelu.relu_net import (
     GADGETS,
     NetBuilder,
+    ReluNetwork,
     affine_network,
     eval_network,
     network_from_dict,
@@ -149,6 +150,14 @@ def test_compile_max_of_m_pads_lazily():
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
 
 
+def test_compile_max_of_m_rejects_multi_output():
+    two = ReluNetwork(2, [(np.eye(2), np.zeros(2))])
+    with pytest.raises(DimensionMismatch):
+        compile_max_of_m([two, affine_network(np.array([1.0, 0.0]), 0.0)])
+    with pytest.raises(DimensionMismatch):
+        compile_max_of_m([two])
+
+
 # ---------------------------------------------------------------------------
 # The three-way rewrite identity (independent sign table)
 # ---------------------------------------------------------------------------
@@ -212,7 +221,7 @@ def test_reduce_term_width_postconditions(rng):
             assert width <= d + 1
         stacked = [a(pts) for a in affs] + ([] if c0 is None else [np.full(len(pts), c0)])
         ref = np.max(np.stack(stacked), axis=0)
-        got = C._terms_value(out, pts)
+        got = sum(C._term_value(t, pts) for t in out)
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) < 1e-9 * scale
 
@@ -347,9 +356,8 @@ def test_ambiguous_dependency_is_a_hard_error(rng):
 def test_deep_basis_exact_and_structured(rng):
     mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
     center = 5  # an interior vertex of the 4x4 grid
-    net, rep = compile_basis_deep(mesh, center)
-    coeffs = np.zeros(len(mesh.vertices))
-    coeffs[center] = 1.0
+    coeffs = unit(mesh, center)
+    net, rep = compile_fem_deep(mesh, coeffs)
     X = sample_points(mesh, 3000, rng)
     diff = np.abs(eval_network(net, X) - interpolate(mesh, coeffs, X))
     assert np.max(diff) < 1e-9
@@ -385,7 +393,7 @@ def test_deep_rejects_nonconvex_star():
     simp = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
     mesh = build_mesh(verts, simp)
     with pytest.raises(NotLocallyConvex):
-        compile_basis_deep(mesh, 0)
+        compile_fem_deep(mesh, unit(mesh, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +414,8 @@ def _shallow_basis_bound(n, d):
 def test_shallow_basis_hat_exact(rng):
     mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
     for vertex in (5, 0):  # interior (valence 6) and corner (valence 1)
-        net, rep = compile_basis_shallow(mesh, vertex)
-        coeffs = np.zeros(len(mesh.vertices))
-        coeffs[vertex] = 1.0
+        coeffs = unit(mesh, vertex)
+        net, rep = compile_fem_shallow(mesh, coeffs)
         X = sample_points(mesh, 2500, rng)
         diff = np.abs(eval_network(net, X) - interpolate(mesh, coeffs, X))
         assert np.max(diff) < 1e-9, vertex
@@ -510,6 +517,22 @@ def test_equivalence_report_flags_mismatch(rng):
     assert not bad.passed
     assert bad.max_abs_diff == pytest.approx(1e-6)
     assert bad.worst_point.shape == (1,)
+
+
+def test_equivalence_report_multi_output_worst_point():
+    net = ReluNetwork(2, [(np.eye(2), np.zeros(2))])
+    X = np.arange(10.0).reshape(5, 2)
+    for row in (4, 2):
+        def reference(P, row=row):
+            out = P.copy()
+            out[row, 1] += 1e-6
+            return out
+
+        rep = equivalence_report(net, reference, X, tol=1e-9)
+        assert not rep.passed
+        assert rep.max_abs_diff == pytest.approx(1e-6)
+        assert np.array_equal(rep.worst_point, X[row])
+        assert rep.samples == 5
 
 
 # ---------------------------------------------------------------------------
