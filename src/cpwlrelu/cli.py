@@ -12,6 +12,9 @@ Subcommands::
     report             error/energy table for several knot counts
     demo-region-plot   activation-pattern labels of a network on a grid
 
+``compile-cpwl`` and ``verify --against cpwl`` validate the piece list
+first (coverage and agreement at sampled points; see ``CpwlPieces.validate``).
+
 Exit codes: 0 success, 1 usage or input errors, 2 verification failures.
 Every subcommand accepts ``--seed`` and ``--report PATH`` (a JSON run
 report with input hashes, configuration echo, results, and wall time).
@@ -141,6 +144,8 @@ def _cmd_compile_cpwl(args) -> int:
     started = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     f = load_pieces(args.cpwl)
+    # Its own generator, so the compile's self-check points stay as they were.
+    f.validate(np.random.default_rng([args.seed, 1]))
     net, bound = compile_cpwl_shallow(f, rng, route=args.route)
     save_network(net, args.output)
     stats = network_stats(net)
@@ -198,6 +203,7 @@ def _cmd_verify(args) -> int:
         if not args.cpwl:
             raise UsageError("--against cpwl needs --cpwl")
         f = load_pieces(args.cpwl)
+        f.validate(np.random.default_rng([args.seed, 1]))  # leaves X as it was
         X = f.sample_domain(args.samples, rng)
         ref = lambda P: np.asarray(f(P))
         inputs = {args.cpwl: _sha256(args.cpwl)}

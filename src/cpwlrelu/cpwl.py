@@ -17,6 +17,13 @@ The module constructs lattice forms from piece lists along two routes:
 * directly from the convex piece regions, certifying clause membership at
   the region's polytope vertices.
 
+Both routes, :func:`eval_pieces`, :func:`eval_lattice` and
+:meth:`CpwlPieces.validate` evaluate through one batched pair of primitives:
+the ``(n, m)`` matrix of all piece values at ``n`` points and the ``(n, R)``
+boolean matrix of region membership.  ``validate`` samples the domain box and
+checks that every sample lies in some region and that all regions containing
+it give the same value.
+
 It also provides the 1D separating-line witness used to justify the
 lattice construction, plus polygon/polytope helpers for dimensions 1 and 2.
 """
@@ -85,6 +92,13 @@ class AffineFunc:
         if x.ndim == 1:
             return float(x @ self.gradient + self.offset)
         return x @ self.gradient + self.offset
+
+
+def _piece_values(pieces: list[AffineFunc], X: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Values of every piece at every point: the ``(n, m)`` matrix ``X @ G.T + b``."""
+    G = np.array([p.gradient for p in pieces])
+    b = np.array([p.offset for p in pieces])
+    return X @ G.T + b
 
 
 def affines_close(p: AffineFunc, q: AffineFunc, tol: float = DISTINCT_TOL) -> bool:
@@ -240,15 +254,6 @@ class CpwlPieces:
     def num_pieces(self) -> int:
         return len(self.pieces)
 
-    def containing_regions(self, x: NDArray[np.float64]) -> list[int]:
-        """Indices of all regions containing ``x`` (weak inequalities)."""
-        x = np.asarray(x, dtype=float)
-        out = []
-        for i, (A, c) in enumerate(self.regions):
-            if np.all(A @ x <= c + GEOM_TOL):
-                out.append(i)
-        return out
-
     def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64] | float:
         single = np.asarray(X).ndim == 1
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
@@ -265,28 +270,48 @@ class CpwlPieces:
     def validate(self, rng: np.random.Generator, samples: int = 2000) -> None:
         """Sampling check that regions cover the domain and values are continuous.
 
-        Every sampled domain point must belong to at least one region, and
-        points claimed by several regions must get matching values from all
-        of them (which is how disjoint-interior violations surface).
+        ``samples`` uniform points of the domain box are drawn.  Every one
+        must belong to at least one region (weak inequalities within
+        ``GEOM_TOL``), and the pieces of all regions containing it must agree
+        within 1e-8 (which is how overlapping interiors surface).  The first
+        failing point in sample order is reported.  All points are checked
+        in one batch, so memory is ``samples x (pieces + regions)`` entries.
+
+        Raises:
+            OutsideDomain: If a point lies in no region.
+            ValueError: If the containing pieces disagree at a point.
         """
         X = self.sample_domain(samples, rng)
-        for x in X:
-            idx = self.containing_regions(x)
-            if not idx:
-                raise OutsideDomain(f"regions do not cover domain point {x!r}")
-            vals = [self.pieces[i](x) for i in idx]
-            if max(vals) - min(vals) > 1e-8:
-                raise ValueError(
-                    f"pieces disagree at {x!r}: values {vals} — regions overlap "
-                    "on a set of positive measure or the function is discontinuous"
-                )
+        P = _piece_values(self.pieces, X)
+        inside = _membership(self, X)
+        covered = inside.any(axis=1)
+        spread = (np.where(inside, P, -np.inf).max(axis=1)
+                  - np.where(inside, P, np.inf).min(axis=1))
+        bad = np.flatnonzero(~covered | (spread > 1e-8))
+        if bad.size:
+            i = bad[0]
+            if not covered[i]:
+                raise OutsideDomain(f"regions do not cover domain point {X[i]!r}")
+            raise ValueError(
+                f"pieces disagree at {X[i]!r}: values {P[i, inside[i]].tolist()} — "
+                "regions overlap on a set of positive measure or the function is "
+                "discontinuous"
+            )
+
+
+def _membership(f: CpwlPieces, X: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Region membership of every point: the ``(n, R)`` boolean matrix whose
+    column ``r`` is ``all(X @ A_r.T <= c_r + GEOM_TOL)``."""
+    cols = [np.all(X @ A.T <= c + GEOM_TOL, axis=1) for A, c in f.regions]
+    return np.stack(cols, axis=1)
 
 
 def eval_pieces(f: CpwlPieces, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluates a piece-list CPWL function at a batch of points.
 
-    On region boundaries any containing region may be used; continuity makes
-    the candidate values equal.
+    Each point takes the piece of the first region containing it; on region
+    boundaries continuity makes the candidate values equal.  Memory is
+    ``n x (pieces + regions)`` entries.
 
     Args:
         f: The function.
@@ -300,24 +325,19 @@ def eval_pieces(f: CpwlPieces, X: NDArray[np.float64]) -> NDArray[np.float64]:
             the domain box.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    vals = np.full(n, np.nan)
-    found = np.zeros(n, dtype=bool)
     if f.domain_box is not None:
         lo, hi = f.domain_box
         inside_box = np.all(X >= lo - GEOM_TOL, axis=1) & np.all(X <= hi + GEOM_TOL, axis=1)
         if not np.all(inside_box):
             bad = X[~inside_box][0]
             raise OutsideDomain(f"point {bad!r} outside the domain box")
-    for i, (A, c) in enumerate(f.regions):
-        inside = np.all(X @ A.T <= c + GEOM_TOL, axis=1) & ~found
-        if np.any(inside):
-            vals[inside] = f.pieces[i](X[inside])
-            found |= inside
+    inside = _membership(f, X)
+    found = inside.any(axis=1)
     if not np.all(found):
         bad = X[~found][0]
         raise OutsideDomain(f"point {bad!r} outside every region")
-    return vals
+    active = inside.argmax(axis=1)
+    return _piece_values(f.pieces, X)[np.arange(X.shape[0]), active]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +397,7 @@ class LatticeForm:
 def eval_lattice(f: LatticeForm, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluates ``max_k min_{i in s_k} l_i`` at a batch of points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    P = np.stack([p(X) for p in f.pieces], axis=1)  # (n, m)
+    P = _piece_values(f.pieces, X)
     best = np.full(X.shape[0], -np.inf)
     for s in f.clauses:
         np.maximum(best, P[:, list(s)].min(axis=1), out=best)
@@ -460,13 +480,9 @@ def unique_order_partition(f: CpwlPieces) -> UniqueOrderPartition:
                     cuts.append(float(x))
         xs = np.array(sorted(cuts))
         xs = xs[np.concatenate([[True], np.diff(xs) > AREA_TOL])]
-        cells = []
-        for a, b in zip(xs[:-1], xs[1:]):
-            seg = np.array([[a], [b]])
-            mid = np.array([(a + b) / 2.0])
-            vals = np.array([p(mid) for p in f.pieces])
-            cells.append(UniqueOrderCell(seg, tuple(np.argsort(vals, kind="stable")), mid))
-        return UniqueOrderPartition(1, cells)
+        polys = [np.array([[a], [b]]) for a, b in zip(xs[:-1], xs[1:])]
+        samples = ((xs[:-1] + xs[1:]) / 2.0)[:, None]
+        return _ordered_cells(f, polys, samples)
 
     # d == 2: sequential clipping of box polygon by each difference line.
     box_poly = np.array(
@@ -486,13 +502,21 @@ def unique_order_partition(f: CpwlPieces) -> UniqueOrderPartition:
                 if polygon_area(part) > AREA_TOL:
                     nxt.append(part)
         polys = nxt
-    cells = []
-    for poly in polys:
-        x_star = poly.mean(axis=0)
-        vals = np.array([p(x_star) for p in f.pieces])
-        cells.append(UniqueOrderCell(poly, tuple(np.argsort(vals, kind="stable")), x_star))
-    logger.debug("unique-order partition: m=%d pieces -> %d cells", m, len(cells))
-    return UniqueOrderPartition(2, cells)
+    logger.debug("unique-order partition: m=%d pieces -> %d cells", m, len(polys))
+    return _ordered_cells(f, polys, np.array([poly.mean(axis=0) for poly in polys]))
+
+
+def _ordered_cells(
+    f: CpwlPieces, polys: list[NDArray], samples: NDArray[np.float64]
+) -> UniqueOrderPartition:
+    """Cells with their ascending piece orders, ranked at ``samples[k]``."""
+    samples = samples.reshape(-1, f.dim)
+    orders = np.argsort(_piece_values(f.pieces, samples), axis=1, kind="stable")
+    cells = [
+        UniqueOrderCell(poly, tuple(order), x_star)
+        for poly, order, x_star in zip(polys, orders, samples)
+    ]
+    return UniqueOrderPartition(f.dim, cells)
 
 
 def lattice_from_unique_order(f: CpwlPieces, p: UniqueOrderPartition) -> LatticeForm:
@@ -508,27 +532,26 @@ def lattice_from_unique_order(f: CpwlPieces, p: UniqueOrderPartition) -> Lattice
         AmbiguousActivePiece: If no piece reproduces the function value at a
             cell's sample point within tolerance.
     """
+    S = np.array([cell.sample_point for cell in p.cells]).reshape(-1, f.dim)
+    P = _piece_values(f.pieces, S)
+    inside = _membership(f, S)
     clauses = []
-    for cell in p.cells:
-        x_star = cell.sample_point
-        candidates = f.containing_regions(x_star)
-        if not candidates:
+    for x_star, vals, row in zip(S, P, inside):
+        candidates = np.flatnonzero(row)
+        if not candidates.size:
             raise AmbiguousActivePiece(
                 f"no region of the source contains cell sample point {x_star!r}"
             )
-        cand_vals = [f.pieces[i](x_star) for i in candidates]
-        if max(cand_vals) - min(cand_vals) > DISTINCT_TOL:
+        cand_vals = vals[candidates]
+        if cand_vals.max() - cand_vals.min() > DISTINCT_TOL:
             raise AmbiguousActivePiece(
-                f"regions containing {x_star!r} give conflicting values {cand_vals}"
+                f"regions containing {x_star!r} give conflicting values "
+                f"{cand_vals.tolist()}"
             )
-        active = candidates[0]
-        vals = np.array([q(x_star) for q in f.pieces])
         # The clause is the ascending-order suffix starting at the active
         # piece: everything valued at least the active piece on this cell.
-        clause = tuple(
-            int(i) for i in range(f.num_pieces) if vals[i] >= vals[active] - DISTINCT_TOL
-        )
-        clauses.append(clause)
+        floor = vals[candidates[0]] - DISTINCT_TOL
+        clauses.append(tuple(int(i) for i in np.flatnonzero(vals >= floor)))
     return LatticeForm(list(f.pieces), clauses)
 
 
@@ -556,13 +579,9 @@ def lattice_from_convex_regions(f: CpwlPieces) -> LatticeForm:
                 f"region {k} is empty within the domain box; every piece must "
                 "be active somewhere"
             )
-        lk = f.pieces[k]
-        members = []
-        for i, li in enumerate(f.pieces):
-            diffs = li(verts) - lk(verts)
-            if np.all(diffs >= -GEOM_TOL):
-                members.append(i)
-        clauses.append(tuple(members))
+        P = _piece_values(f.pieces, verts)
+        members = np.all(P - P[:, [k]] >= -GEOM_TOL, axis=0)
+        clauses.append(tuple(int(i) for i in np.flatnonzero(members)))
     return LatticeForm(list(f.pieces), clauses)
 
 

@@ -343,6 +343,66 @@ def test_compile_cpwl_and_verify(tmp_path):
     )
 
 
+def _line_pieces_file(tmp_path, parts):
+    """1D piece-list file on [0, 1] from ``(slope, left, right)`` pieces."""
+    from cpwlrelu.cpwl import AffineFunc, CpwlPieces, pieces_to_dict
+
+    f = CpwlPieces(
+        1,
+        [AffineFunc(np.array([k]), 0.0) for k, _, _ in parts],
+        [(np.array([[-1.0], [1.0]]), np.array([-lo, hi])) for _, lo, hi in parts],
+        (np.array([0.0]), np.array([1.0])),
+    )
+    src = tmp_path / "cpwl.json"
+    src.write_text(json.dumps(pieces_to_dict(f)))
+    return src
+
+
+@pytest.mark.parametrize("parts, message", [
+    # 0 and x on overlapping regions: they disagree on [0.3, 0.7].
+    ([(0.0, 0.0, 0.7), (1.0, 0.3, 1.0)], "error: pieces disagree at"),
+    # 0 and x on [0, 0.4] and [0.6, 1]: nothing covers the gap.
+    ([(0.0, 0.0, 0.4), (1.0, 0.6, 1.0)], "error: regions do not cover"),
+])
+def test_cli_validates_piece_list_files(tmp_path, capsys, parts, message):
+    src = _line_pieces_file(tmp_path, parts)
+    out = tmp_path / "net.json"
+    for route in ("order", "regions"):
+        rc = _cli_main(["compile-cpwl", "--cpwl", str(src), "--route", route, "-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith(message) and "Traceback" not in err, route
+    assert not out.exists()
+    save_network(ReluNetwork(1, [(np.zeros((1, 1)), np.zeros(1))]), str(out))
+    rc = _cli_main(["verify", "--net", str(out), "--against", "cpwl", "--cpwl", str(src)])
+    assert rc == 1 and capsys.readouterr().err.startswith(message)
+
+
+def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):
+    """Validating the file changes neither the network bytes nor the points
+    verify samples: those still come from the ``--seed`` generator."""
+    import hashlib
+
+    from cpwlrelu.cpwl import pieces_to_dict
+    from helpers import random_max_affine, random_zigzag
+
+    expected = {
+        "maxaffine-d2m5": "bba7aa67e6790712281179571e6cfb2b7391ec4304d38540e96696295b794054",
+        "zigzag-m6": "cb0278b81db55fff9547b137f90204e1179261876513777733bbb8dfe6748acc",
+    }
+    for name, f in (("maxaffine-d2m5", random_max_affine(2, 5, np.random.default_rng(5))),
+                    ("zigzag-m6", random_zigzag(6, np.random.default_rng(5)))):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(pieces_to_dict(f)))
+        out = tmp_path / f"{name}-net.json"
+        assert main(["compile-cpwl", "--cpwl", str(src), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected[name], name
+        rc = _cli_main(["verify", "--net", str(out), "--against", "cpwl", "--cpwl", str(src),
+                        "--samples", "200"])
+        worst = json.loads(capsys.readouterr().out.splitlines()[-1])["worst_point"]
+        X = f.sample_domain(200, np.random.default_rng(12345))
+        assert rc == 0 and any(np.array_equal(x, worst) for x in X), name
+
+
 # ---------------------------------------------------------------------------
 # solve-bvp / report
 # ---------------------------------------------------------------------------

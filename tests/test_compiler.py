@@ -5,6 +5,7 @@ gadget, the three-way rewrite identity evaluated from its own sign table,
 brute-force max/min evaluation, and combinatorial size-bound formulas.
 """
 
+import hashlib
 import json
 import math
 
@@ -451,6 +452,43 @@ def test_shallow_zigzag_depth_one(rng):
     X = f.sample_domain(800, rng)
     assert np.max(np.abs(eval_network(net, X) - eval_pieces(f, X))) < 1e-9
     assert net.hidden_layer_count <= 1  # ceil(log2(d+1)) with d=1
+
+
+# SHA-256 over every layer's CSR indptr, indices, data and bias, recorded for
+# the networks of both lattice routes on piece lists shaped like the
+# benchmark's (same kinds, sizes and seeds, drawn by the test generators).
+_PINNED_CPWL_NETS = {
+    ("maxaffine-d1m5", 11): "c6116b2cc697e07982903d97cbae5fc74282c3660287350f92c43f9f075231cf",
+    ("maxaffine-d2m5", 12): "8b5848be0f3202ea82c0d8b1e5d2db93c3b5e10fce117f04b7e9e8c7c85b9cd7",
+    ("maxaffine-d2m6", 13): "ea86ed8c6922e0ea47fab30eb872fab3730ab2eed5632b2a2c528fa2935db6c5",
+    ("fan-m5", 21): "9338b1605394a559715965ef9a07a02237573dd08aa5e0bd33a9a15e99dc6d08",
+    ("fan-m6", 22): "074bbc3237456589fb76d98e8c39d7338735ccfcb988cdac006d490fb97d4f79",
+    ("zigzag-m6", 31): "4f7082b4f2a48e4c55867b1ec3d7a898dd48ced18ac90991050e00b6835d8890",
+    ("zigzag-m7", 33): "9cd298548edcf940eab6b1270a84d63579b4a510be1a29667a63be58a3f289f5",
+    ("maxaffine-d3m5", 14): "84965189ced29ae66c758dee87676b6637cb82a584ae52d901d00e2d082c91c4",
+}
+
+
+def _network_digest(net):
+    h = hashlib.sha256()
+    for W, b in net.layers:
+        for a in (W.indptr, W.indices, W.data, b):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, seed", list(_PINNED_CPWL_NETS))
+def test_shallow_cpwl_networks_pinned(name, seed):
+    kind, size = name.rsplit("-", 1)
+    rng = np.random.default_rng(seed)
+    if kind == "maxaffine":
+        f = random_max_affine(int(size[1]), int(size[3:]), rng)
+    else:
+        f = (random_fan if kind == "fan" else random_zigzag)(int(size[1:]), rng)
+    routes = ("regions",) if f.dim == 3 else ("order", "regions")
+    for route in routes:
+        net, _ = compile_cpwl_shallow(f, np.random.default_rng(0), route=route)
+        assert _network_digest(net) == _PINNED_CPWL_NETS[name, seed], route
 
 
 def test_shallow_piece_cap(rng):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpwlrelu.cpwl import (
+    GEOM_TOL,
     AffineFunc,
     CpwlPieces,
     box_halfspaces,
@@ -90,6 +91,103 @@ def test_validate_catches_inconsistent_pieces(rng):
     )
     with pytest.raises(ValueError):
         f.validate(rng)
+
+
+def _validate_reference(f, rng, samples=2000):
+    """Per-point validation loop: one region test and one piece evaluation
+    at a time, the first bad sample raising."""
+    for x in f.sample_domain(samples, rng):
+        idx = [i for i, (A, c) in enumerate(f.regions) if np.all(A @ x <= c + GEOM_TOL)]
+        if not idx:
+            raise OutsideDomain(f"regions do not cover domain point {x!r}")
+        vals = [f.pieces[i](x) for i in idx]
+        if max(vals) - min(vals) > 1e-8:
+            raise ValueError(
+                f"pieces disagree at {x!r}: values {vals} — regions overlap "
+                "on a set of positive measure or the function is discontinuous"
+            )
+
+
+def _outcome(check, f, seed, samples=2000):
+    """``None`` if ``check`` passes, else the exception type and message."""
+    try:
+        check(f, np.random.default_rng(seed), samples)
+    except (OutsideDomain, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _shift_region(f, k, amount):
+    """``f`` with region ``k`` grown (``amount > 0``) or shrunk by moving
+    every one of its half-spaces by ``amount``."""
+    regions = list(f.regions)
+    A, c = regions[k]
+    regions[k] = (A, c + amount * np.linalg.norm(A, axis=1))
+    return CpwlPieces(f.dim, f.pieces, regions, f.domain_box)
+
+
+def _line_pieces(parts):
+    """1D list of ``(slope, offset, left, right)`` pieces on [0, 1]."""
+    return CpwlPieces(
+        1,
+        [AffineFunc(np.array([k]), b) for k, b, _, _ in parts],
+        [(np.array([[-1.0], [1.0]]), np.array([-lo, hi])) for _, _, lo, hi in parts],
+        (np.array([0.0]), np.array([1.0])),
+    )
+
+
+# Pieces 0 and x overlap on [0.1, 0.9] and nothing covers (0.95, 1].
+OVERLAP_THEN_GAP = _line_pieces([(0.0, 0.0, 0.0, 0.9), (1.0, 0.0, 0.1, 0.95)])
+
+
+def _validate_cases():
+    rng = np.random.default_rng(4)
+    valid = [random_max_affine(d, m, rng) for d, m in ((1, 4), (2, 5), (2, 6), (3, 5))]
+    valid += [random_fan(m, rng) for m in (4, 6)]
+    valid += [random_zigzag(m, rng) for m in (5, 7)]
+    cases = [pytest.param(f, None, id=f"valid-{i}") for i, f in enumerate(valid)]
+    for i, f in enumerate(valid):
+        cases.append(pytest.param(_shift_region(f, 1, -0.05), OutsideDomain, id=f"gap-{i}"))
+        cases.append(pytest.param(_shift_region(f, 1, 0.05), ValueError, id=f"overlap-{i}"))
+    cases += [
+        pytest.param(OVERLAP_THEN_GAP, ValueError, id="overlap-then-gap"),
+        # Nothing covers [0, 0.5); 0 and x overlap on [0.85, 0.9].
+        pytest.param(_line_pieces([(0.0, 0.0, 0.5, 0.9), (1.0, 0.0, 0.85, 1.0)]),
+                     OutsideDomain, id="gap-then-overlap"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("f, expected", _validate_cases())
+def test_validate_matches_per_point_reference(f, expected):
+    for seed in (0, 1, 2):
+        got = _outcome(CpwlPieces.validate, f, seed)
+        assert got == _outcome(_validate_reference, f, seed), seed
+        assert (got and got[0]) is expected, seed
+
+
+def test_validate_reports_first_bad_sample_when_a_later_one_is_uncovered():
+    f = OVERLAP_THEN_GAP
+    X = f.sample_domain(2000, np.random.default_rng(0))[:, 0]
+    first_bad = np.flatnonzero((X >= 0.1) & (X <= 0.9) | (X > 0.95))[0]
+    assert X[first_bad] <= 0.9 and np.any(X[first_bad:] > 0.95)
+    with pytest.raises(ValueError, match="pieces disagree at") as exc:
+        f.validate(np.random.default_rng(0))
+    assert repr(X[first_bad:first_bad + 1]) in str(exc.value)
+
+
+def test_validate_evaluates_no_piece_one_at_a_time(monkeypatch):
+    f = random_max_affine(2, 6, np.random.default_rng(3))
+    calls = []
+    original = AffineFunc.__call__
+
+    def counted(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(AffineFunc, "__call__", counted)
+    f.validate(np.random.default_rng(0), samples=2000)
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------
