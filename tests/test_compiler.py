@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 from helpers import (
     crisscross_mesh,
+    kuhn_cube_mesh,
     net_per_compile_path,
     random_fan,
     random_max_affine,
@@ -489,6 +490,33 @@ def test_shallow_cpwl_networks_pinned(name, seed):
     for route in routes:
         net, _ = compile_cpwl_shallow(f, np.random.default_rng(0), route=route)
         assert _network_digest(net) == _PINNED_CPWL_NETS[name, seed], route
+
+
+# The same digest for one network of every compile path (each goes through
+# NetBuilder) and for the deep networks of the 8x8 criss-cross grid and the
+# Kuhn cube, with standard normal coefficients of seed 0.
+_PINNED_BUILDER_NETS = {
+    "fem-deep": "06fc44451f69611596b9f4a82295d7d8791512725822c2bda9375803f2b56ec6",
+    "fem-shallow": "469ca1a3db5730d48d4a06664ff595147538f101d2c6f264589134cce4ccef04",
+    "cpwl-shallow": "28243ae16631aaf7ae3a601c9aaf39dc19c23438389bafab3255a5a454ae291e",
+    "lattice-shallow": "991bb842d7b1c3a8c1d9981aa7bcba9fa1a569bb8870174ea841bf5446e8a04c",
+    "max-of-m": "783a4be6cc76338557f461c95ca451f91593b9f65d77f2a7c4569d8625592b02",
+    "crisscross-8x8-deep": "1cc52a235922b80820d860e7ebeb89f9e6a78e1eb7282df7517ec445708f4a24",
+    "kuhn-cube-deep": "6f5633a9477ffa55c6ac541a5e86dd72d7228a2ac6c36bf77ff89277519e8e41",
+}
+
+
+def test_builder_networks_pinned():
+    nets = net_per_compile_path(np.random.default_rng(0))
+    g = np.linspace(0, 1, 8)
+    for name, mesh in [
+        ("crisscross-8x8-deep", crisscross_mesh(g, g)),
+        ("kuhn-cube-deep", kuhn_cube_mesh()),
+    ]:
+        coeffs = np.random.default_rng(0).normal(size=mesh.num_vertices)
+        nets[name] = compile_fem_deep(mesh, coeffs)[0]
+    digests = {name: _network_digest(net) for name, net in nets.items()}
+    assert digests == _PINNED_BUILDER_NETS
 
 
 def test_shallow_piece_cap(rng):
