@@ -40,7 +40,7 @@ from .compiler import (
     equivalence_report,
 )
 from .cpwl import load_pieces
-from .errors import CpwlReluError, UsageError, VerificationMismatch
+from .errors import CpwlReluError, UsageError
 from .galerkin1d import (
     Bvp1dProblem,
     SolverConfig,
@@ -101,6 +101,16 @@ def _load_points(path: str, dim: int) -> np.ndarray:
             f"points file has {X.shape[1]} columns, network expects {dim}"
         )
     return X
+
+
+def _grid(text: str) -> tuple[int, int]:
+    """The ``--grid k,l`` option.  UsageError passes through argparse (it
+    handles only ValueError and TypeError), so ``main`` reports it with exit 1."""
+    try:
+        k, l = (int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"--grid takes two integers k,l, got {text!r}") from None
+    return k, l
 
 
 def _write_report(report: RunReport, path: str | None, started: float) -> None:
@@ -232,7 +242,7 @@ def _cmd_verify(args) -> int:
 def _cmd_quantize(args) -> int:
     started = time.perf_counter()
     net = load_network(args.net)
-    k, l = (int(v) for v in args.grid.split(","))
+    k, l = args.grid
     out = project_network(net, QuantGrid(k, l), include_first=args.include_first)
     save_network(out, args.output)
     changed = sum(
@@ -253,7 +263,7 @@ def _cmd_quantize(args) -> int:
 def _cmd_check_structured(args) -> int:
     started = time.perf_counter()
     net = load_network(args.net)
-    k, l = (int(v) for v in args.grid.split(","))
+    k, l = args.grid
     rep = check_structured(net, QuantGrid(k, l), tol=args.tol)
     result = {
         "passed": rep.passed,
@@ -449,7 +459,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("quantize", help="project weights onto a dyadic grid")
     sp.add_argument("--net", required=True)
-    sp.add_argument("--grid", default="0,3", help="k,l grid parameters")
+    sp.add_argument("--grid", type=_grid, default="0,3", help="k,l grid parameters")
     sp.add_argument("--include-first", action="store_true",
                     help="also project the first layer (changes the function)")
     sp.add_argument("-o", "--output", required=True)
@@ -458,7 +468,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("check-structured", help="verify low-bit weight structure")
     sp.add_argument("--net", required=True)
-    sp.add_argument("--grid", default="0,3")
+    sp.add_argument("--grid", type=_grid, default="0,3", help="k,l grid parameters")
     sp.add_argument("--tol", type=float, default=0.0)
     common(sp)
     sp.set_defaults(func=_cmd_check_structured)
@@ -495,12 +505,9 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except VerificationMismatch as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 2
     except (CpwlReluError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,6 +46,7 @@ from .cpwl import (
     AffineFunc,
     CpwlPieces,
     LatticeForm,
+    _piece_values,
     eval_lattice,
     lattice_from_convex_regions,
     lattice_from_unique_order,
@@ -841,7 +842,7 @@ def compile_cpwl_shallow(
     pts = f.sample_domain(64, rng)
     state = _expand_lattice_terms(lat.clauses)
     # Sanity: the expansion must reproduce the lattice form exactly.
-    piece_vals = np.stack([p(pts) for p in lat.pieces], axis=1)
+    piece_vals = _piece_values(lat.pieces, pts)
     acc = np.zeros(pts.shape[0])
     for S, w in state.items():
         acc += w * piece_vals[:, sorted(S)].max(axis=1)

@@ -110,10 +110,6 @@ class KnotOrderViolated(CpwlReluError):
     """Knots are not strictly increasing (or a gap is below the floor)."""
 
 
-class LineSearchStalled(CpwlReluError):
-    """No step length satisfies the descent condition above the gap floor."""
-
-
 class TargetUnreachable(CpwlReluError):
     """The requested degree-of-freedom target cannot be met."""
 
@@ -125,7 +121,3 @@ class TargetUnreachable(CpwlReluError):
 
 class UsageError(CpwlReluError):
     """Bad command-line arguments or malformed input files."""
-
-
-class VerificationMismatch(CpwlReluError):
-    """A compiled network disagrees with its source beyond tolerance."""

@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
-from .errors import KnotOrderViolated, LineSearchStalled, TargetUnreachable
+from .errors import KnotOrderViolated, TargetUnreachable
 from .relu_net import ReluNetwork
 
 logger = logging.getLogger(__name__)
@@ -407,20 +407,14 @@ def solve_algorithm1(
             break
         gsq = float(np.sum(g * g))
         eta = config.eta
-        try:
-            while True:
-                if eta < config.eta_min:
-                    raise LineSearchStalled(
-                        f"no acceptable step above {config.eta_min}"
-                    )
-                t_try = t - eta * g
-                if np.any(np.diff(t_try) < config.gap_floor):
-                    eta *= 0.5
-                    continue
-                if energy(problem, t_try, theta, q) <= E0 - config.armijo_c * eta * gsq:
-                    break
-                eta *= 0.5
-        except LineSearchStalled:
+        while eta >= config.eta_min:
+            t_try = t - eta * g
+            if not np.any(np.diff(t_try) < config.gap_floor) and (
+                energy(problem, t_try, theta, q) <= E0 - config.armijo_c * eta * gsq
+            ):
+                break
+            eta *= 0.5
+        else:
             stalled = True
             logger.warning("line search stalled at iteration %d", it)
             break

@@ -8,11 +8,13 @@ evaluation, composition and serialization know one format.
 the total number of hidden neurons.
 
 :class:`NetBuilder` assembles networks level by level from *channels*: a
-channel is a value represented as a fixed linear combination of the current
-level's activations plus a bias.  Min/max gadgets (4 neurons), identity
-carries (2 neurons), and free constant-zero channels keep every layer past
-the first with zero bias and weights in a fixed small set, which is what
-the low-bit structure checker later verifies.
+channel is a row of the current level's channel matrix ``C`` (a fixed linear
+combination of the level's activations) plus an entry of its bias vector.
+Each hidden layer is ``S @ C`` for a sparse sign matrix ``S`` of min/max
+gadgets (4 neurons) and identity carries (2 neurons); with free
+constant-zero channels this keeps every layer past the first with zero bias
+and weights in a fixed small set, which is what the low-bit structure
+checker later verifies.
 """
 
 from __future__ import annotations
@@ -343,20 +345,13 @@ def independence_check(
 
 @dataclass(frozen=True)
 class ChannelRef:
-    """A value available at one builder level.
-
-    The value equals ``sum_j coeffs[j] * activation[j] + bias`` over the
-    activations of ``level``.  Level-0 channels combine the raw inputs.
+    """A value available at one builder level: row ``row`` of that level's
+    channel matrix ``C`` applied to the level's activations, plus entry
+    ``row`` of its bias vector.  ``row`` is None for the free constant zero.
     """
 
     level: int
-    coeffs: tuple[tuple[int, float], ...]
-    bias: float
-
-
-def _make_ref(level: int, coeffs: dict[int, float], bias: float) -> ChannelRef:
-    items = tuple(sorted((int(k), float(v)) for k, v in coeffs.items() if v != 0.0))
-    return ChannelRef(level, items, float(bias))
+    row: int | None
 
 
 #: The builder's operations: ``kind -> (sign pairs, output weights)``.
@@ -374,14 +369,20 @@ GADGETS = {
 class NetBuilder:
     """Assembles a ReLU network one level at a time from channels.
 
-    Start from the input channels (one per coordinate) and constants, or
-    from the outputs of an existing network (:meth:`from_network`); each
-    :meth:`apply_level` call turns a list of gadget operations on current-
-    level channels into one sparse hidden layer and returns the next-level
-    channels.  Biases are only ever written into the first layer the
-    builder emits; all later layers have zero bias, and gadget/identity
-    coefficients keep their weights in ``{0, +-1/2, +-1}`` whenever the
-    consumed channels have integer or half-integer coefficients.
+    A level's channels are the rows of its channel matrix ``C`` over the
+    level's activations, with a dense bias vector beside it.  At level 0
+    the rows are affine functions ``[a]`` of the input (one per
+    :meth:`affine_channel` or :meth:`input_channel` call) and the biases
+    their offsets; after :meth:`from_network` they are the seed network's
+    last layer.  :meth:`apply_level` turns a list of gadget operations into
+    a sparse sign matrix ``S`` (two entries per neuron, from
+    :data:`GADGETS`) and emits the hidden layer ``S @ C``; the next level's
+    ``C`` holds one row per operation, its output weights on its own
+    neurons, with zero bias.  :meth:`finish` emits the output layer the
+    same way.  Biases are therefore only ever written into the first layer
+    the builder emits, and gadget/identity coefficients keep the weights in
+    ``{0, +-1/2, +-1}`` whenever the consumed channels have integer or
+    half-integer coefficients.
 
     Operations (each a tuple):
         ``("min", a, b)`` — 4 neurons, channel for ``min(a, b)``.
@@ -392,14 +393,16 @@ class NetBuilder:
     def __init__(self, input_dim: int):
         self.input_dim = int(input_dim)
         self.level = 0
-        self._width = int(input_dim)  # width of the current activation vector
         self.layers: list[tuple[sp.csr_matrix, NDArray[np.float64]]] = []
         self._seeded = 0  # layers taken over from a seed network
+        self._C = sp.csr_matrix((0, self.input_dim))
+        self._bias = np.zeros(0)
+        self._affine: list[NDArray[np.float64]] = []  # level-0 [a, b] not yet in C
 
     @classmethod
     def from_network(cls, net: ReluNetwork) -> tuple[NetBuilder, list[ChannelRef]]:
         """A builder continuing ``net``: its hidden layers become the
-        builder's first layers and each output row becomes a channel.
+        builder's first layers and its output layer the channel matrix.
 
         Returns:
             The builder and one channel per output of ``net``.
@@ -408,36 +411,54 @@ class NetBuilder:
         builder.layers = list(net.layers[:-1])
         builder._seeded = len(builder.layers)
         builder.level = net.hidden_layer_count
-        W, b = net.layers[-1]
-        builder._width = W.shape[1]
-        outs = [
-            _make_ref(builder.level, dict(zip(row.indices, row.data)), b[r])
-            for r, row in enumerate(W)
-        ]
-        return builder, outs
+        builder._C, builder._bias = net.layers[-1]
+        return builder, [ChannelRef(builder.level, r) for r in range(net.output_dim)]
 
     def input_channel(self, i: int) -> ChannelRef:
         """Channel for the raw input coordinate ``x_i`` (level 0 only)."""
-        if self.level != 0:
-            raise ValueError("input channels exist only before the first layer")
-        return _make_ref(0, {i: 1.0}, 0.0)
+        a = np.zeros(self.input_dim)
+        a[i] = 1.0
+        return self.affine_channel(a, 0.0)
 
     def affine_channel(self, a: NDArray[np.float64], b: float) -> ChannelRef:
         """Channel for an affine function of the input (level 0 only)."""
         if self.level != 0:
             raise ValueError("affine channels exist only before the first layer")
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        return _make_ref(0, {i: float(v) for i, v in enumerate(a)}, float(b))
+        if a.shape != (self.input_dim,):
+            raise DimensionMismatch(f"affine channel needs {self.input_dim} weights")
+        self._affine.append(np.append(a, b))
+        return ChannelRef(0, self._C.shape[0] + len(self._affine) - 1)
 
     def zero(self) -> ChannelRef:
         """The free constant-zero channel, valid at the current level."""
-        return _make_ref(self.level, {}, 0.0)
+        return ChannelRef(self.level, None)
 
-    def _check(self, ch: ChannelRef) -> None:
-        if ch.level != self.level:
-            raise ValueError(
-                f"channel from level {ch.level} used at level {self.level}"
-            )
+    def _combine(
+        self, rows: list[list[tuple[float, ChannelRef]]], bias: NDArray[np.float64]
+    ) -> tuple[sp.csr_matrix, NDArray[np.float64]]:
+        """The layer ``M @ C``, where row ``r`` of ``M`` holds the weights
+        ``rows[r]`` on current-level channels, and ``bias`` plus each row's
+        weighted channel biases, added in term order (``bias[r] += w * c``)."""
+        if self._affine:  # level-0 rows added since the last call
+            new = np.array(self._affine)
+            self._C = sp.vstack([self._C, sp.csr_matrix(new[:, :-1])], format="csr")
+            self._bias = np.append(self._bias, new[:, -1])
+            self._affine = []
+        terms = [t for row in rows for t in row]
+        for _, ch in terms:
+            if ch.level != self.level:
+                raise ValueError(
+                    f"channel from level {ch.level} used at level {self.level}"
+                )
+        n = self._C.shape[0]  # column n of M: the zero channel, bias 0.0
+        cols = np.array([n if c.row is None else c.row for _, c in terms], dtype=int)
+        w = np.array([w for w, _ in terms], dtype=float)
+        counts = [len(row) for row in rows]
+        chan_bias = np.append(self._bias, 0.0)[cols]
+        np.add.at(bias, np.repeat(np.arange(len(rows)), counts), w * chan_bias)
+        M = sp.csr_matrix((w, cols, np.cumsum([0, *counts])), shape=(len(rows), n + 1))
+        return M[:, :n] @ self._C, bias
 
     def apply_level(self, ops: list[tuple]) -> list[ChannelRef]:
         """Emits one hidden layer realizing ``ops`` and advances the level.
@@ -448,54 +469,31 @@ class NetBuilder:
         Returns:
             One next-level channel per operation, in order.
         """
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        biases: list[float] = []
-        out_channels: list[ChannelRef] = []
-        neuron = 0
-
-        def emit_row(combo: dict[int, float], bias: float) -> int:
-            nonlocal neuron
-            for c, v in combo.items():
-                if v != 0.0:
-                    rows.append(neuron)
-                    cols.append(c)
-                    vals.append(v)
-            biases.append(bias)
-            neuron += 1
-            return neuron - 1
-
-        def lin(sa: float, a: ChannelRef, sb: float, b: ChannelRef) -> tuple[dict, float]:
-            combo: dict[int, float] = {}
-            for c, v in a.coeffs:
-                combo[c] = combo.get(c, 0.0) + sa * v
-            for c, v in b.coeffs:
-                combo[c] = combo.get(c, 0.0) + sb * v
-            return combo, sa * a.bias + sb * b.bias
-
+        neurons: list[list[tuple[float, ChannelRef]]] = []
+        combo: list[float] = []
+        sizes: list[int] = [0]
         for kind, a, *rest in ops:
             if kind not in GADGETS:
                 raise ValueError(f"unknown builder operation {kind!r}")
             b = rest[0] if rest else self.zero()
-            self._check(a)
-            self._check(b)
             patterns, combo_w = GADGETS[kind]
-            ids = [emit_row(*lin(sa, a, sb, b)) for sa, sb in patterns]
-            out_channels.append(_make_ref(self.level + 1, dict(zip(ids, combo_w)), 0.0))
-
-        bias_vec = np.array(biases)
-        if len(self.layers) > self._seeded and np.any(bias_vec != 0.0):
+            neurons += [[(sa, a), (sb, b)] for sa, sb in patterns]
+            combo += combo_w
+            sizes.append(len(patterns))
+        # -0.0 is the additive identity: each bias is ``sa * b_a + sb * b_b``.
+        W, bias = self._combine(neurons, np.full(len(neurons), -0.0))
+        if len(self.layers) > self._seeded and np.any(bias != 0.0):
             raise AssertionError(
                 "internal builder error: nonzero bias past the first emitted layer"
             )
-        W = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(neuron, self._width), dtype=float
-        )
-        self.layers.append((W, bias_vec))
+        self.layers.append((W, bias))
         self.level += 1
-        self._width = neuron
-        return out_channels
+        n = len(neurons)
+        self._C = sp.csr_matrix(
+            (combo, np.arange(n), np.cumsum(sizes)), shape=(len(ops), n)
+        )
+        self._bias = np.zeros(len(ops))
+        return [ChannelRef(self.level, r) for r in range(len(ops))]
 
     def finish(
         self, combos: list[list[tuple[float, ChannelRef]]], bias: list[float] | None = None
@@ -509,26 +507,9 @@ class NetBuilder:
         Returns:
             The assembled network (sparse layers).
         """
-        q = len(combos)
-        bias_vec = np.zeros(q) if bias is None else np.asarray(bias, dtype=float)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for r, terms in enumerate(combos):
-            acc: dict[int, float] = {}
-            for w, ch in terms:
-                self._check(ch)
-                for c, v in ch.coeffs:
-                    acc[c] = acc.get(c, 0.0) + w * v
-                bias_vec[r] += w * ch.bias
-            for c, v in acc.items():
-                if v != 0.0:
-                    rows.append(r)
-                    cols.append(c)
-                    vals.append(v)
-        W = sp.csr_matrix((vals, (rows, cols)), shape=(q, self._width), dtype=float)
-        layers = self.layers + [(W, bias_vec)]
-        return ReluNetwork(self.input_dim, layers)
+        bias = np.zeros(len(combos)) if bias is None else np.array(bias, dtype=float)
+        W, b = self._combine(combos, bias)
+        return ReluNetwork(self.input_dim, self.layers + [(W, b)])
 
 
 # ---------------------------------------------------------------------------

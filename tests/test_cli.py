@@ -322,6 +322,20 @@ def test_quantize_bad_grid_string(tmp_path, mesh_file, coeff_file):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["quantize", "check-structured"])
+@pytest.mark.parametrize("grid", ["0", "a,b"])
+def test_malformed_grid_is_usage_error(tmp_path, mesh_file, coeff_file, capsys,
+                                       command, grid):
+    out = _compile(tmp_path, mesh_file, coeff_file)
+    argv = [command, "--net", str(out), "--grid", grid]
+    if command == "quantize":
+        argv += ["-o", str(tmp_path / "q.json")]
+    rc = _cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "--grid" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # compile-cpwl
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cpwlrelu.relu_net as R
-from cpwlrelu.errors import EmptyList, PairwiseDependent
+from cpwlrelu.errors import DimensionMismatch, EmptyList, PairwiseDependent
 from cpwlrelu.relu_net import (
     NetBuilder,
     ReluNetwork,
@@ -200,6 +200,75 @@ def test_builder_levels_have_zero_bias(rng):
     net = nb.finish([[(0.5, m)]], [0.0])
     for W, bias in net.layers[1:]:
         assert np.all(np.asarray(bias) == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["min", "max"])
+def test_builder_gadget_reading_one_channel_twice(rng, kind):
+    """``min(a, a) = max(a, a) = a``: each neuron's two sign entries land on
+    one channel and the product sums them, so the neurons see ``(sa + sb) a``
+    and a neuron with ``sa + sb = 0`` stores no weight."""
+    a_vec, a_off = np.array([1.5, -2.0]), 0.25
+    nb = NetBuilder(2)
+    a = nb.affine_channel(a_vec, a_off)
+    (out,) = nb.apply_level([(kind, a, a)])
+    net = nb.finish([[(1.0, out)]])
+    W, b = net.layers[0]
+    twice = np.array([sa + sb for sa, sb in R.GADGETS[kind][0]])
+    assert np.array_equal(W.toarray(), np.outer(twice, a_vec))
+    assert W.nnz == 2 * np.count_nonzero(twice)
+    assert np.array_equal(b, twice * a_off)
+    X = rng.uniform(-3, 3, size=(200, 2))
+    assert np.max(np.abs(eval_network(net, X) - (X @ a_vec + a_off))) < 1e-12
+
+
+def test_builder_finish_at_level_0_sums_shared_columns(rng):
+    """Output rows over level-0 channels add their terms' weights column by
+    column in term order; sums that cancel store nothing."""
+    nb = NetBuilder(2)
+    rows = [np.array([1e16, 1.0]), np.array([1.0, 0.0]), np.array([-1e16, 2.0])]
+    offs = [1e16, 1.0, -1e16]
+    chans = [nb.affine_channel(r, o) for r, o in zip(rows, offs)]
+    x0 = nb.input_channel(0)
+    net = nb.finish([list(zip([1.0, 1.0, 1.0], chans)), [(1.0, x0), (-1.0, x0)]])
+    W, b = net.layers[0]
+    expected_row, expected_bias = np.zeros(2), 0.0
+    for r, o in zip(rows, offs):
+        expected_row += r
+        expected_bias += o
+    assert expected_row[0] == 0.0 and expected_bias == 0.0  # (1e16 + 1) - 1e16
+    assert np.array_equal(W.toarray(), [expected_row, [0.0, 0.0]])
+    assert W.nnz == 1
+    assert np.array_equal(b, [expected_bias, 0.0])
+    assert net.hidden_layer_count == 0
+
+
+def test_builder_finish_zero_channel_and_explicit_bias():
+    nb = NetBuilder(1)
+    x = nb.input_channel(0)
+    (m,) = nb.apply_level([("max", x, nb.zero())])
+    bias = np.array([0.5, -1.25])
+    net = nb.finish([[(1.0, m), (3.0, nb.zero())], [(2.0, nb.zero())]], bias)
+    assert np.array_equal(bias, [0.5, -1.25])  # the caller's array is not changed
+    assert net.layers[-1][0][1].nnz == 0
+    X = np.linspace(-2, 2, 41)[:, None]
+    expected = np.stack([np.maximum(X[:, 0], 0) + 0.5, np.full(41, -1.25)], axis=1)
+    assert np.array_equal(eval_network(net, X), expected)
+    const = NetBuilder(2)
+    net0 = const.finish([[(1.0, const.zero())]], [4.0])
+    assert net0.hidden_layer_count == 0
+    assert eval_network(net0, np.array([0.3, -7.0])) == 4.0
+
+
+def test_builder_rejects_misplaced_channels():
+    with pytest.raises(DimensionMismatch):
+        NetBuilder(2).affine_channel(np.array([1.0]), 0.0)
+    nb = NetBuilder(1)
+    x = nb.input_channel(0)
+    (m,) = nb.apply_level([("id", x)])
+    with pytest.raises(ValueError, match="level 0 used at level 1"):
+        nb.apply_level([("max", m, x)])
+    with pytest.raises(ValueError, match="before the first layer"):
+        nb.affine_channel(np.array([1.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------
