@@ -620,3 +620,153 @@ def test_shallow_cli_roundtrip_on_4x4_grid(tmp_path, rng):
     assert main(["verify", "--net", str(out), "--against", "mesh",
                  "--mesh", str(mpath), "--coeffs", str(cpath)]) == 0
     assert main(["check-structured", "--net", str(out)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned run reports, one per subcommand
+# ---------------------------------------------------------------------------
+
+
+_REPORT_CASES = {
+    "compile-fem": (["compile-fem", "--mesh", "mesh.json", "--coeffs", "coeffs.json",
+                     "--pathway", "shallow", "-o", "fem-out.json"], 0),
+    "compile-cpwl": (["compile-cpwl", "--cpwl", "cpwl.json", "--route", "regions",
+                      "--seed", "7", "-o", "cpwl-out.json"], 0),
+    "eval": (["eval", "--net", "fem.json", "--points", "points.csv", "-o", "values.csv"], 0),
+    "verify-mesh": (["verify", "--net", "fem.json", "--against", "mesh", "--mesh", "mesh.json",
+                     "--coeffs", "coeffs.json", "--samples", "50"], 0),
+    "verify-cpwl": (["verify", "--net", "cpwl-net.json", "--against", "cpwl",
+                     "--cpwl", "cpwl.json", "--samples", "50", "--tol", "1e-8"], 0),
+    "verify-fails": (["verify", "--net", "cpwl-net.json", "--against", "mesh",
+                      "--mesh", "mesh.json", "--coeffs", "coeffs.json", "--samples", "20"], 2),
+    "quantize": (["quantize", "--net", "fem.json", "--grid", "0,2", "--include-first",
+                  "-o", "quant.json"], 0),
+    "check-structured": (["check-structured", "--net", "fem.json", "--grid", "0,2"], 2),
+    "solve-bvp": (["solve-bvp", "--N", "9", "--max-iter", "3", "--init", "uniform",
+                   "--out", "state.json", "--trace", "trace.json", "--net", "bvp-net.json"], 0),
+    "report": (["report", "--N", "9,13", "--out", "table.md", "--csv", "table.csv"], 0),
+    "demo-region-plot": (["demo-region-plot", "--net", "fem.json", "--resolution", "5",
+                          "--box", "0,1", "-o", "regions.csv"], 0),
+}
+
+_BOUND_FEM = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
+              "predicted_size_bound": "1380", "actual_size": 528,
+              "d": 2, "kh": 6, "m": 8, "M": 60}
+_BOUND_CPWL = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
+               "predicted_size_bound": "8918", "actual_size": 10,
+               "d": 2, "kh": None, "m": 3, "M": 3}
+_PINNED_REPORTS = {
+    "compile-fem": {
+        "command": "compile-fem", "inputs": ["coeffs.json", "mesh.json"],
+        "config": {"pathway": "shallow", "seed": 12345},
+        "results": {"bound": _BOUND_FEM,
+                    "stats": {"hidden_layers": 2, "size": 528, "nonzero_params": 2026},
+                    "output": "fem-out.json"}},
+    "compile-cpwl": {
+        "command": "compile-cpwl", "inputs": ["cpwl.json"],
+        "config": {"route": "regions", "seed": 7},
+        "results": {"bound": _BOUND_CPWL,
+                    "stats": {"hidden_layers": 2, "size": 10, "nonzero_params": 46},
+                    "output": "cpwl-out.json"}},
+    "eval": {
+        "command": "eval", "inputs": ["fem.json", "points.csv"],
+        "config": {"seed": 12345}, "results": {"points": 2}},
+    "verify-mesh": {
+        "command": "verify", "inputs": ["coeffs.json", "fem.json", "mesh.json"],
+        "config": {"against": "mesh", "samples": 50, "tol": 1e-09, "seed": 12345},
+        "results": {"passed": True, "max_abs_diff": 2.22044605e-16,
+                    "worst_point": [0.458084309, 0.968333733], "samples": 50,
+                    "tol": 1e-09}},
+    "verify-cpwl": {
+        "command": "verify", "inputs": ["cpwl-net.json", "cpwl.json"],
+        "config": {"against": "cpwl", "samples": 50, "tol": 1e-08, "seed": 12345},
+        "results": {"passed": True, "max_abs_diff": 2.22044605e-16,
+                    "worst_point": [0.721102635, 0.858675603], "samples": 50,
+                    "tol": 1e-08}},
+    "verify-fails": {
+        "command": "verify", "inputs": ["coeffs.json", "cpwl-net.json", "mesh.json"],
+        "config": {"against": "mesh", "samples": 20, "tol": 1e-09, "seed": 12345},
+        "results": {"passed": False, "max_abs_diff": 0.899703095,
+                    "worst_point": [0.936967002, 0.127081732], "samples": 20,
+                    "tol": 1e-09}},
+    "quantize": {
+        "command": "quantize", "inputs": ["fem.json"],
+        "config": {"grid": [0, 2], "include_first": True, "seed": 12345},
+        "results": {"changed_entries": 262, "output": "quant.json"}},
+    "check-structured": {
+        "command": "check-structured", "inputs": ["fem.json"],
+        "config": {"grid": [0, 2], "tol": 0.0, "seed": 12345},
+        "results": {"passed": False, "vacuous": False, "checked_layers": [1, 2, 3],
+                    "checked_params": 256, "violations": [
+                        {"layer": 1, "kind": "weight", "count": 112, "example": -0.5},
+                        {"layer": 2, "kind": "weight", "count": 80, "example": -0.5},
+                        {"layer": 3, "kind": "weight", "count": 16, "example": 0.5}]}},
+    "solve-bvp": {
+        "command": "solve-bvp", "inputs": [],
+        "config": {"N": 9, "eta": 0.5, "max_iter": 3, "init": "uniform", "seed": 12345},
+        "results": {"energy": -0.642382689, "h1_error": 0.449191339,
+                    "converged": False, "stalled": False, "iterations": 3}},
+    "report": {
+        "command": "report", "inputs": [],
+        "config": {"N": [9, 13], "seed": 12345},
+        "results": {"rows": [
+            {"N": 9, "err_uniform": 0.649253986, "err_afem": 0.394712885,
+             "err_opt": 0.2896877, "energy_uniform": -0.532523219,
+             "energy_afem": -0.665423201, "energy_opt": -0.70132846},
+            {"N": 13, "err_uniform": 0.481125618, "err_afem": 0.233111722,
+             "err_opt": 0.201835738, "energy_uniform": -0.627544242,
+             "energy_afem": -0.716158715, "energy_opt": -0.722917003}]}},
+    "demo-region-plot": {
+        "command": "demo-region-plot", "inputs": ["fem.json"],
+        "config": {"resolution": 5, "box": [0.0, 1.0], "seed": 12345},
+        "results": {"patterns": 25}},
+}
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    """Input files of the pinned run-report cases, in one directory."""
+    from cpwlrelu.compiler import compile_cpwl_shallow, compile_fem_deep
+    from cpwlrelu.cpwl import pieces_to_dict
+    from helpers import random_max_affine
+
+    d = tmp_path_factory.mktemp("reports")
+    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    coeffs = np.linspace(-1.0, 1.0, mesh.num_vertices)
+    f = random_max_affine(2, 3, np.random.default_rng(5))
+    (d / "mesh.json").write_text(json.dumps(mesh_to_dict(mesh)))
+    (d / "coeffs.json").write_text(json.dumps(coeffs.tolist()))
+    (d / "cpwl.json").write_text(json.dumps(pieces_to_dict(f)))
+    np.savetxt(d / "points.csv", [[0.25, 0.25], [0.5, 0.75]], delimiter=",")
+    save_network(compile_fem_deep(mesh, coeffs)[0], str(d / "fem.json"))
+    save_network(compile_cpwl_shallow(f)[0], str(d / "cpwl-net.json"))
+    return d
+
+
+def _rounded(obj):
+    """Floats to 9 significant digits, so last-bit noise does not count."""
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("case", sorted(_REPORT_CASES))
+def test_run_report_pinned(report_dir, monkeypatch, case):
+    """Each subcommand's ``--report`` JSON: the command, the input files and
+    their SHA-256, the configuration echo, the results and the exit code.
+    Run inside the input directory, so every path is a bare file name."""
+    import hashlib
+
+    monkeypatch.chdir(report_dir)
+    argv, code = _REPORT_CASES[case]
+    assert main([*argv, "--report", f"{case}.report.json"]) == code
+    data = json.loads((report_dir / f"{case}.report.json").read_text())
+    assert data.pop("wall_time") >= 0 and data.pop("version")["package"] == __version__
+    for name, digest in data["inputs"].items():
+        assert digest == hashlib.sha256((report_dir / name).read_bytes()).hexdigest(), name
+    data["inputs"] = sorted(data["inputs"])
+    assert _rounded(data) == _PINNED_REPORTS[case]
