@@ -16,8 +16,13 @@ Subcommands::
 first (coverage and agreement at sampled points; see ``CpwlPieces.validate``).
 
 Exit codes: 0 success, 1 usage or input errors, 2 verification failures.
-Every subcommand accepts ``--seed`` and ``--report PATH`` (a JSON run
-report with input hashes, configuration echo, results, and wall time).
+Every subcommand accepts ``--seed`` and ``--report PATH``.  A subcommand
+returns its exit code and results and declares its file options as the
+parser defaults ``inputs`` and ``outputs``; ``main`` writes the JSON run
+report for all of them.  It holds the command, ``inputs`` (the SHA-256 of
+every input file given, taken before the run), ``config`` (every other
+option, output files left out), the results, the wall time and the schema
+versions.  A run that ends with exit code 1 writes no report.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -68,25 +74,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-@dataclass
-class RunReport:
-    """JSON-serializable record of one CLI invocation."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    wall_time: float = 0.0
-    version: dict = field(default_factory=lambda: dict(SCHEMA_VERSIONS, package=__version__))
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 def _load_coeffs(path: str) -> np.ndarray:
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
@@ -103,21 +90,33 @@ def _load_points(path: str, dim: int) -> np.ndarray:
     return X
 
 
-def _grid(text: str) -> tuple[int, int]:
-    """The ``--grid k,l`` option.  UsageError passes through argparse (it
-    handles only ValueError and TypeError), so ``main`` reports it with exit 1."""
-    try:
-        k, l = (int(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"--grid takes two integers k,l, got {text!r}") from None
-    return k, l
+def _numbers(option: str, cast, count: int | None = None):
+    """argparse ``type=`` for a comma-separated option: ``count`` values (any
+    number when None), each read by ``cast``.  UsageError passes through
+    argparse (it handles only ValueError and TypeError), so ``main`` reports
+    it with exit 1."""
+    kind = "integers" if cast is int else "numbers"
+
+    def parse(text: str) -> list:
+        try:
+            values = [cast(v) for v in text.split(",")]
+        except ValueError:
+            values = []
+        if not values or count not in (None, len(values)):
+            want = f"{count} {kind}" if count else f"comma-separated {kind}"
+            raise UsageError(f"{option} takes {want}, got {text!r}")
+        return values
+
+    return parse
 
 
-def _write_report(report: RunReport, path: str | None, started: float) -> None:
-    report.wall_time = time.perf_counter() - started
+def _write_or_print(lines: list[str], path: str | None) -> None:
+    text = "\n".join(lines)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(report), fh, indent=2)
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +124,7 @@ def _write_report(report: RunReport, path: str | None, started: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_compile_fem(args) -> int:
-    started = time.perf_counter()
+def _cmd_compile_fem(args) -> tuple[int, dict]:
     rng = np.random.default_rng(args.seed)
     mesh = load_mesh(args.mesh)
     coeffs = _load_coeffs(args.coeffs)
@@ -140,18 +138,10 @@ def _cmd_compile_fem(args) -> int:
         f"compiled {args.pathway}: hidden layers {stats.hidden_layers}, "
         f"size {stats.size}, nonzero params {stats.nonzero_params}"
     )
-    report = RunReport(
-        command="compile-fem",
-        inputs={args.mesh: _sha256(args.mesh), args.coeffs: _sha256(args.coeffs)},
-        config={"pathway": args.pathway, "seed": args.seed},
-        results={"bound": bound.to_dict(), "stats": asdict(stats), "output": args.output},
-    )
-    _write_report(report, args.report, started)
-    return 0
+    return 0, {"bound": bound.to_dict(), "stats": asdict(stats), "output": args.output}
 
 
-def _cmd_compile_cpwl(args) -> int:
-    started = time.perf_counter()
+def _cmd_compile_cpwl(args) -> tuple[int, dict]:
     rng = np.random.default_rng(args.seed)
     f = load_pieces(args.cpwl)
     # Its own generator, so the compile's self-check points stay as they were.
@@ -163,40 +153,19 @@ def _cmd_compile_cpwl(args) -> int:
         f"compiled shallow: hidden layers {stats.hidden_layers}, size {stats.size}, "
         f"pieces {bound.m}, clauses {bound.M}"
     )
-    report = RunReport(
-        command="compile-cpwl",
-        inputs={args.cpwl: _sha256(args.cpwl)},
-        config={"route": args.route, "seed": args.seed},
-        results={"bound": bound.to_dict(), "stats": asdict(stats), "output": args.output},
-    )
-    _write_report(report, args.report, started)
-    return 0
+    return 0, {"bound": bound.to_dict(), "stats": asdict(stats), "output": args.output}
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
+def _cmd_eval(args) -> tuple[int, dict]:
     net = load_network(args.net)
     X = _load_points(args.points, net.input_dim)
     vals = np.asarray(eval_network(net, X), dtype=float).reshape(X.shape[0], -1)
     out = np.hstack([X, vals])
-    text = "\n".join(",".join(repr(float(v)) for v in row) for row in out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    report = RunReport(
-        command="eval",
-        inputs={args.net: _sha256(args.net), args.points: _sha256(args.points)},
-        config={"seed": args.seed},
-        results={"points": int(X.shape[0])},
-    )
-    _write_report(report, args.report, started)
-    return 0
+    _write_or_print([",".join(repr(float(v)) for v in row) for row in out], args.output)
+    return 0, {"points": int(X.shape[0])}
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> tuple[int, dict]:
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
@@ -208,7 +177,6 @@ def _cmd_verify(args) -> int:
         coeffs = _load_coeffs(args.coeffs)
         X = sample_points(mesh, args.samples, rng)
         ref = lambda P: interpolate(mesh, coeffs, P)
-        inputs = {args.mesh: _sha256(args.mesh), args.coeffs: _sha256(args.coeffs)}
     else:
         if not args.cpwl:
             raise UsageError("--against cpwl needs --cpwl")
@@ -216,7 +184,6 @@ def _cmd_verify(args) -> int:
         f.validate(np.random.default_rng([args.seed, 1]))  # leaves X as it was
         X = f.sample_domain(args.samples, rng)
         ref = lambda P: np.asarray(f(P))
-        inputs = {args.cpwl: _sha256(args.cpwl)}
     rep = equivalence_report(net, ref, X, args.tol)
     result = {
         "passed": rep.passed,
@@ -225,22 +192,11 @@ def _cmd_verify(args) -> int:
         "samples": rep.samples,
         "tol": rep.tol,
     }
-    report = RunReport(
-        command="verify",
-        inputs=dict(inputs, **{args.net: _sha256(args.net)}),
-        config={"against": args.against, "samples": args.samples, "tol": args.tol,
-                "seed": args.seed},
-        results=result,
-    )
-    _write_report(report, args.report, started)
     print(json.dumps(result))
-    if not rep.passed:
-        return 2
-    return 0
+    return (0 if rep.passed else 2), result
 
 
-def _cmd_quantize(args) -> int:
-    started = time.perf_counter()
+def _cmd_quantize(args) -> tuple[int, dict]:
     net = load_network(args.net)
     k, l = args.grid
     out = project_network(net, QuantGrid(k, l), include_first=args.include_first)
@@ -250,18 +206,10 @@ def _cmd_quantize(args) -> int:
         for a, b in zip(net.layers, out.layers)
     )
     print(f"projected onto grid ({k},{l}); {changed} weight entries changed")
-    report = RunReport(
-        command="quantize",
-        inputs={args.net: _sha256(args.net)},
-        config={"grid": [k, l], "include_first": args.include_first, "seed": args.seed},
-        results={"changed_entries": changed, "output": args.output},
-    )
-    _write_report(report, args.report, started)
-    return 0
+    return 0, {"changed_entries": changed, "output": args.output}
 
 
-def _cmd_check_structured(args) -> int:
-    started = time.perf_counter()
+def _cmd_check_structured(args) -> tuple[int, dict]:
     net = load_network(args.net)
     k, l = args.grid
     rep = check_structured(net, QuantGrid(k, l), tol=args.tol)
@@ -273,18 +221,10 @@ def _cmd_check_structured(args) -> int:
         "violations": [asdict(v) for v in rep.violations],
     }
     print(json.dumps(result))
-    report = RunReport(
-        command="check-structured",
-        inputs={args.net: _sha256(args.net)},
-        config={"grid": [k, l], "tol": args.tol, "seed": args.seed},
-        results=result,
-    )
-    _write_report(report, args.report, started)
-    return 0 if rep.passed else 2
+    return (0 if rep.passed else 2), result
 
 
-def _cmd_solve_bvp(args) -> int:
-    started = time.perf_counter()
+def _cmd_solve_bvp(args) -> tuple[int, dict]:
     problem = Bvp1dProblem.standard()
     cfg = SolverConfig(N=args.N, eta=args.eta, max_iter=args.max_iter)
     state = solve_algorithm1(problem, cfg, t_init=args.init)
@@ -308,16 +248,9 @@ def _cmd_solve_bvp(args) -> int:
         f"N={args.N}: energy {state.energy:.6f}, H1 error {state.h1_error:.6f}, "
         f"iterations {len(state.trace)}"
     )
-    report = RunReport(
-        command="solve-bvp",
-        config={"N": args.N, "eta": args.eta, "max_iter": args.max_iter,
-                "init": args.init, "seed": args.seed},
-        results={"energy": state.energy, "h1_error": state.h1_error,
-                 "converged": state.converged, "stalled": state.stalled,
-                 "iterations": len(state.trace)},
-    )
-    _write_report(report, args.report, started)
-    return 0
+    return 0, {"energy": state.energy, "h1_error": state.h1_error,
+               "converged": state.converged, "stalled": state.stalled,
+               "iterations": len(state.trace)}
 
 
 def _format_table_md(rows: list[dict]) -> str:
@@ -335,11 +268,8 @@ def _format_table_md(rows: list[dict]) -> str:
     return head + body
 
 
-def _cmd_report(args) -> int:
-    started = time.perf_counter()
-    problem = Bvp1dProblem.standard()
-    Ns = [int(v) for v in args.N.split(",")]
-    rows = report_table(problem, Ns)
+def _cmd_report(args) -> tuple[int, dict]:
+    rows = report_table(Bvp1dProblem.standard(), args.N)
     md = _format_table_md(rows)
     print(md, end="")
     if args.out:
@@ -352,24 +282,17 @@ def _cmd_report(args) -> int:
             fh.write(",".join(cols) + "\n")
             for r in rows:
                 fh.write(",".join(repr(r[c]) if c != "N" else str(r[c]) for c in cols) + "\n")
-    report = RunReport(
-        command="report",
-        config={"N": Ns, "seed": args.seed},
-        results={"rows": rows},
-    )
-    _write_report(report, args.report, started)
-    return 0
+    return 0, {"rows": rows}
 
 
-def _cmd_demo_region_plot(args) -> int:
-    started = time.perf_counter()
+def _cmd_demo_region_plot(args) -> tuple[int, dict]:
     net = load_network(args.net)
     d = net.input_dim
     if d not in (1, 2):
         raise UsageError("region plot supports 1D and 2D networks")
     if net.size > 20000:
         raise UsageError("network too wide for a pattern plot")
-    lo, hi = (float(v) for v in args.box.split(","))
+    lo, hi = args.box
     axes = [np.linspace(lo, hi, args.resolution) for _ in range(d)]
     if d == 1:
         X = axes[0][:, None]
@@ -389,21 +312,9 @@ def _cmd_demo_region_plot(args) -> int:
         ",".join(repr(float(v)) for v in X[i]) + f",{out_labels[i]}"
         for i in range(X.shape[0])
     ]
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_or_print(lines, args.output)
     print(f"# distinct activation patterns: {len(labels)}", file=sys.stderr)
-    report = RunReport(
-        command="demo-region-plot",
-        inputs={args.net: _sha256(args.net)},
-        config={"resolution": args.resolution, "box": [lo, hi], "seed": args.seed},
-        results={"patterns": len(labels)},
-    )
-    _write_report(report, args.report, started)
-    return 0
+    return 0, {"patterns": len(labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +331,31 @@ def build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, func, inputs, outputs):
+        """The options every subcommand takes, its handler, and its input and
+        output file options (by dest) for the run report."""
         sp.add_argument("--seed", type=int, default=12345, help="random seed")
         sp.add_argument("--report", help="write a JSON run report here")
+        sp.set_defaults(func=func, inputs=inputs, outputs=outputs)
 
     sp = sub.add_parser("compile-fem", help="compile a finite element function")
     sp.add_argument("--mesh", required=True)
     sp.add_argument("--coeffs", required=True, help="JSON or CSV nodal coefficients")
     sp.add_argument("--pathway", choices=["deep", "shallow"], default="deep")
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_compile_fem)
+    common(sp, _cmd_compile_fem, ("mesh", "coeffs"), ("output",))
 
     sp = sub.add_parser("compile-cpwl", help="compile a piece-list CPWL function")
     sp.add_argument("--cpwl", required=True)
     sp.add_argument("--route", choices=["auto", "order", "regions"], default="auto")
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_compile_cpwl)
+    common(sp, _cmd_compile_cpwl, ("cpwl",), ("output",))
 
     sp = sub.add_parser("eval", help="evaluate a network on CSV points")
     sp.add_argument("--net", required=True)
     sp.add_argument("--points", required=True, help="CSV, one point per row")
     sp.add_argument("-o", "--output")
-    common(sp)
-    sp.set_defaults(func=_cmd_eval)
+    common(sp, _cmd_eval, ("net", "points"), ("output",))
 
     sp = sub.add_parser("verify", help="sampling equivalence check")
     sp.add_argument("--net", required=True)
@@ -454,24 +365,23 @@ def build_parser() -> _Parser:
     sp.add_argument("--cpwl")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--tol", type=float, default=1e-9)
-    common(sp)
-    sp.set_defaults(func=_cmd_verify)
+    common(sp, _cmd_verify, ("net", "mesh", "coeffs", "cpwl"), ())
 
     sp = sub.add_parser("quantize", help="project weights onto a dyadic grid")
     sp.add_argument("--net", required=True)
-    sp.add_argument("--grid", type=_grid, default="0,3", help="k,l grid parameters")
+    sp.add_argument("--grid", type=_numbers("--grid", int, 2), default="0,3",
+                    help="k,l grid parameters")
     sp.add_argument("--include-first", action="store_true",
                     help="also project the first layer (changes the function)")
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_quantize)
+    common(sp, _cmd_quantize, ("net",), ("output",))
 
     sp = sub.add_parser("check-structured", help="verify low-bit weight structure")
     sp.add_argument("--net", required=True)
-    sp.add_argument("--grid", type=_grid, default="0,3", help="k,l grid parameters")
+    sp.add_argument("--grid", type=_numbers("--grid", int, 2), default="0,3",
+                    help="k,l grid parameters")
     sp.add_argument("--tol", type=float, default=0.0)
-    common(sp)
-    sp.set_defaults(func=_cmd_check_structured)
+    common(sp, _cmd_check_structured, ("net",), ())
 
     sp = sub.add_parser("solve-bvp", help="free-knot 1D variational solve")
     sp.add_argument("--N", type=int, required=True, help="total knot count")
@@ -481,33 +391,54 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", help="write the state JSON here")
     sp.add_argument("--trace", help="write the iteration trace JSON here")
     sp.add_argument("--net", help="write the one-hidden-layer network here")
-    common(sp)
-    sp.set_defaults(func=_cmd_solve_bvp)
+    common(sp, _cmd_solve_bvp, (), ("out", "trace", "net"))
 
     sp = sub.add_parser("report", help="error/energy table for several N")
-    sp.add_argument("--N", default="23,37,53", help="comma-separated knot counts")
+    sp.add_argument("--N", type=_numbers("--N", int), default="23,37,53",
+                    help="comma-separated knot counts")
     sp.add_argument("--out", help="write markdown table here")
     sp.add_argument("--csv", help="write CSV table here")
-    common(sp)
-    sp.set_defaults(func=_cmd_report)
+    common(sp, _cmd_report, (), ("out", "csv"))
 
     sp = sub.add_parser("demo-region-plot", help="activation-pattern labels on a grid")
     sp.add_argument("--net", required=True)
     sp.add_argument("--resolution", type=int, default=50)
-    sp.add_argument("--box", default="-1,1", help="lo,hi for every axis")
+    sp.add_argument("--box", type=_numbers("--box", float, 2), default="-1,1",
+                    help="lo,hi for every axis")
     sp.add_argument("-o", "--output")
-    common(sp)
-    sp.set_defaults(func=_cmd_demo_region_plot)
+    common(sp, _cmd_demo_region_plot, ("net",), ("output",))
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs one subcommand and, given ``--report``, writes its run report."""
     logging.basicConfig(level=logging.WARNING)
+    started = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        opts = vars(args)
+        # Hashed before the run, which may write an output over an input.
+        digests = {
+            opts[k]: hashlib.sha256(Path(opts[k]).read_bytes()).hexdigest()
+            for k in args.inputs if opts[k] and args.report
+        }
+        code, results = args.func(args)
+        if args.report:
+            skip = {"command", "func", "report", "inputs", "outputs", *args.inputs,
+                    *args.outputs}
+            report = {
+                "command": args.command,
+                "inputs": digests,
+                "config": {k: v for k, v in opts.items() if k not in skip},
+                "results": results,
+                "wall_time": time.perf_counter() - started,
+                "version": dict(SCHEMA_VERSIONS, package=__version__),
+            }
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+        return code
     except (CpwlReluError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

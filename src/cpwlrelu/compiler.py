@@ -144,17 +144,24 @@ class BoundReport:
         }
 
 
-def _check_bounds(report: BoundReport) -> BoundReport:
-    if report.actual_depth > report.predicted_depth:
-        raise BoundViolated(
-            f"{report.pathway}: depth {report.actual_depth} exceeds "
-            f"predicted {report.predicted_depth}"
-        )
-    if report.actual_size > report.predicted_size_bound:
-        raise BoundViolated(
-            f"{report.pathway}: size {report.actual_size} exceeds "
-            f"predicted {report.predicted_size_bound}"
-        )
+def _bound_report(net: ReluNetwork, **fields) -> BoundReport:
+    """The bound report of ``net``: the given pathway, predictions and counts
+    beside the hidden depth and size read off the network.
+
+    Raises:
+        BoundViolated: If the network is deeper or larger than predicted.
+    """
+    report = BoundReport(
+        actual_depth=net.hidden_layer_count, actual_size=net.size, **fields
+    )
+    for what, actual, bound in (
+        ("depth", report.actual_depth, report.predicted_depth),
+        ("size", report.actual_size, report.predicted_size_bound),
+    ):
+        if actual > bound:
+            raise BoundViolated(
+                f"{report.pathway}: {what} {actual} exceeds predicted {bound}"
+            )
     return report
 
 
@@ -329,16 +336,14 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
     depth = max(n.hidden_layer_count for n in nets)
     padded_sizes = [n.size + 2 * (depth - n.hidden_layer_count) for n in nets]
     net = prune_dead_channels(_max_of_nets(nets))
-    report = BoundReport(
+    return net, _bound_report(
+        net,
         pathway="max-of-m",
         predicted_depth=depth + ceil_log2(m) + 1,
-        actual_depth=net.hidden_layer_count,
         predicted_size_bound=sum(padded_sizes) + 4 * (2 * m - 1),
-        actual_size=net.size,
         d=nets[0].input_dim,
         m=m,
     )
-    return net, _check_bounds(report)
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +409,15 @@ def compile_fem_deep(
     net = _deep_net(mesh, {i: float(coeffs[i]) for i in used})
     X = sample_points(mesh, 128, rng)
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), X, "deep FE function")
-    report = BoundReport(
+    return net, _bound_report(
+        net,
         pathway="deep",
         predicted_depth=ceil_log2(kh) + 1,
-        actual_depth=net.hidden_layer_count,
         predicted_size_bound=8 * kh * len(used),
-        actual_size=net.size,
         d=mesh.dim,
         kh=kh,
         m=len(used),
     )
-    return net, _check_bounds(report)
 
 
 # ---------------------------------------------------------------------------
@@ -781,17 +784,15 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
         raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
     padded_sizes = [c.size + 2 * (depth - c.depth) for c in clauses]
     net = _emit_trees(builder, [_balanced("max", clauses)], [1.0])
-    report = BoundReport(
+    return net, _bound_report(
+        net,
         pathway="shallow-lattice",
         predicted_depth=ceil_log2(d + 1) + ceil_log2(M) + 1,
-        actual_depth=net.hidden_layer_count,
         predicted_size_bound=sum(padded_sizes) + 4 * (2 * M - 1),
-        actual_size=net.size,
         d=d,
         m=lat.num_pieces,
         M=M,
     )
-    return net, _check_bounds(report)
 
 
 def compile_cpwl_shallow(
@@ -861,17 +862,15 @@ def compile_cpwl_shallow(
         * (2**m - 1) ** M
         * (2 ** (d + 1) - 1) ** max(m - d - 1, 0)
     )
-    report = BoundReport(
+    return net, _bound_report(
+        net,
         pathway="shallow",
         predicted_depth=ceil_log2(d + 1),
-        actual_depth=net.hidden_layer_count,
         predicted_size_bound=predicted_size,
-        actual_size=net.size,
         d=d,
         m=m,
         M=M,
     )
-    return net, _check_bounds(report)
 
 
 def _basis_shallow_size_bound(n: int, d: int) -> int:
@@ -925,15 +924,13 @@ def compile_fem_shallow(
     bound = sum(
         _basis_shallow_size_bound(len(mesh.vertex_to_simplices[i]), d) for i in used
     )
-    report = BoundReport(
+    return net, _bound_report(
+        net,
         pathway="shallow",
         predicted_depth=ceil_log2(d + 1),
-        actual_depth=net.hidden_layer_count,
         predicted_size_bound=bound,
-        actual_size=net.size,
         d=d,
         kh=kh,
         m=len(used),
         M=len(merged),
     )
-    return net, _check_bounds(report)

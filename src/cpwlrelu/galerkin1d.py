@@ -449,11 +449,7 @@ def state_to_network(state: Bvp1dState) -> ReluNetwork:
     return ReluNetwork(1, [(W0, b0), (wout, np.zeros(1))])
 
 
-def report_table(
-    problem: Bvp1dProblem,
-    Ns: list[int],
-    config_overrides: dict | None = None,
-) -> list[dict]:
+def report_table(problem: Bvp1dProblem, Ns: list[int]) -> list[dict]:
     """H1 errors and energies for uniform / adaptive / optimized-knot runs.
 
     For each ``N`` (total number of knots including endpoints): the uniform
@@ -465,15 +461,11 @@ def report_table(
         ``err_opt``, ``energy_uniform``, ``energy_afem``, ``energy_opt``.
     """
     rows = []
-    overrides = config_overrides or {}
     for N in Ns:
         st_u = make_state(problem, np.linspace(0.0, 1.0, N))
         t_a = solve_afem(problem, N)
         st_a = make_state(problem, t_a)
-        cfg = SolverConfig(N=N)
-        for k, v in overrides.items():
-            setattr(cfg, k, v)
-        st_o = solve_algorithm1(problem, cfg, t_init=t_a)
+        st_o = solve_algorithm1(problem, SolverConfig(N=N), t_init=t_a)
         rows.append(
             {
                 "N": N,

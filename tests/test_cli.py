@@ -6,6 +6,7 @@ installed console script in a subprocess to cover the entry point.
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -305,6 +306,19 @@ def test_quantize_reports_changed_entries(tmp_path):
     assert json.loads(report.read_text())["results"]["changed_entries"] == 1  # 0.3 -> 0.5
 
 
+def test_run_report_hashes_inputs_before_outputs_overwrite_them(tmp_path):
+    net = ReluNetwork(
+        1, [(np.array([[1.0], [-1.0]]), np.zeros(2)), (np.array([[0.3, 0.5]]), np.zeros(1))]
+    )
+    path = tmp_path / "net.json"
+    save_network(net, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    report = tmp_path / "run.json"
+    assert main(["quantize", "--net", str(path), "-o", str(path), "--report", str(report)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != digest
+    assert json.loads(report.read_text())["inputs"] == {str(path): digest}
+
+
 def test_quantize_custom_grid(tmp_path, mesh_file, coeff_file):
     out = _compile(tmp_path, mesh_file, coeff_file)
     q = tmp_path / "quant.json"
@@ -334,6 +348,19 @@ def test_malformed_grid_is_usage_error(tmp_path, mesh_file, coeff_file, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert "--grid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo-region-plot", "--net", "net.json", "--box", "0"],
+    ["report", "--N", "23,x"],
+], ids=["box", "N"])
+def test_malformed_number_list_is_usage_error(capsys, argv):
+    """Parsed with the arguments, so the error names the option before any
+    file is read."""
+    rc = _cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {argv[-2]} takes" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -770,3 +797,15 @@ def test_run_report_pinned(report_dir, monkeypatch, case):
         assert digest == hashlib.sha256((report_dir / name).read_bytes()).hexdigest(), name
     data["inputs"] = sorted(data["inputs"])
     assert _rounded(data) == _PINNED_REPORTS[case]
+
+
+def test_run_report_hashes_every_input_file_given(report_dir, monkeypatch):
+    """``inputs`` holds every input file given, used or not; ``config`` holds
+    the other options."""
+    monkeypatch.chdir(report_dir)
+    assert main(["verify", "--net", "fem.json", "--against", "mesh", "--mesh", "mesh.json",
+                 "--coeffs", "coeffs.json", "--cpwl", "cpwl.json", "--samples", "20",
+                 "--report", "unused.report.json"]) == 0
+    data = json.loads((report_dir / "unused.report.json").read_text())
+    assert sorted(data["inputs"]) == ["coeffs.json", "cpwl.json", "fem.json", "mesh.json"]
+    assert data["config"] == {"against": "mesh", "samples": 20, "tol": 1e-9, "seed": 12345}

@@ -38,6 +38,7 @@ from cpwlrelu.compiler import (
 )
 from cpwlrelu.cpwl import AffineFunc, LatticeForm, eval_pieces
 from cpwlrelu.errors import (
+    BoundViolated,
     ClauseTooWide,
     DimensionMismatch,
     ExpansionOverflow,
@@ -396,6 +397,22 @@ def test_deep_rejects_nonconvex_star():
     mesh = build_mesh(verts, simp)
     with pytest.raises(NotLocallyConvex):
         compile_fem_deep(mesh, unit(mesh, 0))
+
+
+def test_deep_depth_overflow_is_bound_violated(monkeypatch):
+    """Valence 1 predicts one hidden layer; the 3x3 grid's min trees over up
+    to six star affines need more."""
+    monkeypatch.setattr(C, "compute_kh", lambda mesh: 1)
+    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    with pytest.raises(BoundViolated, match=r"^deep: depth \d+ exceeds predicted 1$"):
+        compile_fem_deep(mesh, np.ones(mesh.num_vertices))
+
+
+def test_shallow_size_overflow_is_bound_violated(monkeypatch):
+    monkeypatch.setattr(C, "_basis_shallow_size_bound", lambda n, d: 0)
+    mesh = square_two_triangles()
+    with pytest.raises(BoundViolated, match=r"^shallow: size \d+ exceeds predicted 0$"):
+        compile_fem_shallow(mesh, np.ones(mesh.num_vertices))
 
 
 # ---------------------------------------------------------------------------
