@@ -24,7 +24,8 @@ compile, level by level, as sparse CSR layers: all hats or terms share the
 builder, each tree's root is carried to the common depth, and the output
 layer sums the roots with their signs.  Every layer past the first keeps
 weights in ``{0, +-1/2, +-1}`` with zero bias.  `compile_max_of_m` combines
-arbitrary networks pairwise, seeding a builder on each pair side by side.
+arbitrary networks pairwise, seeding a builder on each pair side by side;
+the trees' builder is seeded on the zero-hidden-layer network of their leaves.
 
 Every compile function returns the network together with a
 :class:`BoundReport` whose predicted depth and size bounds have been
@@ -258,24 +259,28 @@ def _balanced(kind: str, nodes: list[_Node]) -> _Node:
 
 
 def _affine_leaves(
-    builder: NetBuilder, affs: list[AffineFunc], scale: float = 1.0
+    leaves: list[NDArray[np.float64]], affs: list[AffineFunc], scale: float = 1.0
 ) -> list[_Node]:
-    return [
-        _Node("leaf", ch=builder.affine_channel(scale * a.gradient, scale * a.offset))
-        for a in affs
-    ]
+    """Appends each affine's row ``[scale * gradient, scale * offset]`` to
+    ``leaves``; its leaf node reads that row as a level-0 channel."""
+    first = len(leaves)
+    leaves += [np.append(scale * a.gradient, scale * a.offset) for a in affs]
+    return [_Node("leaf", ch=ChannelRef(0, r)) for r in range(first, len(leaves))]
 
 
 def _emit_trees(
-    builder: NetBuilder, roots: list[_Node], signs: list[float]
+    dim: int, leaves: list[NDArray[np.float64]], roots: list[_Node], signs: list[float]
 ) -> ReluNetwork:
-    """Emits the trees into ``builder``, one hidden layer per level, and
-    returns the pruned network computing ``sum_k signs[k] * roots[k]``.
+    """Emits the trees, one hidden layer per level, into a builder seeded on
+    ``ReluNetwork(dim, [(G, offsets)])`` of the :func:`_affine_leaves` rows,
+    and returns the pruned network computing ``sum_k signs[k] * roots[k]``.
 
     A gadget sits at the level of its node's depth.  A value finished before
     its consumer's level rides identity carries (2 neurons per level), and
     every root is carried to the deepest root's level.
     """
+    rows = np.array(leaves, dtype=float) if leaves else np.zeros((0, dim + 1))
+    builder = NetBuilder(ReluNetwork(dim, [(rows[:, :-1], rows[:, -1])]))
     top = max((r.depth for r in roots), default=0)
     ops_at: dict[int, list[tuple[str, _Node]]] = {}
 
@@ -313,7 +318,8 @@ def _max_of_nets(nets: list[ReluNetwork]) -> ReluNetwork:
         return nets[0]
     k = (len(nets) + 1) // 2
     pair = parallel([_max_of_nets(nets[:k]), _max_of_nets(nets[k:])])
-    builder, (a, b) = NetBuilder.from_network(pair)
+    builder = NetBuilder(pair)
+    a, b = (ChannelRef(builder.level, r) for r in (0, 1))
     (out,) = builder.apply_level([("max", a, b)])
     return builder.finish([[(1.0, out)]])
 
@@ -374,13 +380,13 @@ def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
     Each hat's affines are scaled by ``|c_i|`` in the first layer and its
     sign lands in the output combination; all hats share one builder.
     """
-    builder = NetBuilder(mesh.dim)
+    leaves: list[NDArray[np.float64]] = []
     trees = []
     for i, c in coeffs.items():
-        mins = _balanced("min", _affine_leaves(builder, _star_affines(mesh, i), abs(c)))
+        mins = _balanced("min", _affine_leaves(leaves, _star_affines(mesh, i), abs(c)))
         trees.append(_Node("max", (mins, _ZERO)))
     signs = [float(np.sign(c)) for c in coeffs.values()]
-    return _emit_trees(builder, trees, signs)
+    return _emit_trees(mesh.dim, leaves, trees, signs)
 
 
 def compile_fem_deep(
@@ -742,14 +748,14 @@ def _terms_net(
     ``k > 0``), so only the sign reaches the output combination and every
     output entry lies in ``{+-1/2, +-1}``.
     """
-    builder = NetBuilder(dim)
+    leaves: list[NDArray[np.float64]] = []
     trees = []
     for w, c0, affs in merged:
         k = abs(w)
         consts = [] if c0 is None else [AffineFunc(np.zeros(dim), c0)]
-        trees.append(_balanced("max", _affine_leaves(builder, consts + affs, k)))
+        trees.append(_balanced("max", _affine_leaves(leaves, consts + affs, k)))
     signs = [1.0 if w > 0 else -1.0 for w, _, _ in merged]
-    return _emit_trees(builder, trees, signs)
+    return _emit_trees(dim, leaves, trees, signs)
 
 
 # --- shallow compile entry points ------------------------------------------
@@ -774,16 +780,16 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
                 f"clause {k} has {len(s)} members, above d+1 = {d + 1}; "
                 "rewrite the form first (compile_cpwl_shallow does this)"
             )
-    builder = NetBuilder(d)
+    leaves: list[NDArray[np.float64]] = []
     clauses = [
-        _balanced("min", _affine_leaves(builder, [lat.pieces[i] for i in s]))
+        _balanced("min", _affine_leaves(leaves, [lat.pieces[i] for i in s]))
         for s in lat.clauses
     ]
     depth = max(c.depth for c in clauses)
     if depth > ceil_log2(d + 1):
         raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
     padded_sizes = [c.size + 2 * (depth - c.depth) for c in clauses]
-    net = _emit_trees(builder, [_balanced("max", clauses)], [1.0])
+    net = _emit_trees(d, leaves, [_balanced("max", clauses)], [1.0])
     return net, _bound_report(
         net,
         pathway="shallow-lattice",

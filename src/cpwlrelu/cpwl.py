@@ -46,6 +46,7 @@ from .errors import (
     OutsideDomain,
     PreconditionViolated,
     UnboundedRegionUnsupported,
+    as_int,
 )
 
 logger = logging.getLogger(__name__)
@@ -243,6 +244,11 @@ class CpwlPieces:
                 raise ValueError("piece dimension disagrees with dim")
         check_distinct(self.pieces)
         self.regions = [as_halfspaces(A, c) for A, c in self.regions]
+        for k, (A, _) in enumerate(self.regions):
+            if A.shape[1] != self.dim:
+                raise ValueError(
+                    f"region {k} normals have {A.shape[1]} entries, not dim = {self.dim}"
+                )
         if self.domain_box is not None:
             lo = np.atleast_1d(np.asarray(self.domain_box[0], dtype=float))
             hi = np.atleast_1d(np.asarray(self.domain_box[1], dtype=float))
@@ -360,7 +366,9 @@ class LatticeForm:
 
     def __post_init__(self) -> None:
         m = len(self.pieces)
-        self.clauses = [tuple(int(i) for i in s) for s in self.clauses]
+        self.clauses = [
+            tuple(as_int(i, f"clause {k} index") for i in s) for k, s in enumerate(self.clauses)
+        ]
         for s in self.clauses:
             if not s:
                 raise ValueError("empty clause")
@@ -680,18 +688,18 @@ def pieces_from_dict(d: dict) -> CpwlPieces:
         raise ValueError(f"unsupported piece-list schema {d.get('schema')!r}")
     try:
         pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]
+        dim = as_int(d["dim"], "dim")
         regions = []
         for reg in d["regions"]:
             if reg:
                 A = np.array([h["n"] for h in reg], dtype=float)
                 c = np.array([h["c"] for h in reg], dtype=float)
             else:
-                A = np.zeros((0, int(d["dim"])))
+                A = np.zeros((0, dim))
                 c = np.zeros(0)
             regions.append((A, c))
         box = d.get("domain_box")
         domain = None if box is None else (np.array(box[0], float), np.array(box[1], float))
-        dim = int(d["dim"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed piece-list dict: {exc!r}") from exc
     return CpwlPieces(dim, pieces, regions, domain)

@@ -3,10 +3,13 @@
 Each exception maps to a specific failure mode of mesh construction,
 piecewise-linear function handling, network compilation, or the 1D
 variational solver.  All inherit from :class:`CpwlReluError` so callers can
-catch package failures with a single except clause.
+catch package failures with a single except clause.  :func:`as_int` is
+the integer check the file loaders share.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class CpwlReluError(Exception):
@@ -121,3 +124,11 @@ class TargetUnreachable(CpwlReluError):
 
 class UsageError(CpwlReluError):
     """Bad command-line arguments or malformed input files."""
+
+
+def as_int(value, field: str) -> int:
+    """``value`` as an int; ValueError naming ``field`` unless it is an
+    integer or an integral float (``int()`` would read 2.7 as 2, True as 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return int(value)

@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 from scipy.optimize import linprog
 
 from .cpwl import AffineFunc
-from .errors import DegenerateSimplex, NonConforming, OutsideDomain, SingularSystem
+from .errors import DegenerateSimplex, NonConforming, OutsideDomain, SingularSystem, as_int
 
 logger = logging.getLogger(__name__)
 
@@ -475,7 +475,9 @@ def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
     try:
         vertices = np.array(d["vertices"], dtype=float)
         indices = np.array(d["simplices"], dtype=float)
-        given = None if d.get("boundary") is None else sorted(int(v) for v in d["boundary"])
+        given = d.get("boundary")
+        if given is not None:
+            given = sorted(as_int(v, "boundary vertex") for v in given)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed mesh dict: {exc!r}") from exc
     # Casting straight to int64 would truncate 2.7 to 2 without a word.

@@ -7,9 +7,9 @@ evaluation, composition and serialization know one format.
 ``hidden_layer_count`` is the number of layers minus one, and ``size`` is
 the total number of hidden neurons.
 
-:class:`NetBuilder` assembles networks level by level from *channels*: a
-channel is a row of the current level's channel matrix ``C`` (a fixed linear
-combination of the level's activations) plus an entry of its bias vector.
+:class:`NetBuilder` continues a seed network level by level from *channels*:
+a channel is a row of the current level's channel matrix ``C`` (at first the
+seed's output layer) plus an entry of its bias vector.
 Each hidden layer is ``S @ C`` for a sparse sign matrix ``S`` of min/max
 gadgets (4 neurons) and identity carries (2 neurons); with free
 constant-zero channels this keeps every layer past the first with zero bias
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, EmptyList, PairwiseDependent
+from .errors import DimensionMismatch, EmptyList, PairwiseDependent, as_int
 
 logger = logging.getLogger(__name__)
 
@@ -367,14 +367,14 @@ GADGETS = {
 
 
 class NetBuilder:
-    """Assembles a ReLU network one level at a time from channels.
+    """Continues a ReLU network one level at a time from channels.
 
-    A level's channels are the rows of its channel matrix ``C`` over the
-    level's activations, with a dense bias vector beside it.  At level 0
-    the rows are affine functions ``[a]`` of the input (one per
-    :meth:`affine_channel` or :meth:`input_channel` call) and the biases
-    their offsets; after :meth:`from_network` they are the seed network's
-    last layer.  :meth:`apply_level` turns a list of gadget operations into
+    The one constructor takes a seed network: its hidden layers become the
+    builder's first layers, its output layer the channel matrix ``C`` and
+    the bias vector beside it, and its output ``r`` the channel
+    ``ChannelRef(net.hidden_layer_count, r)``.  A zero-hidden-layer seed
+    ``[(G, offsets)]`` thus starts at level 0 with one affine channel per
+    row.  :meth:`apply_level` turns a list of gadget operations into
     a sparse sign matrix ``S`` (two entries per neuron, from
     :data:`GADGETS`) and emits the hidden layer ``S @ C``; the next level's
     ``C`` holds one row per operation, its output weights on its own
@@ -390,45 +390,11 @@ class NetBuilder:
         ``("id", a)`` — 2 neurons, carries ``a`` to the next level.
     """
 
-    def __init__(self, input_dim: int):
-        self.input_dim = int(input_dim)
-        self.level = 0
-        self.layers: list[tuple[sp.csr_matrix, NDArray[np.float64]]] = []
-        self._seeded = 0  # layers taken over from a seed network
-        self._C = sp.csr_matrix((0, self.input_dim))
-        self._bias = np.zeros(0)
-        self._affine: list[NDArray[np.float64]] = []  # level-0 [a, b] not yet in C
-
-    @classmethod
-    def from_network(cls, net: ReluNetwork) -> tuple[NetBuilder, list[ChannelRef]]:
-        """A builder continuing ``net``: its hidden layers become the
-        builder's first layers and its output layer the channel matrix.
-
-        Returns:
-            The builder and one channel per output of ``net``.
-        """
-        builder = cls(net.input_dim)
-        builder.layers = list(net.layers[:-1])
-        builder._seeded = len(builder.layers)
-        builder.level = net.hidden_layer_count
-        builder._C, builder._bias = net.layers[-1]
-        return builder, [ChannelRef(builder.level, r) for r in range(net.output_dim)]
-
-    def input_channel(self, i: int) -> ChannelRef:
-        """Channel for the raw input coordinate ``x_i`` (level 0 only)."""
-        a = np.zeros(self.input_dim)
-        a[i] = 1.0
-        return self.affine_channel(a, 0.0)
-
-    def affine_channel(self, a: NDArray[np.float64], b: float) -> ChannelRef:
-        """Channel for an affine function of the input (level 0 only)."""
-        if self.level != 0:
-            raise ValueError("affine channels exist only before the first layer")
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if a.shape != (self.input_dim,):
-            raise DimensionMismatch(f"affine channel needs {self.input_dim} weights")
-        self._affine.append(np.append(a, b))
-        return ChannelRef(0, self._C.shape[0] + len(self._affine) - 1)
+    def __init__(self, net: ReluNetwork):
+        self.input_dim = net.input_dim
+        self.layers = list(net.layers[:-1])
+        self._seeded = self.level = net.hidden_layer_count
+        self._C, self._bias = net.layers[-1]
 
     def zero(self) -> ChannelRef:
         """The free constant-zero channel, valid at the current level."""
@@ -440,11 +406,6 @@ class NetBuilder:
         """The layer ``M @ C``, where row ``r`` of ``M`` holds the weights
         ``rows[r]`` on current-level channels, and ``bias`` plus each row's
         weighted channel biases, added in term order (``bias[r] += w * c``)."""
-        if self._affine:  # level-0 rows added since the last call
-            new = np.array(self._affine)
-            self._C = sp.vstack([self._C, sp.csr_matrix(new[:, :-1])], format="csr")
-            self._bias = np.append(self._bias, new[:, -1])
-            self._affine = []
         terms = [t for row in rows for t in row]
         for _, ch in terms:
             if ch.level != self.level:
@@ -564,7 +525,7 @@ def network_from_dict(d: dict) -> ReluNetwork:
         raise ValueError(f"unsupported network schema {schema!r}")
     try:
         layers = [_layer_from_dict(layer, schema) for layer in d["layers"]]
-        input_dim = int(d["input_dim"])
+        input_dim = as_int(d["input_dim"], "input_dim")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed network dict: {exc!r}") from exc
     return ReluNetwork(input_dim, layers)

@@ -130,6 +130,18 @@ def test_verify_rejects_malformed_network_file(tmp_path, mesh_file, coeff_file):
     assert rc == 1
 
 
+def test_verify_rejects_non_integer_input_dim(tmp_path, mesh_file, coeff_file, capsys):
+    out = _compile(tmp_path, mesh_file, coeff_file)
+    payload = json.loads(out.read_text())
+    payload["input_dim"] = 2.7  # int() would read it as 2 and verify would pass
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = _cli_main(["verify", "--net", str(bad), "--against", "mesh",
+                    "--mesh", str(mesh_file[0]), "--coeffs", str(coeff_file[0])])
+    assert rc == 1
+    assert "error: input_dim must be an integer, not 2.7" in capsys.readouterr().err
+
+
 def test_verify_requires_reference_args(tmp_path, mesh_file, coeff_file):
     out = _compile(tmp_path, mesh_file, coeff_file)
     rc = main(["verify", "--net", str(out), "--against", "mesh"])
@@ -416,6 +428,18 @@ def test_cli_validates_piece_list_files(tmp_path, capsys, parts, message):
     save_network(ReluNetwork(1, [(np.zeros((1, 1)), np.zeros(1))]), str(out))
     rc = _cli_main(["verify", "--net", str(out), "--against", "cpwl", "--cpwl", str(src)])
     assert rc == 1 and capsys.readouterr().err.startswith(message)
+
+
+def test_compile_cpwl_rejects_region_normals_of_the_wrong_width(tmp_path, capsys):
+    src = _line_pieces_file(tmp_path, [(0.0, 0.0, 0.5), (1.0, 0.5, 1.0)])
+    payload = json.loads(src.read_text())
+    for half_space in payload["regions"][1]:
+        half_space["n"].append(0.0)  # 2 entries in a 1-d piece list
+    src.write_text(json.dumps(payload))
+    rc = _cli_main(["compile-cpwl", "--cpwl", str(src), "-o", str(tmp_path / "net.json")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.startswith("error: region 1 normals have 2 entries, not dim = 1")
 
 
 def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):

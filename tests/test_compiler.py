@@ -49,6 +49,7 @@ from cpwlrelu.mesh import build_mesh, compute_kh, interpolate, sample_points
 from cpwlrelu.quantize import check_structured
 from cpwlrelu.relu_net import (
     GADGETS,
+    ChannelRef,
     NetBuilder,
     ReluNetwork,
     affine_network,
@@ -81,8 +82,8 @@ def test_gadget_patterns_match_hardcoded_oracle():
         assert np.array_equal(np.array(patterns), W), kind
         assert np.array_equal(np.array(combo), v), kind
         # the builder writes exactly these rows and output weights
-        nb = NetBuilder(2)
-        (out,) = nb.apply_level([(kind, nb.input_channel(0), nb.input_channel(1))])
+        nb = NetBuilder(ReluNetwork(2, [(np.eye(2), np.zeros(2))]))  # the inputs x_0, x_1
+        (out,) = nb.apply_level([(kind, ChannelRef(0, 0), ChannelRef(0, 1))])
         net = nb.finish([[(1.0, out)]])
         assert np.array_equal(net.layers[0][0].toarray(), W), kind
         assert np.array_equal(net.layers[1][0].toarray(), v[None, :]), kind

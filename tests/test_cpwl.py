@@ -348,6 +348,38 @@ def test_pieces_roundtrip(rng, tmp_path, cpwl_instances):
         assert np.max(np.abs(eval_pieces(back, X) - eval_pieces(f, X))) < 1e-12
 
 
+def test_pieces_loader_rejects_non_integer_dim():
+    f = CpwlPieces(1, [AffineFunc(np.array([1.0]), 0.0)],
+                   [(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))])
+    d = pieces_to_dict(f)
+    d["dim"] = 1.9  # int() would read it as 1 and the file would load
+    with pytest.raises(ValueError, match="dim must be an integer, not 1.9"):
+        pieces_from_dict(d)
+
+
+def test_pieces_reject_region_normals_of_the_wrong_width():
+    """A 3-wide normal in a 2-d piece list would otherwise fail only inside
+    ``validate``, with numpy's matmul shape message."""
+    pieces = [AffineFunc(np.array([1.0, 0.0]), 0.0), AffineFunc(np.array([0.0, 1.0]), 0.0)]
+    regions = [(np.array([[1.0, -1.0]]), np.zeros(1)), (np.array([[-1.0, 1.0, 0.0]]), np.zeros(1))]
+    with pytest.raises(ValueError, match="region 1 normals have 3 entries, not dim = 2"):
+        CpwlPieces(2, pieces, regions)
+
+
+@pytest.mark.parametrize("index", [0.7, True])
+def test_lattice_rejects_non_integer_clause_index(index):
+    """``int()`` would read 0.7 as 0 and True as 1, both valid indices."""
+    from cpwlrelu.cpwl import LatticeForm
+
+    p = [AffineFunc(np.array([1.0]), 0.0), AffineFunc(np.array([-1.0]), 0.0)]
+    with pytest.raises(ValueError, match="clause 1 index must be an integer"):
+        LatticeForm(p, [(0, 1), (index,)])
+    d = lattice_to_dict(LatticeForm(p, [(0, 1), (0,)]))
+    d["clauses"][1] = [index]
+    with pytest.raises(ValueError, match="clause 1 index must be an integer"):
+        lattice_from_dict(d)
+
+
 def test_lattice_roundtrip(rng):
     f = random_max_affine(2, 4, rng)
     lat = lattice_from_convex_regions(f)

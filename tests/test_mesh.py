@@ -348,6 +348,13 @@ def test_mesh_dict_rejects_fractional_vertex_indices():
         mesh_from_dict(d)
 
 
+def test_mesh_dict_rejects_fractional_boundary_vertex():
+    d = mesh_to_dict(square_two_triangles())
+    d["boundary"][-1] += 0.5  # int() would read it back as the right vertex
+    with pytest.raises(ValueError, match="boundary vertex must be an integer"):
+        mesh_from_dict(d)
+
+
 def test_mesh_dict_accepts_integral_float_indices():
     mesh = square_two_triangles()
     d = mesh_to_dict(mesh)

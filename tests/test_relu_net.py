@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import cpwlrelu.relu_net as R
 from cpwlrelu.errors import DimensionMismatch, EmptyList, PairwiseDependent
 from cpwlrelu.relu_net import (
+    ChannelRef,
     NetBuilder,
     ReluNetwork,
     affine_network,
@@ -129,12 +130,13 @@ def test_composition_builds_csr(rng):
         assert all(sp.isspmatrix_csr(W) for W, _ in net.layers)
 
 
-def test_builder_from_network_continues_it(rng):
+def test_builder_continues_a_seed_network(rng):
     """Seeding on two nets side by side and adding a max gadget gives their
     max; only the first emitted layer may carry bias."""
     a = _random_net(rng, widths=(3,))
     b = _random_net(rng, widths=(4,))
-    nb, (ca, cb) = NetBuilder.from_network(parallel([a, b]))
+    nb = NetBuilder(parallel([a, b]))
+    ca, cb = ChannelRef(1, 0), ChannelRef(1, 1)
     assert nb.level == 1
     (m,) = nb.apply_level([("max", ca, cb)])
     (m2,) = nb.apply_level([("id", m)])
@@ -160,14 +162,20 @@ def test_linear_combine(rng):
 # ---------------------------------------------------------------------------
 
 
+def _seed(G, offsets):
+    """A builder continuing the zero-hidden-layer network ``G x + offsets``,
+    and its level-0 channels, one per row of ``G``."""
+    G = np.array(G, dtype=float)
+    nb = NetBuilder(ReluNetwork(G.shape[1], [(G, np.array(offsets, dtype=float))]))
+    return nb, [ChannelRef(0, r) for r in range(G.shape[0])]
+
+
 def test_builder_min_max_gadgets(rng):
     d = 2
     a_vec, a_off = np.array([1.0, -2.0]), 0.3
     b_vec, b_off = np.array([-0.5, 0.7]), -0.1
     for kind, oracle in (("min", np.minimum), ("max", np.maximum)):
-        nb = NetBuilder(d)
-        ca = nb.affine_channel(a_vec, a_off)
-        cb = nb.affine_channel(b_vec, b_off)
+        nb, (ca, cb) = _seed([a_vec, b_vec], [a_off, b_off])
         (out,) = nb.apply_level([(kind, ca, cb)])
         net = nb.finish([[(1.0, out)]], [0.0])
         X = rng.uniform(-3, 3, size=(500, d))
@@ -181,8 +189,7 @@ def test_builder_min_max_gadgets(rng):
 
 
 def test_builder_id_carry(rng):
-    nb = NetBuilder(1)
-    c = nb.affine_channel(np.array([1.0]), 0.0)
+    nb, (c,) = _seed([[1.0]], [0.0])
     z = nb.zero()
     (m,) = nb.apply_level([("max", c, z)])
     (m2,) = nb.apply_level([("id", m)])
@@ -193,9 +200,7 @@ def test_builder_id_carry(rng):
 
 
 def test_builder_levels_have_zero_bias(rng):
-    nb = NetBuilder(2)
-    a = nb.affine_channel(np.array([1.0, 1.0]), 0.5)
-    b = nb.affine_channel(np.array([1.0, -1.0]), -0.2)
+    nb, (a, b) = _seed([[1.0, 1.0], [1.0, -1.0]], [0.5, -0.2])
     (m,) = nb.apply_level([("min", a, b)])
     net = nb.finish([[(0.5, m)]], [0.0])
     for W, bias in net.layers[1:]:
@@ -208,8 +213,7 @@ def test_builder_gadget_reading_one_channel_twice(rng, kind):
     one channel and the product sums them, so the neurons see ``(sa + sb) a``
     and a neuron with ``sa + sb = 0`` stores no weight."""
     a_vec, a_off = np.array([1.5, -2.0]), 0.25
-    nb = NetBuilder(2)
-    a = nb.affine_channel(a_vec, a_off)
+    nb, (a,) = _seed([a_vec], [a_off])
     (out,) = nb.apply_level([(kind, a, a)])
     net = nb.finish([[(1.0, out)]])
     W, b = net.layers[0]
@@ -224,11 +228,9 @@ def test_builder_gadget_reading_one_channel_twice(rng, kind):
 def test_builder_finish_at_level_0_sums_shared_columns(rng):
     """Output rows over level-0 channels add their terms' weights column by
     column in term order; sums that cancel store nothing."""
-    nb = NetBuilder(2)
     rows = [np.array([1e16, 1.0]), np.array([1.0, 0.0]), np.array([-1e16, 2.0])]
     offs = [1e16, 1.0, -1e16]
-    chans = [nb.affine_channel(r, o) for r, o in zip(rows, offs)]
-    x0 = nb.input_channel(0)
+    nb, (*chans, x0) = _seed([*rows, [1.0, 0.0]], [*offs, 0.0])  # x0: the input x_0
     net = nb.finish([list(zip([1.0, 1.0, 1.0], chans)), [(1.0, x0), (-1.0, x0)]])
     W, b = net.layers[0]
     expected_row, expected_bias = np.zeros(2), 0.0
@@ -243,8 +245,7 @@ def test_builder_finish_at_level_0_sums_shared_columns(rng):
 
 
 def test_builder_finish_zero_channel_and_explicit_bias():
-    nb = NetBuilder(1)
-    x = nb.input_channel(0)
+    nb, (x,) = _seed([[1.0]], [0.0])
     (m,) = nb.apply_level([("max", x, nb.zero())])
     bias = np.array([0.5, -1.25])
     net = nb.finish([[(1.0, m), (3.0, nb.zero())], [(2.0, nb.zero())]], bias)
@@ -253,22 +254,19 @@ def test_builder_finish_zero_channel_and_explicit_bias():
     X = np.linspace(-2, 2, 41)[:, None]
     expected = np.stack([np.maximum(X[:, 0], 0) + 0.5, np.full(41, -1.25)], axis=1)
     assert np.array_equal(eval_network(net, X), expected)
-    const = NetBuilder(2)
+    const, _ = _seed(np.zeros((0, 2)), [])
     net0 = const.finish([[(1.0, const.zero())]], [4.0])
     assert net0.hidden_layer_count == 0
     assert eval_network(net0, np.array([0.3, -7.0])) == 4.0
 
 
 def test_builder_rejects_misplaced_channels():
-    with pytest.raises(DimensionMismatch):
-        NetBuilder(2).affine_channel(np.array([1.0]), 0.0)
-    nb = NetBuilder(1)
-    x = nb.input_channel(0)
+    with pytest.raises(DimensionMismatch):  # a 1-wide row on a 2-d input
+        NetBuilder(ReluNetwork(2, [(np.array([[1.0]]), np.array([0.0]))]))
+    nb, (x,) = _seed([[1.0]], [0.0])
     (m,) = nb.apply_level([("id", x)])
     with pytest.raises(ValueError, match="level 0 used at level 1"):
         nb.apply_level([("max", m, x)])
-    with pytest.raises(ValueError, match="before the first layer"):
-        nb.affine_channel(np.array([1.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +379,20 @@ def test_loader_rejects_malformed_layer(field, value, message):
         d["layers"][0][field] = value
     with pytest.raises(ValueError, match=message):
         network_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "width, input_dim", [(2, 2.7), (1, True), (2, "2")], ids=["float", "bool", "str"]
+)
+def test_loader_rejects_non_integer_input_dim(width, input_dim):
+    """``int()`` would read 2.7 as 2, True as 1 and "2" as 2, and each of
+    these networks would then load."""
+    d = network_to_dict(ReluNetwork(width, [(np.ones((1, width)), np.zeros(1))]))
+    d["input_dim"] = input_dim
+    with pytest.raises(ValueError, match="input_dim must be an integer"):
+        network_from_dict(d)
+    d["input_dim"] = float(width)  # an integral float is the same count
+    assert network_from_dict(d).input_dim == width
 
 
 def _duplicate_csr():
