@@ -5,7 +5,7 @@ Two constructive pathways, both exact (no approximation):
 * **Deep pathway** (`compile_fem_deep`): a nodal hat function on a mesh
   whose vertex star is convex equals ``max(0, min_k g_k)`` over the star's
   local affine functions.  The min is realized by a balanced binary tree of
-  4-neuron gadgets, topped by one max-with-zero gadget; hidden depth is
+  3-neuron gadgets, topped by one max-with-zero gadget; hidden depth is
   ``ceil(log2(valence)) + 1``.  A finite element function is the signed
   sum of its hats scaled by ``|c_i|`` in the first layer; a single hat is
   the function with one unit coefficient.
@@ -22,8 +22,8 @@ Two constructive pathways, both exact (no approximation):
 Both pathways emit every gadget through one :class:`NetBuilder` per
 compile, level by level, as sparse CSR layers: all hats or terms share the
 builder, each tree's root is carried to the common depth, and the output
-layer sums the roots with their signs.  Every layer past the first keeps
-weights in ``{0, +-1/2, +-1}`` with zero bias.  `compile_max_of_m` combines
+layer sums the roots with their signs.  Every hidden layer past the first
+keeps weights in ``{0, +-1}`` with zero bias.  `compile_max_of_m` combines
 arbitrary networks pairwise, seeding a builder on each pair side by side;
 the trees' builder is seeded on the zero-hidden-layer network of their leaves.
 
@@ -71,6 +71,7 @@ from .mesh import (
     vertex_star,
 )
 from .relu_net import (
+    GADGETS,
     ChannelRef,
     NetBuilder,
     ReluNetwork,
@@ -100,6 +101,12 @@ COMPILE_TOL = 1e-9
 def ceil_log2(n: int) -> int:
     """Smallest ``k`` with ``2^k >= n`` (0 for ``n <= 1``)."""
     return 0 if n <= 1 else (int(n) - 1).bit_length()
+
+
+def _neurons(kind: str) -> int:
+    """Hidden neurons of one builder operation: a gadget, or one level of
+    an identity carry (``"id"``)."""
+    return len(GADGETS[kind][0])
 
 
 @dataclass
@@ -228,8 +235,8 @@ class _Node:
     ``kind`` is ``"leaf"`` (``ch`` is a level-0 channel), ``"zero"`` (the
     constant zero, free at every level and never carried), ``"min"`` or
     ``"max"``.  ``depth`` is the level at which the value becomes available
-    and ``size`` the neurons its subtree costs: 4 per gadget plus 2 per
-    identity carry of a child finished before its parent's level.
+    and ``size`` the neurons its subtree costs: 3 per gadget plus 2 per
+    level of identity carry of a child finished before its parent's level.
     """
 
     __slots__ = ("kind", "children", "ch", "depth", "size")
@@ -242,7 +249,9 @@ class _Node:
         if children:
             self.depth = 1 + max(c.depth for c in children)
             carried = [c for c in children if c.kind != "zero"]
-            self.size = 4 + sum(c.size + 2 * (self.depth - 1 - c.depth) for c in carried)
+            self.size = _neurons(kind) + sum(
+                c.size + _neurons("id") * (self.depth - 1 - c.depth) for c in carried
+            )
 
 
 _ZERO = _Node("zero")
@@ -313,7 +322,7 @@ def _emit_trees(
 
 def _max_of_nets(nets: list[ReluNetwork]) -> ReluNetwork:
     """Balanced pairwise max: each pair step runs the two halves side by
-    side, then adds one 4-neuron max gadget on their outputs."""
+    side, then adds one 3-neuron max gadget on their outputs."""
     if len(nets) == 1:
         return nets[0]
     k = (len(nets) + 1) // 2
@@ -329,7 +338,10 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
 
     Each pair step pads only the shallower of its two arguments.  Depth
     bound: ``max_i depth_i + ceil(log2 m) + 1``.  Size bound: the sum of the
-    equal-depth padded input sizes plus ``4 (2m - 1)``.
+    equal-depth padded input sizes plus ``3 (2m - 1)``.  The tree has
+    ``m - 1`` max gadgets of 3 neurons; padding the inputs to one depth
+    first costs no less than padding lazily, and then the two halves of a
+    balanced step differ by at most one level, one 2-neuron carry per step.
 
     Returns:
         The max network and its checked bound report.
@@ -340,13 +352,13 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
         raise DimensionMismatch("the maximum is defined for single-output networks")
     m = len(nets)
     depth = max(n.hidden_layer_count for n in nets)
-    padded_sizes = [n.size + 2 * (depth - n.hidden_layer_count) for n in nets]
+    padded_sizes = [n.size + _neurons("id") * (depth - n.hidden_layer_count) for n in nets]
     net = prune_dead_channels(_max_of_nets(nets))
     return net, _bound_report(
         net,
         pathway="max-of-m",
         predicted_depth=depth + ceil_log2(m) + 1,
-        predicted_size_bound=sum(padded_sizes) + 4 * (2 * m - 1),
+        predicted_size_bound=sum(padded_sizes) + _neurons("max") * (2 * m - 1),
         d=nets[0].input_dim,
         m=m,
     )
@@ -400,8 +412,13 @@ def compile_fem_deep(
     each hat's first layer is scaled by ``|c_i|`` and the sign lands in the
     output combination, so all layers past the first stay on the low-bit
     grid with zero bias.  Bounds (checked): hidden depth
-    ``ceil(log2 kh) + 1``, size ``8 kh N`` with ``N`` the number of nonzero
-    coefficients.
+    ``ceil(log2 kh) + 1``, size ``5 kh N`` with ``N`` the number of nonzero
+    coefficients.  A hat over ``n <= kh`` star affines costs ``n - 1`` min
+    gadgets (3 neurons each), at most one 2-neuron carry per min gadget
+    (the halves of a balanced tree differ by at most one level), the top
+    max gadget, and a carry from depth ``ceil(log2 n) + 1`` to the common
+    depth, at most ``2 (kh - n)`` neurons: ``5 (n - 1) + 3 + 2 (kh - n)
+    <= 5 kh``.
 
     Raises:
         NotLocallyConvex: If a used vertex has a non-convex star.
@@ -419,7 +436,7 @@ def compile_fem_deep(
         net,
         pathway="deep",
         predicted_depth=ceil_log2(kh) + 1,
-        predicted_size_bound=8 * kh * len(used),
+        predicted_size_bound=(_neurons("min") + _neurons("id")) * kh * len(used),
         d=mesh.dim,
         kh=kh,
         m=len(used),
@@ -746,7 +763,7 @@ def _terms_net(
     Each term is one balanced max tree in a shared builder.  Its integer
     weight folds into the first layer (``k max(S) = max(k S)`` for
     ``k > 0``), so only the sign reaches the output combination and every
-    output entry lies in ``{+-1/2, +-1}``.
+    output entry lies in ``{+-1}``.
     """
     leaves: list[NDArray[np.float64]] = []
     trees = []
@@ -788,13 +805,13 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
     depth = max(c.depth for c in clauses)
     if depth > ceil_log2(d + 1):
         raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
-    padded_sizes = [c.size + 2 * (depth - c.depth) for c in clauses]
+    padded_sizes = [c.size + _neurons("id") * (depth - c.depth) for c in clauses]
     net = _emit_trees(d, leaves, [_balanced("max", clauses)], [1.0])
     return net, _bound_report(
         net,
         pathway="shallow-lattice",
         predicted_depth=ceil_log2(d + 1) + ceil_log2(M) + 1,
-        predicted_size_bound=sum(padded_sizes) + 4 * (2 * M - 1),
+        predicted_size_bound=sum(padded_sizes) + _neurons("max") * (2 * M - 1),
         d=d,
         m=lat.num_pieces,
         M=M,
@@ -814,6 +831,9 @@ def compile_cpwl_shallow(
     arguments, and emits one balanced max tree per term into a shared
     builder.  Hidden depth is
     at most ``ceil(log2(d+1))`` — independent of the number of pieces.
+    Size bound (checked): at most ``(2^m - 1)^M (2^(d+1) - 1)^max(m-d-1, 0)``
+    terms, each a tree of at most ``5 d + 2 ceil(log2(d+1))`` neurons
+    (:func:`_term_size_bound`).
 
     Args:
         f: The function; needs a domain box.
@@ -864,7 +884,7 @@ def compile_cpwl_shallow(
     net = _terms_net(merged, d)
     _self_check(net, lambda P: np.asarray(f(P)), pts, "shallow CPWL compile")
     predicted_size = (
-        (10 * d + 6)
+        _term_size_bound(d + 1, d)
         * (2**m - 1) ** M
         * (2 ** (d + 1) - 1) ** max(m - d - 1, 0)
     )
@@ -879,13 +899,31 @@ def compile_cpwl_shallow(
     )
 
 
+def _term_size_bound(width: int, d: int) -> int:
+    """Neurons of one term's balanced max tree over ``width <= d + 1``
+    leaves, its root carried to depth ``ceil(log2(d + 1))``.
+
+    The tree has ``width - 1`` max gadgets (3 neurons each) and at most one
+    one-level carry (2 neurons) per gadget, since the halves of a balanced
+    tree differ by at most one level; its root rides at most
+    ``ceil(log2(d + 1))`` levels of carry to the common depth.
+    """
+    gadget, carry = _neurons("max"), _neurons("id")
+    return (gadget + carry) * (width - 1) + carry * ceil_log2(d + 1)
+
+
 def _basis_shallow_size_bound(n: int, d: int) -> int:
-    """Size bound for one hat compiled shallow from an n-element star."""
+    """Size bound for one hat compiled shallow from an n-element star: each
+    of its ``C(n, j)`` terms over ``j`` star affines and the constant 0 is
+    one tree if ``j <= d``, and else rewrites into at most
+    ``(2^(d+1) - 1)^(j - d)`` trees of ``d + 1`` leaves."""
     total = 0
     for j in range(1, min(d, n) + 1):
-        total += math.comb(n, j) * (10 * j + 6)
+        total += math.comb(n, j) * _term_size_bound(j + 1, d)
     for j in range(d + 1, n + 1):
-        total += math.comb(n, j) * (10 * d + 6) * (2 ** (d + 1) - 1) ** (j - d)
+        total += (
+            math.comb(n, j) * _term_size_bound(d + 1, d) * (2 ** (d + 1) - 1) ** (j - d)
+        )
     return total
 
 

@@ -690,14 +690,15 @@ def pieces_from_dict(d: dict) -> CpwlPieces:
         pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]
         dim = as_int(d["dim"], "dim")
         regions = []
-        for reg in d["regions"]:
-            if reg:
-                A = np.array([h["n"] for h in reg], dtype=float)
-                c = np.array([h["c"] for h in reg], dtype=float)
-            else:
-                A = np.zeros((0, dim))
-                c = np.zeros(0)
-            regions.append((A, c))
+        for k, reg in enumerate(d["regions"]):
+            for j, h in enumerate(reg):
+                if len(h["n"]) != dim:  # before numpy stacks ragged rows
+                    raise ValueError(
+                        f"region {k} normals have {len(h['n'])} entries, "
+                        f"not dim = {dim} (half-space {j})"
+                    )
+            A = np.array([h["n"] for h in reg], dtype=float).reshape(len(reg), dim)
+            regions.append((A, np.array([h["c"] for h in reg], dtype=float)))
         box = d.get("domain_box")
         domain = None if box is None else (np.array(box[0], float), np.array(box[1], float))
     except (KeyError, TypeError) as exc:

@@ -474,15 +474,21 @@ def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
         raise ValueError(f"unsupported mesh schema {d.get('schema')!r}")
     try:
         vertices = np.array(d["vertices"], dtype=float)
-        indices = np.array(d["simplices"], dtype=float)
+        entries = np.array(d["simplices"], dtype=object)
+        indices = entries.astype(float)
         given = d.get("boundary")
         if given is not None:
             given = sorted(as_int(v, "boundary vertex") for v in given)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed mesh dict: {exc!r}") from exc
-    # Casting straight to int64 would truncate 2.7 to 2 without a word.
-    if not np.all(np.isfinite(indices) & (indices == np.round(indices))):
-        raise ValueError("mesh simplices must hold integer vertex indices")
+    # Casting straight to int64 would truncate 2.7 to 2, and a float cast
+    # reads true as 1, both without a word.
+    is_bool = np.vectorize(lambda v: isinstance(v, (bool, np.bool_)), otypes=[bool])
+    bad = ~np.isfinite(indices) | (indices != np.round(indices)) | is_bool(entries)
+    if bad.any():
+        raise ValueError(
+            f"mesh simplices must hold integer vertex indices, not {entries[bad][0]!r}"
+        )
     mesh = build_mesh(vertices, indices.astype(np.int64), validate=validate)
     if given is not None:
         derived = mesh.boundary_vertices.tolist()

@@ -2,10 +2,13 @@
 
 A grid with parameters ``(k, l)`` is the finite symmetric set
 ``2^k * ({0} U {+-2^e : e = 1 - 2^(l-2), ..., 0})`` — for ``(0, 3)`` this
-is ``{0, +-1/2, +-1}``.  Networks produced by the structured compiler
-pathways promise that every layer after the first has weights on the
-``(0, 3)`` grid and an all-zero bias; :func:`check_structured` verifies
-exactly that and reports violations instead of silently failing.
+is ``{0, +-1/2, +-1}`` and for ``(0, 2)`` the ternary ``{0, +-1}``.
+Networks produced by the structured compiler pathways promise that every
+layer after the first has weights on the ternary ``(0, 2)`` grid and an
+all-zero bias; :func:`check_structured` verifies exactly that and reports
+violations instead of silently failing.  It checks ``(0, 3)`` unless told
+otherwise, so networks written by the older 4-neuron gadgets, whose hidden
+weights include ``+-1/2``, still pass.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ the total number of hidden neurons.
 a channel is a row of the current level's channel matrix ``C`` (at first the
 seed's output layer) plus an entry of its bias vector.
 Each hidden layer is ``S @ C`` for a sparse sign matrix ``S`` of min/max
-gadgets (4 neurons) and identity carries (2 neurons); with free
+gadgets (3 neurons) and identity carries (2 neurons); with free
 constant-zero channels this keeps every layer past the first with zero bias
-and weights in a fixed small set, which is what the low-bit structure
-checker later verifies.
+and weights in ``{0, +-1}``, which is what the low-bit structure checker
+later verifies.
 """
 
 from __future__ import annotations
@@ -356,12 +356,12 @@ class ChannelRef:
 
 #: The builder's operations: ``kind -> (sign pairs, output weights)``.
 #: Hidden neuron ``k`` computes ``relu(sa_k * a + sb_k * b)`` and the result
-#: is ``sum_k combo_k * neuron_k``; e.g. ``min(a, b) = relu(a + b)/2 -
-#: relu(-a - b)/2 - |a - b|/2``.  The identity carry has no ``b`` and
-#: computes ``relu(a) - relu(-a)``.
+#: is ``sum_k combo_k * neuron_k``: ``min(a, b) = a - relu(a - b)`` and
+#: ``max(a, b) = a + relu(b - a)``, with ``a = relu(a) - relu(-a)``.  The
+#: identity carry has no ``b`` and computes ``relu(a) - relu(-a)``.
 GADGETS = {
-    "min": (((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)), (0.5, -0.5, -0.5, -0.5)),
-    "max": (((-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)), (-0.5, 0.5, 0.5, 0.5)),
+    "min": (((1.0, 0.0), (-1.0, 0.0), (1.0, -1.0)), (1.0, -1.0, -1.0)),
+    "max": (((1.0, 0.0), (-1.0, 0.0), (-1.0, 1.0)), (1.0, -1.0, 1.0)),
     "id": (((1.0, 0.0), (-1.0, 0.0)), (1.0, -1.0)),
 }
 
@@ -380,13 +380,15 @@ class NetBuilder:
     ``C`` holds one row per operation, its output weights on its own
     neurons, with zero bias.  :meth:`finish` emits the output layer the
     same way.  Biases are therefore only ever written into the first layer
-    the builder emits, and gadget/identity coefficients keep the weights in
-    ``{0, +-1/2, +-1}`` whenever the consumed channels have integer or
-    half-integer coefficients.
+    the builder emits, and every later hidden layer has weights in
+    ``{0, +-1}``: each neuron of the previous level belongs to one channel
+    with weight ``+-1``, so ``S @ C`` stays on that set, also when a gadget
+    reads one channel as both operands (each row's two signs then sum to
+    ``0`` or ``+-1``).
 
     Operations (each a tuple):
-        ``("min", a, b)`` — 4 neurons, channel for ``min(a, b)``.
-        ``("max", a, b)`` — 4 neurons, channel for ``max(a, b)``.
+        ``("min", a, b)`` — 3 neurons, channel for ``min(a, b)``.
+        ``("max", a, b)`` — 3 neurons, channel for ``max(a, b)``.
         ``("id", a)`` — 2 neurons, carries ``a`` to the next level.
     """
 

@@ -61,6 +61,7 @@ from cpwlrelu.relu_net import (
 from helpers import (
     chain_mesh,
     crisscross_mesh,
+    net_per_compile_path,
     random_fan,
     random_max_affine,
     random_path_instance,
@@ -82,8 +83,11 @@ def test_criterion_01_gadget_identity_exact():
     """10^6 random pairs plus boundary cases, error exactly 0.0, under 1 s.
 
     Exactness holds because the inputs are multiples of 2^-52 with
-    magnitude at most 1, so a+b, a-b, and (a+b) - |a-b| = 2*min(a, b) are
-    all exactly representable; the final halving is exact as well.
+    magnitude at most 1.  So a - b and b - a are multiples of 2^-52 of
+    magnitude at most 2, and so is every partial sum of the output layer
+    (min(a, b) = relu(a) - relu(-a) - relu(a - b), max likewise with
+    relu(b - a)): each is exactly representable, in any summation order.
+    The subnormal cases are exact because the sums stay far below 1.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(20260823)
@@ -419,6 +423,33 @@ def test_criterion_06_low_bit_structure(mesh_corpus, cpwl_instances):
     _ok(6, f"{n_checked} compiled networks structured (hidden weights in "
            f"{{0, ±1/2, ±1}}, zero hidden biases); projection matches "
            f"enumeration on 10,000 scalars")
+
+
+def test_compiled_networks_are_ternary(mesh_corpus, cpwl_instances):
+    """The 3-neuron gadgets keep every layer past the first on {0, ±1}:
+    criterion 6's networks (drawn from the same seed) and one network of
+    every compile path pass the (0, 2) grid, not only (0, 3)."""
+    rng = np.random.default_rng(6)
+    nets = [
+        (f"deep-fem:{name}", compile_fem_deep(mesh, rng.normal(size=mesh.num_vertices))[0])
+        for name, mesh in mesh_corpus
+    ]
+    nets += [
+        (f"deep-basis:{name}", compile_fem_deep(mesh, unit(mesh, 1))[0])
+        for name, mesh in mesh_corpus[:4]
+    ]
+    cc = dict(mesh_corpus)["cc-2x2"]
+    nets += [
+        (f"shallow-basis:cc-2x2:{i}", compile_fem_shallow(cc, unit(cc, i))[0])
+        for i in range(cc.num_vertices)
+    ]
+    nets += [(f"shallow-cpwl:{nm}", compile_cpwl_shallow(f)[0]) for nm, f in cpwl_instances]
+    nets += list(net_per_compile_path(np.random.default_rng(0)).items())
+    assert {"max-of-m", "lattice-shallow"} <= {nm for nm, _ in nets}
+    for nm, net in nets:
+        rep = check_structured(net, QuantGrid(0, 2))
+        assert rep.passed, f"{nm}: {rep.violations[:3]}"
+        assert not rep.vacuous and rep.checked_params > 0, nm
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,18 @@ def test_compile_cpwl_rejects_region_normals_of_the_wrong_width(tmp_path, capsys
     assert err.startswith("error: region 1 normals have 2 entries, not dim = 1")
 
 
+def test_compile_cpwl_rejects_region_normals_of_different_widths(tmp_path, capsys):
+    src = _line_pieces_file(tmp_path, [(0.0, 0.0, 0.5), (1.0, 0.5, 1.0)])
+    payload = json.loads(src.read_text())
+    payload["regions"][1][1]["n"].append(0.0)  # beside a 1-entry normal
+    src.write_text(json.dumps(payload))
+    out = tmp_path / "net.json"
+    rc = _cli_main(["compile-cpwl", "--cpwl", str(src), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err and not out.exists()
+    assert err.startswith("error: region 1 normals have 2 entries, not dim = 1 (half-space 1)")
+
+
 def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):
     """Validating the file changes neither the network bytes nor the points
     verify samples: those still come from the ``--seed`` generator."""
@@ -451,8 +463,8 @@ def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):
     from helpers import random_max_affine, random_zigzag
 
     expected = {
-        "maxaffine-d2m5": "bba7aa67e6790712281179571e6cfb2b7391ec4304d38540e96696295b794054",
-        "zigzag-m6": "cb0278b81db55fff9547b137f90204e1179261876513777733bbb8dfe6748acc",
+        "maxaffine-d2m5": "0e043a40c289662b1d2930b08299ff2f3bd4fef57cba97fb93ea681389e43292",
+        "zigzag-m6": "f8ced4a9b599fbdc75a2b8ca764b36beb0563baf50943da117973d48c8f0b441",
     }
     for name, f in (("maxaffine-d2m5", random_max_affine(2, 5, np.random.default_rng(5))),
                     ("zigzag-m6", random_zigzag(6, np.random.default_rng(5)))):
@@ -692,7 +704,7 @@ _REPORT_CASES = {
                       "--mesh", "mesh.json", "--coeffs", "coeffs.json", "--samples", "20"], 2),
     "quantize": (["quantize", "--net", "fem.json", "--grid", "0,2", "--include-first",
                   "-o", "quant.json"], 0),
-    "check-structured": (["check-structured", "--net", "fem.json", "--grid", "0,2"], 2),
+    "check-structured": (["check-structured", "--net", "fem.json", "--grid", "0,2"], 0),
     "solve-bvp": (["solve-bvp", "--N", "9", "--max-iter", "3", "--init", "uniform",
                    "--out", "state.json", "--trace", "trace.json", "--net", "bvp-net.json"], 0),
     "report": (["report", "--N", "9,13", "--out", "table.md", "--csv", "table.csv"], 0),
@@ -701,23 +713,23 @@ _REPORT_CASES = {
 }
 
 _BOUND_FEM = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
-              "predicted_size_bound": "1380", "actual_size": 528,
+              "predicted_size_bound": "750", "actual_size": 322,
               "d": 2, "kh": 6, "m": 8, "M": 60}
 _BOUND_CPWL = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
-               "predicted_size_bound": "8918", "actual_size": 10,
+               "predicted_size_bound": "4802", "actual_size": 8,
                "d": 2, "kh": None, "m": 3, "M": 3}
 _PINNED_REPORTS = {
     "compile-fem": {
         "command": "compile-fem", "inputs": ["coeffs.json", "mesh.json"],
         "config": {"pathway": "shallow", "seed": 12345},
         "results": {"bound": _BOUND_FEM,
-                    "stats": {"hidden_layers": 2, "size": 528, "nonzero_params": 2026},
+                    "stats": {"hidden_layers": 2, "size": 322, "nonzero_params": 764},
                     "output": "fem-out.json"}},
     "compile-cpwl": {
         "command": "compile-cpwl", "inputs": ["cpwl.json"],
         "config": {"route": "regions", "seed": 7},
         "results": {"bound": _BOUND_CPWL,
-                    "stats": {"hidden_layers": 2, "size": 10, "nonzero_params": 46},
+                    "stats": {"hidden_layers": 2, "size": 8, "nonzero_params": 29},
                     "output": "cpwl-out.json"}},
     "eval": {
         "command": "eval", "inputs": ["fem.json", "points.csv"],
@@ -726,7 +738,7 @@ _PINNED_REPORTS = {
         "command": "verify", "inputs": ["coeffs.json", "fem.json", "mesh.json"],
         "config": {"against": "mesh", "samples": 50, "tol": 1e-09, "seed": 12345},
         "results": {"passed": True, "max_abs_diff": 2.22044605e-16,
-                    "worst_point": [0.458084309, 0.968333733], "samples": 50,
+                    "worst_point": [0.963447521, 0.134801672], "samples": 50,
                     "tol": 1e-09}},
     "verify-cpwl": {
         "command": "verify", "inputs": ["cpwl-net.json", "cpwl.json"],
@@ -743,15 +755,12 @@ _PINNED_REPORTS = {
     "quantize": {
         "command": "quantize", "inputs": ["fem.json"],
         "config": {"grid": [0, 2], "include_first": True, "seed": 12345},
-        "results": {"changed_entries": 262, "output": "quant.json"}},
+        "results": {"changed_entries": 39, "output": "quant.json"}},
     "check-structured": {
         "command": "check-structured", "inputs": ["fem.json"],
         "config": {"grid": [0, 2], "tol": 0.0, "seed": 12345},
-        "results": {"passed": False, "vacuous": False, "checked_layers": [1, 2, 3],
-                    "checked_params": 256, "violations": [
-                        {"layer": 1, "kind": "weight", "count": 112, "example": -0.5},
-                        {"layer": 2, "kind": "weight", "count": 80, "example": -0.5},
-                        {"layer": 3, "kind": "weight", "count": 16, "example": 0.5}]}},
+        "results": {"passed": True, "vacuous": False, "checked_layers": [1, 2, 3],
+                    "checked_params": 150, "violations": []}},
     "solve-bvp": {
         "command": "solve-bvp", "inputs": [],
         "config": {"N": 9, "eta": 0.5, "max_iter": 3, "init": "uniform", "seed": 12345},

@@ -1,6 +1,6 @@
 """Compiler pathways: gadget trees, rewriting, deep and shallow compilers.
 
-Oracles are independent re-implementations: a hardcoded 4-neuron min/max
+Oracles are independent re-implementations: a hardcoded 3-neuron min/max
 gadget, the three-way rewrite identity evaluated from its own sign table,
 brute-force max/min evaluation, and combinatorial size-bound formulas.
 """
@@ -70,10 +70,12 @@ def test_ceil_log2_oracle():
 # Scalar gadget identity (independent hardcoded oracle)
 # ---------------------------------------------------------------------------
 
-ORACLE_MIN_W = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-ORACLE_MIN_V = np.array([0.5, -0.5, -0.5, -0.5])
-ORACLE_MAX_W = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
-ORACLE_MAX_V = np.array([-0.5, 0.5, 0.5, 0.5])
+# min(a, b) = a - relu(a - b) and max(a, b) = a + relu(b - a), with
+# a = relu(a) - relu(-a).
+ORACLE_MIN_W = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -1.0]])
+ORACLE_MIN_V = np.array([1.0, -1.0, -1.0])
+ORACLE_MAX_W = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0]])
+ORACLE_MAX_V = np.array([1.0, -1.0, 1.0])
 
 
 def test_gadget_patterns_match_hardcoded_oracle():
@@ -91,8 +93,9 @@ def test_gadget_patterns_match_hardcoded_oracle():
 
 def test_scalar_gadget_exact(rng):
     """Bit-exact on [-1, 1]: uniform doubles are multiples of 2**-52, so
-    every intermediate (a+b, a-b, and their half-difference = the smaller
-    input doubled) is exactly representable."""
+    a - b, b - a and every partial sum of the output (a subset of a, the
+    relu of a - b or b - a, and the result min or max) are multiples of
+    2**-52 of magnitude at most 2, hence exactly representable."""
     Z = rng.uniform(-1.0, 1.0, size=(2, 20_000))
     got_min = ORACLE_MIN_V @ np.maximum(ORACLE_MIN_W @ Z, 0.0)
     got_max = ORACLE_MAX_V @ np.maximum(ORACLE_MAX_W @ Z, 0.0)
@@ -148,10 +151,27 @@ def test_compile_max_of_m_pads_lazily():
     x = lambda a, b: affine_network(np.array([a]), b)
     third, _ = compile_max_of_m([x(1.0, 0.0), x(-1.0, 0.0), x(0.5, -0.25)])
     net, rep = compile_max_of_m([x(2.0, -1.0), x(-2.0, -1.0), third])
-    assert (net.hidden_layer_count, net.size) == (3, 17)
+    assert (net.hidden_layer_count, net.size) == (3, 16)
     X = np.linspace(-2, 2, 401)[:, None]
     ref = np.max(np.stack([2 * X - 1, -2 * X - 1, X, -X, X / 2 - 0.25]), axis=0)[:, 0]
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
+
+
+def test_node_size_matches_emitted_network(rng):
+    """The size model counts what the builder emits: for a random balanced
+    tree of min/max subtrees over random affine leaves, ``_Node.size`` is
+    the network's size (the unequal subtrees force identity carries)."""
+    for trial in range(20):
+        d = int(rng.integers(1, 4))
+        leaves = []
+        groups = []
+        for _ in range(int(rng.integers(1, 6))):
+            affs = [AffineFunc(rng.normal(size=d), float(rng.normal()))
+                    for _ in range(int(rng.integers(1, 7)))]
+            groups.append(C._balanced(str(rng.choice(["min", "max"])),
+                                      C._affine_leaves(leaves, affs)))
+        root = C._balanced(str(rng.choice(["min", "max"])), groups)
+        assert C._emit_trees(d, leaves, [root], [1.0]).size == root.size, trial
 
 
 def test_compile_max_of_m_rejects_multi_output():
@@ -477,14 +497,14 @@ def test_shallow_zigzag_depth_one(rng):
 # the networks of both lattice routes on piece lists shaped like the
 # benchmark's (same kinds, sizes and seeds, drawn by the test generators).
 _PINNED_CPWL_NETS = {
-    ("maxaffine-d1m5", 11): "c6116b2cc697e07982903d97cbae5fc74282c3660287350f92c43f9f075231cf",
-    ("maxaffine-d2m5", 12): "8b5848be0f3202ea82c0d8b1e5d2db93c3b5e10fce117f04b7e9e8c7c85b9cd7",
-    ("maxaffine-d2m6", 13): "ea86ed8c6922e0ea47fab30eb872fab3730ab2eed5632b2a2c528fa2935db6c5",
-    ("fan-m5", 21): "9338b1605394a559715965ef9a07a02237573dd08aa5e0bd33a9a15e99dc6d08",
-    ("fan-m6", 22): "074bbc3237456589fb76d98e8c39d7338735ccfcb988cdac006d490fb97d4f79",
-    ("zigzag-m6", 31): "4f7082b4f2a48e4c55867b1ec3d7a898dd48ced18ac90991050e00b6835d8890",
-    ("zigzag-m7", 33): "9cd298548edcf940eab6b1270a84d63579b4a510be1a29667a63be58a3f289f5",
-    ("maxaffine-d3m5", 14): "84965189ced29ae66c758dee87676b6637cb82a584ae52d901d00e2d082c91c4",
+    ("maxaffine-d1m5", 11): "8cee4135e9f3f1d6c2d11602a4f5ea935aaca55ae4a547042bc5c17a7f23fb0b",
+    ("maxaffine-d2m5", 12): "579f8a2b0a9b3b58999688071ced84707d9bfffa266bb7a34b7d0e9f0bb865b2",
+    ("maxaffine-d2m6", 13): "5b49946fb721de4ab8fd66aafa8c7067cbf170e4b7c653840f2e0bee90141a96",
+    ("fan-m5", 21): "c886b62d2f85034a71150ef161dd8e3bf425aaa9edfb57f4250b646fda26a6dc",
+    ("fan-m6", 22): "9c2286cc7d4f0a5426f93e003f6e9bf190a47e5cb29266a8b95e5760febc5548",
+    ("zigzag-m6", 31): "19df32a23debb0f3aec03c9a9b07c630f0c6082616d4660eaecb5f7d9397e4c0",
+    ("zigzag-m7", 33): "e0c0bb21d9287f29ea59006df577b3de93deb5cbb14d8440d461b1335c70a8f4",
+    ("maxaffine-d3m5", 14): "8c3528cc50d3e060e7aa129db34ab8202417201e034f9e3f2f38b637cb9a2941",
 }
 
 
@@ -514,13 +534,13 @@ def test_shallow_cpwl_networks_pinned(name, seed):
 # NetBuilder) and for the deep networks of the 8x8 criss-cross grid and the
 # Kuhn cube, with standard normal coefficients of seed 0.
 _PINNED_BUILDER_NETS = {
-    "fem-deep": "06fc44451f69611596b9f4a82295d7d8791512725822c2bda9375803f2b56ec6",
-    "fem-shallow": "469ca1a3db5730d48d4a06664ff595147538f101d2c6f264589134cce4ccef04",
-    "cpwl-shallow": "28243ae16631aaf7ae3a601c9aaf39dc19c23438389bafab3255a5a454ae291e",
-    "lattice-shallow": "991bb842d7b1c3a8c1d9981aa7bcba9fa1a569bb8870174ea841bf5446e8a04c",
-    "max-of-m": "783a4be6cc76338557f461c95ca451f91593b9f65d77f2a7c4569d8625592b02",
-    "crisscross-8x8-deep": "1cc52a235922b80820d860e7ebeb89f9e6a78e1eb7282df7517ec445708f4a24",
-    "kuhn-cube-deep": "6f5633a9477ffa55c6ac541a5e86dd72d7228a2ac6c36bf77ff89277519e8e41",
+    "fem-deep": "a24b44abcc3d82f42cb52f25d89b8c5240b90e4ba23eaf15305ba5cd86a48a9b",
+    "fem-shallow": "1c6245145a7c30fd0f7c3dc25bf8bdd42590f7d0a83ff14999f77a2409b66572",
+    "cpwl-shallow": "427d41bfafce33d7cba00f186e516f2d644699ecb0f714d4402d3163d4fde0e0",
+    "lattice-shallow": "cbf29fac1c5bbe0d887742403c2398f9b6fd514c6b72574ed841e9ae71f960ff",
+    "max-of-m": "4bfd70d87dd285f99a16bd8e9ae11d7f749151108a79069ac484b8107f61ddeb",
+    "crisscross-8x8-deep": "09bdfdc5001783695badcaa53b0450e3865b410338506f56ce4329313440b376",
+    "kuhn-cube-deep": "fd538cbd9750d2d7a9ded7f8279bb2950795dcb8ef06b8556b07a212f5a97629",
 }
 
 
@@ -566,12 +586,12 @@ def test_weighted_term_folds_into_one_subnetwork(rng):
     affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
     net = C._terms_net([(3, None, affs)], 2)
     assert net.hidden_layer_count == 2
-    assert net.size == 10  # two gadgets and one carry, not two copies (20)
+    assert net.size == 8  # two gadgets and one carry, not two copies (16)
     X = rng.uniform(-2, 2, size=(2000, 2))
     ref = 3 * np.max(np.stack([a(X) for a in affs]), axis=0)
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
     out = net.layers[-1][0].toarray()
-    assert set(out[out != 0].tolist()) <= {0.5, -0.5}
+    assert set(out[out != 0].tolist()) <= {1.0, -1.0}
 
 
 def test_compiled_layers_are_all_csr(rng):

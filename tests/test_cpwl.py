@@ -366,6 +366,19 @@ def test_pieces_reject_region_normals_of_the_wrong_width():
         CpwlPieces(2, pieces, regions)
 
 
+def test_pieces_loader_rejects_region_normals_of_different_widths():
+    """One 3-wide normal beside 2-wide ones: numpy would refuse to stack
+    the region with its own "inhomogeneous shape" message."""
+    pieces = [AffineFunc(np.array([1.0, 0.0]), 0.0), AffineFunc(np.array([0.0, 1.0]), 0.0)]
+    regions = [(np.array([[1.0, -1.0]]), np.zeros(1)),
+               (np.array([[-1.0, 1.0], [0.0, -1.0]]), np.zeros(2))]
+    d = pieces_to_dict(CpwlPieces(2, pieces, regions))
+    d["regions"][1][1]["n"].append(0.0)
+    with pytest.raises(ValueError, match=r"^region 1 normals have 3 entries, "
+                                         r"not dim = 2 \(half-space 1\)$"):
+        pieces_from_dict(d)
+
+
 @pytest.mark.parametrize("index", [0.7, True])
 def test_lattice_rejects_non_integer_clause_index(index):
     """``int()`` would read 0.7 as 0 and True as 1, both valid indices."""

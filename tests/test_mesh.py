@@ -348,6 +348,15 @@ def test_mesh_dict_rejects_fractional_vertex_indices():
         mesh_from_dict(d)
 
 
+def test_mesh_dict_rejects_boolean_vertex_index():
+    d = mesh_to_dict(square_two_triangles())
+    assert d["simplices"][0][1] == 1  # a float cast would read True as this
+    d["simplices"][0][1] = True
+    with pytest.raises(ValueError, match="mesh simplices must hold integer vertex "
+                                         "indices, not True"):
+        mesh_from_dict(d)
+
+
 def test_mesh_dict_rejects_fractional_boundary_vertex():
     d = mesh_to_dict(square_two_triangles())
     d["boundary"][-1] += 0.5  # int() would read it back as the right vertex

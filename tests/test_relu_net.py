@@ -185,7 +185,7 @@ def test_builder_min_max_gadgets(rng):
         # raw scalar gadget; see the acceptance suite)
         assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
         assert net.hidden_layer_count == 1
-        assert network_stats(net).size == 4
+        assert network_stats(net).size == 3
 
 
 def test_builder_id_carry(rng):
