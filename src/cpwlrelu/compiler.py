@@ -5,8 +5,8 @@ Two constructive pathways, both exact (no approximation):
 * **Deep pathway** (`compile_fem_deep`): a nodal hat function on a mesh
   whose vertex star is convex equals ``max(0, min_k g_k)`` over the star's
   local affine functions.  The min is realized by a balanced binary tree of
-  3-neuron gadgets, topped by one max-with-zero gadget; hidden depth is
-  ``ceil(log2(valence)) + 1``.  A finite element function is the signed
+  3-neuron gadgets, topped by one ``relu`` neuron for the ``max(0, .)``;
+  hidden depth is ``ceil(log2(valence)) + 1``.  A finite element function is the signed
   sum of its hats scaled by ``|c_i|`` in the first layer; a single hat is
   the function with one unit coefficient.
 
@@ -18,6 +18,7 @@ Two constructive pathways, both exact (no approximation):
   network has hidden depth ``ceil(log2(d + 1))`` regardless of the input's
   complexity.  A term's integer weight ``w`` is folded into its first layer
   (``|w| max(S) = max(|w| S)``), leaving only its sign to the output.
+  A term ``max(0, S)`` takes its zero as a ``relu`` neuron on ``max(S)``.
 
 Both pathways emit every gadget through one :class:`NetBuilder` per
 compile, level by level, as sparse CSR layers: all hats or terms share the
@@ -104,8 +105,8 @@ def ceil_log2(n: int) -> int:
 
 
 def _neurons(kind: str) -> int:
-    """Hidden neurons of one builder operation: a gadget, or one level of
-    an identity carry (``"id"``)."""
+    """Hidden neurons of one builder operation: a gadget, a ``relu``, or
+    one level of an identity carry (``"id"``)."""
     return len(GADGETS[kind][0])
 
 
@@ -232,10 +233,10 @@ def _self_check(net: ReluNetwork, reference, X: NDArray, what: str) -> None:
 class _Node:
     """A balanced min/max expression over level-0 builder channels.
 
-    ``kind`` is ``"leaf"`` (``ch`` is a level-0 channel), ``"zero"`` (the
-    constant zero, free at every level and never carried), ``"min"`` or
-    ``"max"``.  ``depth`` is the level at which the value becomes available
-    and ``size`` the neurons its subtree costs: 3 per gadget plus 2 per
+    ``kind`` is ``"leaf"`` (``ch`` is a level-0 channel), ``"min"``,
+    ``"max"``, ``"relu"`` (one child) or ``"zero"`` (:data:`_ZERO`).
+    ``depth`` is the level at which the value becomes available and ``size``
+    the neurons its subtree costs: 3 per gadget, 1 per ``relu``, plus 2 per
     level of identity carry of a child finished before its parent's level.
     """
 
@@ -248,21 +249,24 @@ class _Node:
         self.depth = self.size = 0
         if children:
             self.depth = 1 + max(c.depth for c in children)
-            carried = [c for c in children if c.kind != "zero"]
             self.size = _neurons(kind) + sum(
-                c.size + _neurons("id") * (self.depth - 1 - c.depth) for c in carried
+                c.size + _neurons("id") * (self.depth - 1 - c.depth) for c in children
             )
 
 
+#: A leading zero of a max list; :func:`_balanced` folds it into a ``relu``.
 _ZERO = _Node("zero")
 
 
 def _balanced(kind: str, nodes: list[_Node]) -> _Node:
-    """Balanced tree: the left half takes ``ceil(m/2)`` of the nodes."""
+    """Balanced tree: the left half takes ``ceil(m/2)`` of the nodes, so a
+    leading :data:`_ZERO` ends in a pair ``max(_ZERO, x) = relu(x)``."""
     if not nodes:
         raise EmptyList(f"cannot take {kind} of zero arguments")
     if len(nodes) == 1:
         return nodes[0]
+    if kind == "max" and len(nodes) == 2 and nodes[0] is _ZERO:
+        return _Node("relu", nodes[1:])
     k = (len(nodes) + 1) // 2
     return _Node(kind, (_balanced(kind, nodes[:k]), _balanced(kind, nodes[k:])))
 
@@ -284,9 +288,9 @@ def _emit_trees(
     ``ReluNetwork(dim, [(G, offsets)])`` of the :func:`_affine_leaves` rows,
     and returns the pruned network computing ``sum_k signs[k] * roots[k]``.
 
-    A gadget sits at the level of its node's depth.  A value finished before
-    its consumer's level rides identity carries (2 neurons per level), and
-    every root is carried to the deepest root's level.
+    A gadget or ``relu`` sits at the level of its node's depth.  A value
+    finished before its consumer's level rides identity carries (2 neurons
+    per level), and every root is carried to the deepest root's level.
     """
     rows = np.array(leaves, dtype=float) if leaves else np.zeros((0, dim + 1))
     builder = NetBuilder(ReluNetwork(dim, [(rows[:, :-1], rows[:, -1])]))
@@ -299,19 +303,15 @@ def _emit_trees(
         if node.children:
             ops_at.setdefault(node.depth, []).append((node.kind, node))
             for c in node.children:
-                if c.kind != "zero":
-                    schedule(c, node.depth - 1)
+                schedule(c, node.depth - 1)
 
     for r in roots:
         schedule(r, top)
 
-    def ch(node: _Node) -> ChannelRef:
-        return builder.zero() if node.kind == "zero" else node.ch
-
     for level in range(1, top + 1):
         todo = ops_at.get(level, [])
         ops = [
-            ("id", node.ch) if op == "id" else (op, *map(ch, node.children))
+            ("id", node.ch) if op == "id" else (op, *(c.ch for c in node.children))
             for op, node in todo
         ]
         for (_, node), out in zip(todo, builder.apply_level(ops)):
@@ -365,7 +365,7 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
 
 
 # ---------------------------------------------------------------------------
-# Deep pathway: hats as max(0, min of star affines)
+# Deep pathway: hats as relu(min of star affines)
 # ---------------------------------------------------------------------------
 
 
@@ -385,7 +385,7 @@ def _star_affines(mesh: SimplicialMesh, vertex: int) -> list[AffineFunc]:
 
 
 def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
-    """Network for ``sum_i c_i * max(0, min_k g_k^(i))`` over the given vertices.
+    """Network for ``sum_i c_i * relu(min_k g_k^(i))`` over the given vertices.
 
     ``g_k^(i)`` are vertex ``i``'s star affines; for a convex star the
     expression equals ``c_i`` times its nodal hat on the meshed domain.
@@ -396,7 +396,7 @@ def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
     trees = []
     for i, c in coeffs.items():
         mins = _balanced("min", _affine_leaves(leaves, _star_affines(mesh, i), abs(c)))
-        trees.append(_Node("max", (mins, _ZERO)))
+        trees.append(_Node("relu", (mins,)))
     signs = [float(np.sign(c)) for c in coeffs.values()]
     return _emit_trees(mesh.dim, leaves, trees, signs)
 
@@ -412,13 +412,13 @@ def compile_fem_deep(
     each hat's first layer is scaled by ``|c_i|`` and the sign lands in the
     output combination, so all layers past the first stay on the low-bit
     grid with zero bias.  Bounds (checked): hidden depth
-    ``ceil(log2 kh) + 1``, size ``5 kh N`` with ``N`` the number of nonzero
-    coefficients.  A hat over ``n <= kh`` star affines costs ``n - 1`` min
-    gadgets (3 neurons each), at most one 2-neuron carry per min gadget
-    (the halves of a balanced tree differ by at most one level), the top
-    max gadget, and a carry from depth ``ceil(log2 n) + 1`` to the common
-    depth, at most ``2 (kh - n)`` neurons: ``5 (n - 1) + 3 + 2 (kh - n)
-    <= 5 kh``.
+    ``ceil(log2 kh) + 1``, size ``(5 kh - 4) N`` with ``N`` the number of
+    nonzero coefficients.  A hat over ``n <= kh`` star affines costs
+    ``n - 1`` min gadgets (3 neurons each), at most one 2-neuron carry per
+    min gadget (the halves of a balanced tree differ by at most one level),
+    the top ``relu`` neuron, and a carry from depth ``ceil(log2 n) + 1`` to
+    the common depth, at most ``2 (kh - n)`` neurons: ``5 (n - 1) + 1 +
+    2 (kh - n) = 3 n - 4 + 2 kh <= 5 kh - 4``.
 
     Raises:
         NotLocallyConvex: If a used vertex has a non-convex star.
@@ -436,7 +436,8 @@ def compile_fem_deep(
         net,
         pathway="deep",
         predicted_depth=ceil_log2(kh) + 1,
-        predicted_size_bound=(_neurons("min") + _neurons("id")) * kh * len(used),
+        predicted_size_bound=len(used)
+        * ((_neurons("min") + _neurons("id")) * (kh - 1) + _neurons("relu")),
         d=mesh.dim,
         kh=kh,
         m=len(used),
@@ -763,14 +764,14 @@ def _terms_net(
     Each term is one balanced max tree in a shared builder.  Its integer
     weight folds into the first layer (``k max(S) = max(k S)`` for
     ``k > 0``), so only the sign reaches the output combination and every
-    output entry lies in ``{+-1}``.
+    output entry lies in ``{+-1}``.  A constant ``c0 = 0`` is :data:`_ZERO`.
     """
     leaves: list[NDArray[np.float64]] = []
     trees = []
     for w, c0, affs in merged:
-        k = abs(w)
-        consts = [] if c0 is None else [AffineFunc(np.zeros(dim), c0)]
-        trees.append(_balanced("max", _affine_leaves(leaves, consts + affs, k)))
+        zero = [_ZERO] if c0 == 0.0 else []
+        consts = [] if c0 is None or zero else [AffineFunc(np.zeros(dim), c0)]
+        trees.append(_balanced("max", zero + _affine_leaves(leaves, consts + affs, abs(w))))
     signs = [1.0 if w > 0 else -1.0 for w, _, _ in merged]
     return _emit_trees(dim, leaves, trees, signs)
 

@@ -473,6 +473,11 @@ def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
     if d.get("schema", MESH_SCHEMA_VERSION) != MESH_SCHEMA_VERSION:
         raise ValueError(f"unsupported mesh schema {d.get('schema')!r}")
     try:
+        for name in ("vertices", "simplices"):  # numpy's ragged-array error names neither
+            width = [len(r) if isinstance(r, (list, tuple)) else -1 for r in d[name]]
+            for r, w in enumerate(width):
+                if w != width[0]:
+                    raise ValueError(f"ragged mesh {name!r}: row {r} is {d[name][r]!r}")
         vertices = np.array(d["vertices"], dtype=float)
         entries = np.array(d["simplices"], dtype=object)
         indices = entries.astype(float)

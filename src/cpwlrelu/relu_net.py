@@ -11,10 +11,9 @@ the total number of hidden neurons.
 a channel is a row of the current level's channel matrix ``C`` (at first the
 seed's output layer) plus an entry of its bias vector.
 Each hidden layer is ``S @ C`` for a sparse sign matrix ``S`` of min/max
-gadgets (3 neurons) and identity carries (2 neurons); with free
-constant-zero channels this keeps every layer past the first with zero bias
-and weights in ``{0, +-1}``, which is what the low-bit structure checker
-later verifies.
+gadgets (3 neurons), identity carries (2 neurons) and single ``relu``
+neurons; this keeps every layer past the first with zero bias and weights
+in ``{0, +-1}``, which is what the low-bit structure checker later verifies.
 """
 
 from __future__ import annotations
@@ -346,23 +345,23 @@ def independence_check(
 @dataclass(frozen=True)
 class ChannelRef:
     """A value available at one builder level: row ``row`` of that level's
-    channel matrix ``C`` applied to the level's activations, plus entry
-    ``row`` of its bias vector.  ``row`` is None for the free constant zero.
-    """
+    channel matrix ``C`` applied to its activations, plus entry ``row`` of
+    its bias vector."""
 
     level: int
-    row: int | None
+    row: int
 
 
-#: The builder's operations: ``kind -> (sign pairs, output weights)``.
+#: The builder's operations: ``kind -> (sign rows, output weights)``.
 #: Hidden neuron ``k`` computes ``relu(sa_k * a + sb_k * b)`` and the result
 #: is ``sum_k combo_k * neuron_k``: ``min(a, b) = a - relu(a - b)`` and
 #: ``max(a, b) = a + relu(b - a)``, with ``a = relu(a) - relu(-a)``.  The
-#: identity carry has no ``b`` and computes ``relu(a) - relu(-a)``.
+#: identity carry ``relu(a) - relu(-a)`` and ``relu(a)`` have no ``b``.
 GADGETS = {
     "min": (((1.0, 0.0), (-1.0, 0.0), (1.0, -1.0)), (1.0, -1.0, -1.0)),
     "max": (((1.0, 0.0), (-1.0, 0.0), (-1.0, 1.0)), (1.0, -1.0, 1.0)),
-    "id": (((1.0, 0.0), (-1.0, 0.0)), (1.0, -1.0)),
+    "id": (((1.0,), (-1.0,)), (1.0, -1.0)),
+    "relu": (((1.0,),), (1.0,)),
 }
 
 
@@ -375,7 +374,7 @@ class NetBuilder:
     ``ChannelRef(net.hidden_layer_count, r)``.  A zero-hidden-layer seed
     ``[(G, offsets)]`` thus starts at level 0 with one affine channel per
     row.  :meth:`apply_level` turns a list of gadget operations into
-    a sparse sign matrix ``S`` (two entries per neuron, from
+    a sparse sign matrix ``S`` (one entry per operand of each neuron, from
     :data:`GADGETS`) and emits the hidden layer ``S @ C``; the next level's
     ``C`` holds one row per operation, its output weights on its own
     neurons, with zero bias.  :meth:`finish` emits the output layer the
@@ -390,6 +389,7 @@ class NetBuilder:
         ``("min", a, b)`` — 3 neurons, channel for ``min(a, b)``.
         ``("max", a, b)`` — 3 neurons, channel for ``max(a, b)``.
         ``("id", a)`` — 2 neurons, carries ``a`` to the next level.
+        ``("relu", a)`` — 1 neuron, channel for ``max(a, 0)``.
     """
 
     def __init__(self, net: ReluNetwork):
@@ -397,10 +397,6 @@ class NetBuilder:
         self.layers = list(net.layers[:-1])
         self._seeded = self.level = net.hidden_layer_count
         self._C, self._bias = net.layers[-1]
-
-    def zero(self) -> ChannelRef:
-        """The free constant-zero channel, valid at the current level."""
-        return ChannelRef(self.level, None)
 
     def _combine(
         self, rows: list[list[tuple[float, ChannelRef]]], bias: NDArray[np.float64]
@@ -414,14 +410,13 @@ class NetBuilder:
                 raise ValueError(
                     f"channel from level {ch.level} used at level {self.level}"
                 )
-        n = self._C.shape[0]  # column n of M: the zero channel, bias 0.0
-        cols = np.array([n if c.row is None else c.row for _, c in terms], dtype=int)
+        cols = np.array([c.row for _, c in terms], dtype=int)
         w = np.array([w for w, _ in terms], dtype=float)
         counts = [len(row) for row in rows]
-        chan_bias = np.append(self._bias, 0.0)[cols]
-        np.add.at(bias, np.repeat(np.arange(len(rows)), counts), w * chan_bias)
-        M = sp.csr_matrix((w, cols, np.cumsum([0, *counts])), shape=(len(rows), n + 1))
-        return M[:, :n] @ self._C, bias
+        np.add.at(bias, np.repeat(np.arange(len(rows)), counts), w * self._bias[cols])
+        shape = (len(rows), self._C.shape[0])
+        M = sp.csr_matrix((w, cols, np.cumsum([0, *counts])), shape=shape)
+        return M @ self._C, bias
 
     def apply_level(self, ops: list[tuple]) -> list[ChannelRef]:
         """Emits one hidden layer realizing ``ops`` and advances the level.
@@ -435,15 +430,16 @@ class NetBuilder:
         neurons: list[list[tuple[float, ChannelRef]]] = []
         combo: list[float] = []
         sizes: list[int] = [0]
-        for kind, a, *rest in ops:
+        for kind, *args in ops:
             if kind not in GADGETS:
                 raise ValueError(f"unknown builder operation {kind!r}")
-            b = rest[0] if rest else self.zero()
             patterns, combo_w = GADGETS[kind]
-            neurons += [[(sa, a), (sb, b)] for sa, sb in patterns]
+            if len(args) != len(patterns[0]):
+                raise ValueError(f"{kind!r} takes {len(patterns[0])} operands, not {len(args)}")
+            neurons += [list(zip(signs, args)) for signs in patterns]
             combo += combo_w
             sizes.append(len(patterns))
-        # -0.0 is the additive identity: each bias is ``sa * b_a + sb * b_b``.
+        # -0.0 is the additive identity: each bias sums ``sign * operand bias``.
         W, bias = self._combine(neurons, np.full(len(neurons), -0.0))
         if len(self.layers) > self._seeded and np.any(bias != 0.0):
             raise AssertionError(
@@ -458,20 +454,16 @@ class NetBuilder:
         self._bias = np.zeros(len(ops))
         return [ChannelRef(self.level, r) for r in range(len(ops))]
 
-    def finish(
-        self, combos: list[list[tuple[float, ChannelRef]]], bias: list[float] | None = None
-    ) -> ReluNetwork:
+    def finish(self, combos: list[list[tuple[float, ChannelRef]]]) -> ReluNetwork:
         """Appends the output layer combining current-level channels.
 
         Args:
             combos: One list of ``(weight, channel)`` terms per output row.
-            bias: Optional per-row output bias (default zeros).
 
         Returns:
             The assembled network (sparse layers).
         """
-        bias = np.zeros(len(combos)) if bias is None else np.array(bias, dtype=float)
-        W, b = self._combine(combos, bias)
+        W, b = self._combine(combos, np.zeros(len(combos)))
         return ReluNetwork(self.input_dim, self.layers + [(W, b)])
 
 

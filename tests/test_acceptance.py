@@ -583,8 +583,9 @@ def _dense_layers(net):
 def test_criterion_10_negative_control(tmp_path):
     rng = np.random.default_rng(10)
     mesh = chain_mesh(np.linspace(0, 1, 5))
-    vertex = 2
-    coeffs = unit(mesh, vertex)
+    # e_2 - e_3: two hats give more hidden weights to flip than the floor
+    # below; one hat alone has only 6
+    coeffs = np.array([0.0, 0.0, 1.0, -1.0, 0.0])
     net, _ = compile_fem_deep(mesh, coeffs)
     X = rng.uniform(0, 1, size=(10_000, 1))
     ref = interpolate(mesh, coeffs, X)

@@ -157,21 +157,53 @@ def test_compile_max_of_m_pads_lazily():
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
 
 
+def _zero_led(kind, nodes, rng):
+    """``nodes``, led by ``_ZERO`` in half of the max lists."""
+    return [C._ZERO] + nodes if kind == "max" and rng.random() < 0.5 else nodes
+
+
+def _tree_value(node, leaves, X):
+    """A ``_Node`` tree evaluated directly at the rows of ``X``."""
+    if node.kind == "leaf":
+        row = leaves[node.ch.row]
+        return X @ row[:-1] + row[-1]
+    vals = [_tree_value(c, leaves, X) for c in node.children]
+    if node.kind == "relu":
+        return np.maximum(vals[0], 0.0)
+    return (np.minimum if node.kind == "min" else np.maximum)(*vals)
+
+
+def _kinds(node):
+    yield node.kind
+    for c in node.children:
+        yield from _kinds(c)
+
+
 def test_node_size_matches_emitted_network(rng):
     """The size model counts what the builder emits: for a random balanced
     tree of min/max subtrees over random affine leaves, ``_Node.size`` is
-    the network's size (the unequal subtrees force identity carries)."""
-    for trial in range(20):
+    the network's size (the unequal subtrees force identity carries, the
+    ``_ZERO``-led max lists relu nodes)."""
+    relus = 0
+    for trial in range(40):
         d = int(rng.integers(1, 4))
         leaves = []
         groups = []
         for _ in range(int(rng.integers(1, 6))):
             affs = [AffineFunc(rng.normal(size=d), float(rng.normal()))
                     for _ in range(int(rng.integers(1, 7)))]
-            groups.append(C._balanced(str(rng.choice(["min", "max"])),
-                                      C._affine_leaves(leaves, affs)))
-        root = C._balanced(str(rng.choice(["min", "max"])), groups)
-        assert C._emit_trees(d, leaves, [root], [1.0]).size == root.size, trial
+            kind = str(rng.choice(["min", "max"]))
+            groups.append(C._balanced(
+                kind, _zero_led(kind, C._affine_leaves(leaves, affs), rng)))
+        kind = str(rng.choice(["min", "max"]))
+        root = C._balanced(kind, _zero_led(kind, groups, rng))
+        X = rng.uniform(-2, 2, size=(200, d))
+        want = _tree_value(root, leaves, X)  # before emission rebinds each ch
+        relus += sum(k == "relu" for k in _kinds(root))
+        net = C._emit_trees(d, leaves, [root], [1.0])
+        assert net.size == root.size, trial
+        assert np.max(np.abs(eval_network(net, X) - want)) < 1e-12, trial
+    assert relus > 0
 
 
 def test_compile_max_of_m_rejects_multi_output():
@@ -500,8 +532,8 @@ _PINNED_CPWL_NETS = {
     ("maxaffine-d1m5", 11): "8cee4135e9f3f1d6c2d11602a4f5ea935aaca55ae4a547042bc5c17a7f23fb0b",
     ("maxaffine-d2m5", 12): "579f8a2b0a9b3b58999688071ced84707d9bfffa266bb7a34b7d0e9f0bb865b2",
     ("maxaffine-d2m6", 13): "5b49946fb721de4ab8fd66aafa8c7067cbf170e4b7c653840f2e0bee90141a96",
-    ("fan-m5", 21): "c886b62d2f85034a71150ef161dd8e3bf425aaa9edfb57f4250b646fda26a6dc",
-    ("fan-m6", 22): "9c2286cc7d4f0a5426f93e003f6e9bf190a47e5cb29266a8b95e5760febc5548",
+    ("fan-m5", 21): "9a414889680f1b47097be3070484d7a14448e62bbc5d5f2f701b6ebc328b80a4",
+    ("fan-m6", 22): "4482683d3ece40cb7c5ec98d3f51476f8fe3ca75ce7b8e848549e0679d1b0045",
     ("zigzag-m6", 31): "19df32a23debb0f3aec03c9a9b07c630f0c6082616d4660eaecb5f7d9397e4c0",
     ("zigzag-m7", 33): "e0c0bb21d9287f29ea59006df577b3de93deb5cbb14d8440d461b1335c70a8f4",
     ("maxaffine-d3m5", 14): "8c3528cc50d3e060e7aa129db34ab8202417201e034f9e3f2f38b637cb9a2941",
@@ -534,13 +566,13 @@ def test_shallow_cpwl_networks_pinned(name, seed):
 # NetBuilder) and for the deep networks of the 8x8 criss-cross grid and the
 # Kuhn cube, with standard normal coefficients of seed 0.
 _PINNED_BUILDER_NETS = {
-    "fem-deep": "a24b44abcc3d82f42cb52f25d89b8c5240b90e4ba23eaf15305ba5cd86a48a9b",
-    "fem-shallow": "1c6245145a7c30fd0f7c3dc25bf8bdd42590f7d0a83ff14999f77a2409b66572",
+    "fem-deep": "084712ec8b6f3eac34ec422d4402eb58bc85508e5b02fe1f41097dbecc3ec557",
+    "fem-shallow": "69ad89896610b748989c5660638002757a3a2384d42053fa8183fac3e53a058c",
     "cpwl-shallow": "427d41bfafce33d7cba00f186e516f2d644699ecb0f714d4402d3163d4fde0e0",
-    "lattice-shallow": "cbf29fac1c5bbe0d887742403c2398f9b6fd514c6b72574ed841e9ae71f960ff",
+    "lattice-shallow": "ba2e7ed1a8dd5d049b0488dd7a1b281634bd613b8216525dc8c6aabcf7a78080",
     "max-of-m": "4bfd70d87dd285f99a16bd8e9ae11d7f749151108a79069ac484b8107f61ddeb",
-    "crisscross-8x8-deep": "09bdfdc5001783695badcaa53b0450e3865b410338506f56ce4329313440b376",
-    "kuhn-cube-deep": "fd538cbd9750d2d7a9ded7f8279bb2950795dcb8ef06b8556b07a212f5a97629",
+    "crisscross-8x8-deep": "df0d20d2b171fd60ebdd91bc271eb84e5d4929aded72ed5f13e1bf95741c7f84",
+    "kuhn-cube-deep": "b201d58efe412e2187e843962538ceb73951eb009ceee1107b1fbbb1ffab84ce",
 }
 
 
@@ -579,6 +611,28 @@ def test_fem_shallow_small_mesh(rng):
     assert np.max(diff) < 1e-9
     assert check_structured(net).passed
     assert net.hidden_layer_count <= 2
+
+
+def test_fem_compiles_hand_the_builder_no_zero_leaf(mesh_corpus, monkeypatch, rng):
+    """Both FE pathways write ``max(0, .)`` as one ``relu`` neuron: no tree
+    holds ``_ZERO`` and no level-0 leaf is the constant zero, whose gadget
+    neurons ``relu(+-0)`` would be dead on arrival."""
+    seen = []
+
+    def emit(dim, leaves, roots, signs):
+        seen.append((list(leaves), [k for r in roots for k in _kinds(r)]))
+        return emit_trees(dim, leaves, roots, signs)
+
+    emit_trees = C._emit_trees
+    monkeypatch.setattr(C, "_emit_trees", emit)
+    for name, mesh in mesh_corpus:
+        coeffs = rng.normal(size=mesh.num_vertices)
+        for compile_fn in (compile_fem_deep, compile_fem_shallow):
+            seen.clear()
+            compile_fn(mesh, coeffs)
+            ((leaves, kinds),) = seen
+            assert all(row.any() for row in leaves), (name, compile_fn.__name__)
+            assert "zero" not in kinds and "relu" in kinds, (name, compile_fn.__name__)
 
 
 def test_weighted_term_folds_into_one_subnetwork(rng):

@@ -357,6 +357,14 @@ def test_mesh_dict_rejects_boolean_vertex_index():
         mesh_from_dict(d)
 
 
+@pytest.mark.parametrize("field, row", [("simplices", [0, 3]), ("vertices", [1.0])])
+def test_mesh_dict_rejects_ragged_rows(field, row):
+    d = mesh_to_dict(square_two_triangles())
+    d[field][1] = row
+    with pytest.raises(ValueError, match=rf"ragged mesh '{field}': row 1 is \[.*\]"):
+        mesh_from_dict(d)
+
+
 def test_mesh_dict_rejects_fractional_boundary_vertex():
     d = mesh_to_dict(square_two_triangles())
     d["boundary"][-1] += 0.5  # int() would read it back as the right vertex

@@ -177,7 +177,7 @@ def test_builder_min_max_gadgets(rng):
     for kind, oracle in (("min", np.minimum), ("max", np.maximum)):
         nb, (ca, cb) = _seed([a_vec, b_vec], [a_off, b_off])
         (out,) = nb.apply_level([(kind, ca, cb)])
-        net = nb.finish([[(1.0, out)]], [0.0])
+        net = nb.finish([[(1.0, out)]])
         X = rng.uniform(-3, 3, size=(500, d))
         ref = oracle(X @ a_vec + a_off, X @ b_vec + b_off)
         # affine channels are merged into the first layer, so equality is
@@ -189,20 +189,55 @@ def test_builder_min_max_gadgets(rng):
 
 
 def test_builder_id_carry(rng):
+    """Two levels of carry of ``x`` and one of the gadget ``max(x, x) = x``:
+    each level of carry is two neurons and leaves the value unchanged."""
     nb, (c,) = _seed([[1.0]], [0.0])
-    z = nb.zero()
-    (m,) = nb.apply_level([("max", c, z)])
-    (m2,) = nb.apply_level([("id", m)])
-    net = nb.finish([[(1.0, m2)]], [0.0])
+    c1, m = nb.apply_level([("id", c), ("max", c, c)])
+    (m2, c2) = nb.apply_level([("id", m), ("id", c1)])
+    net = nb.finish([[(1.0, m2)], [(1.0, c2)]])
     X = np.linspace(-2, 2, 101)[:, None]
-    assert np.max(np.abs(eval_network(net, X) - np.maximum(X[:, 0], 0))) == 0.0
-    assert net.hidden_layer_count == 2
+    assert np.array_equal(eval_network(net, X), np.hstack([X, X]))
+    assert net.hidden_widths == [2 + 3, 2 + 2]
+
+
+def test_builder_relu_is_one_exact_neuron(rng):
+    """``("relu", a)`` adds the one neuron ``max(a, 0)`` with output weight
+    1, on a seed channel and on a gadget's channel; bit-exact on [-1, 1]
+    (see the scalar gadget test in the compiler suite)."""
+    nb, (c,) = _seed([[1.0]], [0.0])
+    (r,) = nb.apply_level([("relu", c)])
+    net = nb.finish([[(1.0, r)]])
+    assert net.size == 1
+    assert [W.toarray().tolist() for W, _ in net.layers] == [[[1.0]], [[1.0]]]
+    X = np.linspace(-2, 2, 101)[:, None]
+    assert np.array_equal(eval_network(net, X), np.maximum(X[:, 0], 0.0))
+
+    nb, (a, b) = _seed(np.eye(2), [0.0, 0.0])
+    (m,) = nb.apply_level([("min", a, b)])
+    (r,) = nb.apply_level([("relu", m)])
+    net = nb.finish([[(1.0, r)]])
+    assert net.hidden_widths == [3, 1]
+    assert np.all(net.layers[1][1] == 0.0)
+    X = rng.uniform(-1.0, 1.0, size=(2000, 2))
+    assert np.array_equal(eval_network(net, X), np.maximum(X.min(axis=1), 0.0))
+
+
+def test_builder_rejects_wrong_operand_counts():
+    """Each operation takes exactly its gadget's operands: ``("min", a)``
+    is an error, not ``min(a, 0)``."""
+    nb, (a, b) = _seed([[1.0], [2.0]], [0.0, 0.0])
+    for op in [("min", a), ("max", a, b, a), ("id", a, b), ("relu", a, b), ("relu",)]:
+        with pytest.raises(ValueError, match="operands"):
+            nb.apply_level([op])
+    assert nb.level == 0 and not nb.layers
 
 
 def test_builder_levels_have_zero_bias(rng):
     nb, (a, b) = _seed([[1.0, 1.0], [1.0, -1.0]], [0.5, -0.2])
     (m,) = nb.apply_level([("min", a, b)])
-    net = nb.finish([[(0.5, m)]], [0.0])
+    (r,) = nb.apply_level([("relu", m)])
+    net = nb.finish([[(0.5, r)]])
+    assert net.hidden_layer_count == 2
     for W, bias in net.layers[1:]:
         assert np.all(np.asarray(bias) == 0.0)
 
@@ -242,22 +277,6 @@ def test_builder_finish_at_level_0_sums_shared_columns(rng):
     assert W.nnz == 1
     assert np.array_equal(b, [expected_bias, 0.0])
     assert net.hidden_layer_count == 0
-
-
-def test_builder_finish_zero_channel_and_explicit_bias():
-    nb, (x,) = _seed([[1.0]], [0.0])
-    (m,) = nb.apply_level([("max", x, nb.zero())])
-    bias = np.array([0.5, -1.25])
-    net = nb.finish([[(1.0, m), (3.0, nb.zero())], [(2.0, nb.zero())]], bias)
-    assert np.array_equal(bias, [0.5, -1.25])  # the caller's array is not changed
-    assert net.layers[-1][0][1].nnz == 0
-    X = np.linspace(-2, 2, 41)[:, None]
-    expected = np.stack([np.maximum(X[:, 0], 0) + 0.5, np.full(41, -1.25)], axis=1)
-    assert np.array_equal(eval_network(net, X), expected)
-    const, _ = _seed(np.zeros((0, 2)), [])
-    net0 = const.finish([[(1.0, const.zero())]], [4.0])
-    assert net0.hidden_layer_count == 0
-    assert eval_network(net0, np.array([0.3, -7.0])) == 4.0
 
 
 def test_builder_rejects_misplaced_channels():
