@@ -23,8 +23,12 @@ Two constructive pathways, both exact (no approximation):
 Both pathways emit every gadget through one :class:`NetBuilder` per
 compile, level by level, as sparse CSR layers: all hats or terms share the
 builder, each tree's root is carried to the common depth, and the output
-layer sums the roots with their signs.  Every hidden layer past the first
-keeps weights in ``{0, +-1}`` with zero bias.  `compile_max_of_m` combines
+layer sums the roots with their signs.  Each distinct subexpression is
+emitted once: a leaf is keyed by the exact bytes of its affine row and a
+gadget by its kind and its children, so a leaf, gadget or carry that
+several trees hold is one set of neurons that each consumer reads with its
+own +-1 weight.  Every hidden layer past the first keeps weights in
+``{0, +-1}`` with zero bias.  `compile_max_of_m` combines
 arbitrary networks pairwise, seeding a builder on each pair side by side;
 the trees' builder is seeded on the zero-hidden-layer network of their leaves.
 
@@ -236,8 +240,10 @@ class _Node:
     ``kind`` is ``"leaf"`` (``ch`` is a level-0 channel), ``"min"``,
     ``"max"``, ``"relu"`` (one child) or ``"zero"`` (:data:`_ZERO`).
     ``depth`` is the level at which the value becomes available and ``size``
-    the neurons its subtree costs: 3 per gadget, 1 per ``relu``, plus 2 per
-    level of identity carry of a child finished before its parent's level.
+    the neurons its subtree costs as a tree: 3 per gadget, 1 per ``relu``,
+    plus 2 per level of identity carry of a child finished before its
+    parent's level.  :func:`_emit_trees` emits a repeated subtree once, so
+    ``size`` bounds the network from above.
     """
 
     __slots__ = ("kind", "children", "ch", "depth", "size")
@@ -272,51 +278,74 @@ def _balanced(kind: str, nodes: list[_Node]) -> _Node:
 
 
 def _affine_leaves(
-    leaves: list[NDArray[np.float64]], affs: list[AffineFunc], scale: float = 1.0
+    leaves: dict[bytes, _Node], affs: list[AffineFunc], scale: float = 1.0
 ) -> list[_Node]:
-    """Appends each affine's row ``[scale * gradient, scale * offset]`` to
-    ``leaves``; its leaf node reads that row as a level-0 channel."""
-    first = len(leaves)
-    leaves += [np.append(scale * a.gradient, scale * a.offset) for a in affs]
-    return [_Node("leaf", ch=ChannelRef(0, r)) for r in range(first, len(leaves))]
+    """The leaf nodes of the rows ``[scale * gradient, scale * offset]``.
+
+    ``leaves`` maps each row's exact bytes to its leaf, which reads the row
+    as level-0 channel ``len(leaves)`` at its first use; a repeated row gets
+    the leaf of its first use.
+    """
+    nodes = []
+    for a in affs:
+        row = np.append(scale * a.gradient, scale * a.offset)
+        key = row.tobytes()
+        if key not in leaves:
+            leaves[key] = _Node("leaf", ch=ChannelRef(0, len(leaves)))
+        nodes.append(leaves[key])
+    return nodes
 
 
 def _emit_trees(
-    dim: int, leaves: list[NDArray[np.float64]], roots: list[_Node], signs: list[float]
+    dim: int, leaves: dict[bytes, _Node], roots: list[_Node], signs: list[float]
 ) -> ReluNetwork:
     """Emits the trees, one hidden layer per level, into a builder seeded on
     ``ReluNetwork(dim, [(G, offsets)])`` of the :func:`_affine_leaves` rows,
     and returns the pruned network computing ``sum_k signs[k] * roots[k]``.
 
-    A gadget or ``relu`` sits at the level of its node's depth.  A value
-    finished before its consumer's level rides identity carries (2 neurons
-    per level), and every root is carried to the deepest root's level.
+    Equal subtrees are emitted once: a node's key is its kind and its
+    children's keys in order (a leaf's key is its channel), and each
+    distinct key gets one gadget or ``relu`` at the level of its depth.  A
+    consumer at level ``L`` reads its child's channel at level ``L - 1``, so
+    a value finished before its last consumer's level rides one chain of
+    identity carries (2 neurons per level) that every consumer reads from,
+    and every root is carried to the deepest root's level.  Each neuron
+    computes what it would in an unshared emission; a shared channel is
+    read with each consumer's own +-1 weight.
     """
-    rows = np.array(leaves, dtype=float) if leaves else np.zeros((0, dim + 1))
+    rows = np.array([np.frombuffer(k) for k in leaves]) if leaves else np.zeros((0, dim + 1))
     builder = NetBuilder(ReluNetwork(dim, [(rows[:, :-1], rows[:, -1])]))
     top = max((r.depth for r in roots), default=0)
-    ops_at: dict[int, list[tuple[str, _Node]]] = {}
+    ids: dict[tuple, int] = {}
+    chan: list[ChannelRef | None] = []  # per id: its channel at the current level
+    carried: list[int] = []  # per id: the level its carry chain reaches so far
+    ops_at: list[list[tuple[str, int, tuple[int, ...]]]] = [[] for _ in range(top + 1)]
 
-    def schedule(node: _Node, needed: int) -> None:
-        for t in range(node.depth + 1, needed + 1):
-            ops_at.setdefault(t, []).append(("id", node))
-        if node.children:
-            ops_at.setdefault(node.depth, []).append((node.kind, node))
-            for c in node.children:
-                schedule(c, node.depth - 1)
+    def intern(node: _Node, level: int) -> int:
+        """The id of ``node``'s key, with its gadget scheduled once and its
+        carry chain extended up to ``level``, where a consumer reads it."""
+        children = tuple([intern(c, node.depth - 1) for c in node.children])
+        key = (node.kind, node.ch.row) if node.kind == "leaf" else (node.kind, *children)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(chan)
+            chan.append(node.ch)
+            carried.append(node.depth)
+            if children:
+                ops_at[node.depth].append((node.kind, i, children))
+        if level > carried[i]:
+            for t in range(carried[i] + 1, level + 1):
+                ops_at[t].append(("id", i, (i,)))
+            carried[i] = level
+        return i
 
-    for r in roots:
-        schedule(r, top)
-
+    root_ids = [intern(r, top) for r in roots]
     for level in range(1, top + 1):
-        todo = ops_at.get(level, [])
-        ops = [
-            ("id", node.ch) if op == "id" else (op, *(c.ch for c in node.children))
-            for op, node in todo
-        ]
-        for (_, node), out in zip(todo, builder.apply_level(ops)):
-            node.ch = out
-    output = [(sg, r.ch) for sg, r in zip(signs, roots)]
+        todo = ops_at[level]
+        outs = builder.apply_level([(op, *(chan[c] for c in args)) for op, _, args in todo])
+        for (_, i, _), out in zip(todo, outs):
+            chan[i] = out
+    output = [(sg, chan[i]) for sg, i in zip(signs, root_ids)]
     return prune_dead_channels(builder.finish([output]))
 
 
@@ -392,7 +421,7 @@ def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
     Each hat's affines are scaled by ``|c_i|`` in the first layer and its
     sign lands in the output combination; all hats share one builder.
     """
-    leaves: list[NDArray[np.float64]] = []
+    leaves: dict[bytes, _Node] = {}
     trees = []
     for i, c in coeffs.items():
         mins = _balanced("min", _affine_leaves(leaves, _star_affines(mesh, i), abs(c)))
@@ -766,7 +795,7 @@ def _terms_net(
     ``k > 0``), so only the sign reaches the output combination and every
     output entry lies in ``{+-1}``.  A constant ``c0 = 0`` is :data:`_ZERO`.
     """
-    leaves: list[NDArray[np.float64]] = []
+    leaves: dict[bytes, _Node] = {}
     trees = []
     for w, c0, affs in merged:
         zero = [_ZERO] if c0 == 0.0 else []
@@ -798,7 +827,7 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
                 f"clause {k} has {len(s)} members, above d+1 = {d + 1}; "
                 "rewrite the form first (compile_cpwl_shallow does this)"
             )
-    leaves: list[NDArray[np.float64]] = []
+    leaves: dict[bytes, _Node] = {}
     clauses = [
         _balanced("min", _affine_leaves(leaves, [lat.pieces[i] for i in s]))
         for s in lat.clauses

@@ -121,6 +121,12 @@ class SolverConfig:
     eta_min: float = 1e-14
     quad_order: int = 5
 
+    def __post_init__(self) -> None:
+        # A positive floor keeps every accepted knot step strictly
+        # increasing, so the solver checks its knots only once.
+        if not self.gap_floor > 0:
+            raise ValueError(f"gap_floor must be positive, not {self.gap_floor}")
+
 
 @dataclass
 class Bvp1dState:
@@ -147,7 +153,8 @@ class Bvp1dState:
     stalled: bool = False
 
 
-def _check_knots(t: NDArray[np.float64]) -> None:
+def _check_knots(t: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``t`` as a float array, once checked to be ``0 = t_0 < ... < t_n = 1``."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.shape[0] < 2:
         raise KnotOrderViolated("need at least the two endpoint knots")
@@ -155,6 +162,20 @@ def _check_knots(t: NDArray[np.float64]) -> None:
         raise KnotOrderViolated("knots must start at 0 and end at 1")
     if np.any(np.diff(t) <= 0):
         raise KnotOrderViolated("knots must be strictly increasing")
+    return t
+
+
+def _knots_checked(kernel):
+    """The public form of ``kernel(problem, t, ...)``: it checks the knots
+    ``t`` first.  Loops whose knots stay ordered by construction call the
+    kernel itself, kept as ``.unchecked``."""
+
+    @functools.wraps(kernel)
+    def public(problem, t, *args, **kwargs):
+        return kernel(problem, _check_knots(t), *args, **kwargs)
+
+    public.unchecked = kernel
+    return public
 
 
 @functools.lru_cache(maxsize=8)
@@ -200,12 +221,11 @@ def eval_state(t: NDArray, theta: NDArray, x: NDArray) -> NDArray:
     return v[idx] + theta[idx] * (x - t[idx])
 
 
+@_knots_checked
 def energy(
     problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = 5
 ) -> float:
     """``E(u_h) = 1/2 int (u_h')^2 - int f u_h`` by per-cell Gauss rules."""
-    _check_knots(t)
-    t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     h = np.diff(t)
     stiff = 0.5 * float(np.sum(theta**2 * h))
@@ -216,6 +236,7 @@ def energy(
     return stiff - load
 
 
+@_knots_checked
 def grad_knots(
     problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = 5
 ) -> NDArray:
@@ -227,8 +248,6 @@ def grad_knots(
     Endpoint entries are zero.  Valid for any slope vector, not just the
     fixed-grid optimum (which is what the finite-difference test checks).
     """
-    _check_knots(t)
-    t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     X, W = _gauss_cells(t, quad_order)
     F_cell = np.sum(W * problem.f(X), axis=1)
@@ -243,6 +262,7 @@ def grad_knots(
     return g
 
 
+@_knots_checked
 def solve_fem_on_grid(
     problem: Bvp1dProblem, t: NDArray, quad_order: int = 5
 ) -> NDArray:
@@ -254,8 +274,6 @@ def solve_fem_on_grid(
     Returns:
         Slope vector of shape ``(len(t) - 1,)``.
     """
-    _check_knots(t)
-    t = np.asarray(t, dtype=float)
     h = np.diff(t)
     N = len(t) - 2
     if N == 0:
@@ -276,12 +294,12 @@ def solve_fem_on_grid(
     return np.diff(v) / h
 
 
+@_knots_checked
 def h1_error(
     problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = 5
 ) -> float:
     """H1-seminorm error ``(int (u_h' - u')^2)^(1/2)`` by per-cell Gauss."""
-    _check_knots(t)
-    X, W = _gauss_cells(np.asarray(t, dtype=float), quad_order)
+    X, W = _gauss_cells(t, quad_order)
     diff = np.asarray(theta)[:, None] - problem.du(X)
     return float(np.sqrt(np.sum(W * diff * diff)))
 
@@ -290,14 +308,14 @@ def make_state(
     problem: Bvp1dProblem, t: NDArray, theta: NDArray | None = None, quad_order: int = 5
 ) -> Bvp1dState:
     """Bundles a grid (and optionally slopes) into an evaluated state."""
-    _check_knots(t)
+    t = _check_knots(t)
     if theta is None:
-        theta = solve_fem_on_grid(problem, t, quad_order)
+        theta = solve_fem_on_grid.unchecked(problem, t, quad_order)
     return Bvp1dState(
-        t=np.asarray(t, dtype=float),
+        t=t,
         theta=np.asarray(theta, dtype=float),
-        energy=energy(problem, t, theta, quad_order),
-        h1_error=h1_error(problem, t, theta, quad_order),
+        energy=energy.unchecked(problem, t, theta, quad_order),
+        h1_error=h1_error.unchecked(problem, t, theta, quad_order),
     )
 
 
@@ -331,7 +349,7 @@ def solve_afem(
     target_N = N - 2
     t = np.linspace(0.0, 1.0, 5)
     while len(t) - 2 < target_N:
-        theta = solve_fem_on_grid(problem, t, quad_order)
+        theta = solve_fem_on_grid.unchecked(problem, t, quad_order)
         X, W = _gauss_cells(t, quad_order)
         diff = theta[:, None] - problem.du(X)
         eta_cells = np.sum(W * diff * diff, axis=1)
@@ -374,6 +392,11 @@ def solve_algorithm1(
 
     Returns:
         The final state with the full iteration trace.
+
+    Raises:
+        KnotOrderViolated: If the initial knots are not ``0 = t_0 < ... <
+            t_n = 1``.  They are checked once: every accepted step keeps
+            the gaps above ``gap_floor > 0`` and the endpoints fixed.
     """
     q = config.quad_order
     if isinstance(t_init, str):
@@ -384,21 +407,21 @@ def solve_algorithm1(
         else:
             raise ValueError(f"unknown initializer {t_init!r}")
     else:
-        t = np.asarray(t_init, dtype=float).copy()
-        _check_knots(t)
+        t = np.array(t_init, dtype=float)
+    t = _check_knots(t)
     trace: list[dict] = []
     converged = False
     stalled = False
-    theta = solve_fem_on_grid(problem, t, q)
+    theta = solve_fem_on_grid.unchecked(problem, t, q)
     for it in range(config.max_iter):
-        E0 = energy(problem, t, theta, q)
-        g = grad_knots(problem, t, theta, q)
+        E0 = energy.unchecked(problem, t, theta, q)
+        g = grad_knots.unchecked(problem, t, theta, q)
         gnorm = float(np.max(np.abs(g)))
         trace.append(
             {
                 "iter": it,
                 "energy": E0,
-                "h1_error": h1_error(problem, t, theta, q),
+                "h1_error": h1_error.unchecked(problem, t, theta, q),
                 "grad_norm": gnorm,
             }
         )
@@ -410,7 +433,8 @@ def solve_algorithm1(
         while eta >= config.eta_min:
             t_try = t - eta * g
             if not np.any(np.diff(t_try) < config.gap_floor) and (
-                energy(problem, t_try, theta, q) <= E0 - config.armijo_c * eta * gsq
+                energy.unchecked(problem, t_try, theta, q)
+                <= E0 - config.armijo_c * eta * gsq
             ):
                 break
             eta *= 0.5
@@ -420,7 +444,7 @@ def solve_algorithm1(
             break
         trace[-1]["eta"] = eta
         t = t_try
-        theta = solve_fem_on_grid(problem, t, q)
+        theta = solve_fem_on_grid.unchecked(problem, t, q)
     state = make_state(problem, t, theta, q)
     state.trace = trace
     state.converged = converged

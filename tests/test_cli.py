@@ -475,7 +475,7 @@ def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):
     from helpers import random_max_affine, random_zigzag
 
     expected = {
-        "maxaffine-d2m5": "0e043a40c289662b1d2930b08299ff2f3bd4fef57cba97fb93ea681389e43292",
+        "maxaffine-d2m5": "553934dddf460f8830a37d33a3da8fdc30d06282ecba92ce99e23bbd33457dfe",
         "zigzag-m6": "f8ced4a9b599fbdc75a2b8ca764b36beb0563baf50943da117973d48c8f0b441",
     }
     for name, f in (("maxaffine-d2m5", random_max_affine(2, 5, np.random.default_rng(5))),
@@ -725,7 +725,7 @@ _REPORT_CASES = {
 }
 
 _BOUND_FEM = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
-              "predicted_size_bound": "750", "actual_size": 322,
+              "predicted_size_bound": "750", "actual_size": 234,
               "d": 2, "kh": 6, "m": 8, "M": 60}
 _BOUND_CPWL = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
                "predicted_size_bound": "4802", "actual_size": 8,
@@ -735,7 +735,7 @@ _PINNED_REPORTS = {
         "command": "compile-fem", "inputs": ["coeffs.json", "mesh.json"],
         "config": {"pathway": "shallow", "seed": 12345},
         "results": {"bound": _BOUND_FEM,
-                    "stats": {"hidden_layers": 2, "size": 322, "nonzero_params": 764},
+                    "stats": {"hidden_layers": 2, "size": 234, "nonzero_params": 598},
                     "output": "fem-out.json"}},
     "compile-cpwl": {
         "command": "compile-cpwl", "inputs": ["cpwl.json"],

@@ -46,7 +46,7 @@ from cpwlrelu.errors import (
     NumericalDependenceAmbiguous,
 )
 from cpwlrelu.mesh import build_mesh, compute_kh, interpolate, sample_points
-from cpwlrelu.quantize import check_structured
+from cpwlrelu.quantize import QuantGrid, check_structured
 from cpwlrelu.relu_net import (
     GADGETS,
     ChannelRef,
@@ -162,10 +162,15 @@ def _zero_led(kind, nodes, rng):
     return [C._ZERO] + nodes if kind == "max" and rng.random() < 0.5 else nodes
 
 
+def _leaf_rows(leaves):
+    """The ``[gradient, offset]`` rows of ``_affine_leaves``' keyed leaves."""
+    return [np.frombuffer(key) for key in leaves]
+
+
 def _tree_value(node, leaves, X):
     """A ``_Node`` tree evaluated directly at the rows of ``X``."""
     if node.kind == "leaf":
-        row = leaves[node.ch.row]
+        row = _leaf_rows(leaves)[node.ch.row]
         return X @ row[:-1] + row[-1]
     vals = [_tree_value(c, leaves, X) for c in node.children]
     if node.kind == "relu":
@@ -181,13 +186,14 @@ def _kinds(node):
 
 def test_node_size_matches_emitted_network(rng):
     """The size model counts what the builder emits: for a random balanced
-    tree of min/max subtrees over random affine leaves, ``_Node.size`` is
-    the network's size (the unequal subtrees force identity carries, the
-    ``_ZERO``-led max lists relu nodes)."""
+    tree of min/max subtrees over distinct random affine leaves, where
+    nothing can be shared, ``_Node.size`` is the network's size (the
+    unequal subtrees force identity carries, the ``_ZERO``-led max lists
+    relu nodes)."""
     relus = 0
     for trial in range(40):
         d = int(rng.integers(1, 4))
-        leaves = []
+        leaves = {}
         groups = []
         for _ in range(int(rng.integers(1, 6))):
             affs = [AffineFunc(rng.normal(size=d), float(rng.normal()))
@@ -198,12 +204,39 @@ def test_node_size_matches_emitted_network(rng):
         kind = str(rng.choice(["min", "max"]))
         root = C._balanced(kind, _zero_led(kind, groups, rng))
         X = rng.uniform(-2, 2, size=(200, d))
-        want = _tree_value(root, leaves, X)  # before emission rebinds each ch
+        want = _tree_value(root, leaves, X)
         relus += sum(k == "relu" for k in _kinds(root))
         net = C._emit_trees(d, leaves, [root], [1.0])
         assert net.size == root.size, trial
         assert np.max(np.abs(eval_network(net, X) - want)) < 1e-12, trial
     assert relus > 0
+
+
+def test_emit_trees_emits_each_distinct_subtree_once(rng):
+    """Equal subtrees and repeated leaves are emitted once and read by every
+    consumer: ``max(a, b)`` is built as a new node four times and emitted
+    as one gadget, ``min(max(a, b), c)`` is a root and a subtree of another
+    root, and ``relu(max(a, b))`` is a root read with both signs."""
+    affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
+    leaves = {}
+    a, b, c = C._affine_leaves(leaves, affs)
+    (a2,) = C._affine_leaves(leaves, affs[:1])
+    assert a2 is a and len(leaves) == 3
+    ab = lambda: C._Node("max", (a, b))
+    r1 = C._Node("min", (ab(), c))
+    r2 = C._Node("relu", (ab(),))
+    r3 = C._Node("max", (C._Node("min", (ab(), c)), a2))
+    roots, signs = [r1, r2, r3, C._Node("relu", (ab(),))], [1.0, 1.0, -1.0, -1.0]
+    X = rng.uniform(-2, 2, size=(500, 2))
+    want = sum(s * _tree_value(r, leaves, X) for s, r in zip(signs, roots))
+    net = C._emit_trees(2, leaves, roots, signs)
+    # The distinct nodes: max(a, b) 3; c carried to level 1, 2; min 3 and its
+    # carry to the top, 2; relu 1 and its carry, 2; a carried to level 2
+    # for the top max, 4; the top max 3.  As trees the roots cost 37.
+    assert sum(r.size + 2 * (3 - r.depth) for r in roots) == 37
+    assert (net.hidden_layer_count, net.size) == (3, 20)
+    assert np.max(np.abs(eval_network(net, X) - want)) < 1e-12
+    assert check_structured(net, QuantGrid(0, 2)).passed
 
 
 def test_compile_max_of_m_rejects_multi_output():
@@ -530,13 +563,13 @@ def test_shallow_zigzag_depth_one(rng):
 # benchmark's (same kinds, sizes and seeds, drawn by the test generators).
 _PINNED_CPWL_NETS = {
     ("maxaffine-d1m5", 11): "8cee4135e9f3f1d6c2d11602a4f5ea935aaca55ae4a547042bc5c17a7f23fb0b",
-    ("maxaffine-d2m5", 12): "579f8a2b0a9b3b58999688071ced84707d9bfffa266bb7a34b7d0e9f0bb865b2",
-    ("maxaffine-d2m6", 13): "5b49946fb721de4ab8fd66aafa8c7067cbf170e4b7c653840f2e0bee90141a96",
-    ("fan-m5", 21): "9a414889680f1b47097be3070484d7a14448e62bbc5d5f2f701b6ebc328b80a4",
-    ("fan-m6", 22): "4482683d3ece40cb7c5ec98d3f51476f8fe3ca75ce7b8e848549e0679d1b0045",
+    ("maxaffine-d2m5", 12): "ef008b7bf2a4bb88876c48fe46741aea34754a3aa947e7c0c42f8177fab8f837",
+    ("maxaffine-d2m6", 13): "78c7a7ab673f1fac1bbd0efcb518076a74d44d69770757cbd0656c27a7713f0f",
+    ("fan-m5", 21): "d1f38e38efa5210bf2594eb6498f9f56d329946c4fcd8a5896b2a27790ef89b4",
+    ("fan-m6", 22): "d75ca3c0880d15637d49f0c5ef63e4506a30d74e9fa140bc3d92aaf1875fea3c",
     ("zigzag-m6", 31): "19df32a23debb0f3aec03c9a9b07c630f0c6082616d4660eaecb5f7d9397e4c0",
-    ("zigzag-m7", 33): "e0c0bb21d9287f29ea59006df577b3de93deb5cbb14d8440d461b1335c70a8f4",
-    ("maxaffine-d3m5", 14): "8c3528cc50d3e060e7aa129db34ab8202417201e034f9e3f2f38b637cb9a2941",
+    ("zigzag-m7", 33): "4952f472e5d530f92c8b43fabde440dac5179de668bd519df7b159ac3a19883d",
+    ("maxaffine-d3m5", 14): "ada465edc7778ed5b4bf97a03b8d973136acb36e2fc655a649c75d88412747eb",
 }
 
 
@@ -567,9 +600,9 @@ def test_shallow_cpwl_networks_pinned(name, seed):
 # Kuhn cube, with standard normal coefficients of seed 0.
 _PINNED_BUILDER_NETS = {
     "fem-deep": "084712ec8b6f3eac34ec422d4402eb58bc85508e5b02fe1f41097dbecc3ec557",
-    "fem-shallow": "69ad89896610b748989c5660638002757a3a2384d42053fa8183fac3e53a058c",
-    "cpwl-shallow": "427d41bfafce33d7cba00f186e516f2d644699ecb0f714d4402d3163d4fde0e0",
-    "lattice-shallow": "ba2e7ed1a8dd5d049b0488dd7a1b281634bd613b8216525dc8c6aabcf7a78080",
+    "fem-shallow": "34bd0215ae8282d2c43dcc142ed15f584907005cc1cd358cd48673825a2e67a9",
+    "cpwl-shallow": "9f472eae58b7f3e1ea264db862758f6ba8b7dbe466068cd9f8ee72e374622a32",
+    "lattice-shallow": "03bc2dfe1ad2490940b4bc5e42c353d984cbb575b9e0a96b20c9011e03bf1321",
     "max-of-m": "4bfd70d87dd285f99a16bd8e9ae11d7f749151108a79069ac484b8107f61ddeb",
     "crisscross-8x8-deep": "df0d20d2b171fd60ebdd91bc271eb84e5d4929aded72ed5f13e1bf95741c7f84",
     "kuhn-cube-deep": "b201d58efe412e2187e843962538ceb73951eb009ceee1107b1fbbb1ffab84ce",
@@ -620,7 +653,7 @@ def test_fem_compiles_hand_the_builder_no_zero_leaf(mesh_corpus, monkeypatch, rn
     seen = []
 
     def emit(dim, leaves, roots, signs):
-        seen.append((list(leaves), [k for r in roots for k in _kinds(r)]))
+        seen.append((_leaf_rows(leaves), [k for r in roots for k in _kinds(r)]))
         return emit_trees(dim, leaves, roots, signs)
 
     emit_trees = C._emit_trees

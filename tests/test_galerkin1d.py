@@ -100,6 +100,30 @@ def test_check_knots_rejects_disorder():
                np.array([1.0, 1.0, 1.0]))
 
 
+_UNORDERED = np.array([0.0, 0.6, 0.4, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, t: energy(p, t, np.ones(len(t) - 1)),
+    lambda p, t: grad_knots(p, t, np.ones(len(t) - 1)),
+    lambda p, t: solve_fem_on_grid(p, t),
+    lambda p, t: h1_error(p, t, np.ones(len(t) - 1)),
+    lambda p, t: make_state(p, t),
+    lambda p, t: solve_algorithm1(p, SolverConfig(N=len(t)), t_init=t),
+], ids=["energy", "grad_knots", "solve_fem_on_grid", "h1_error", "make_state",
+        "solve_algorithm1"])
+def test_every_knot_entry_point_checks_its_knots(problem, call):
+    """The solver loops call unchecked kernels; each public entry point
+    still checks the knots it is given."""
+    with pytest.raises(KnotOrderViolated):
+        call(problem, _UNORDERED)
+
+
+def test_solver_config_needs_a_positive_gap_floor():
+    with pytest.raises(ValueError, match="gap_floor"):
+        SolverConfig(N=9, gap_floor=0.0)
+
+
 def test_energy_quad_oracle(problem):
     t = np.array([0.0, 0.3, 0.7, 1.0])
     theta = np.array([1.0, -0.5, 0.25])
@@ -316,8 +340,9 @@ def test_vectorized_kernels_equal_loops_bit_for_bit(problem, rng):
 
 def test_free_knot_solve_unchanged_by_vectorization(problem, monkeypatch):
     state = solve_algorithm1(problem, SolverConfig(N=23))
-    monkeypatch.setattr(G, "grad_knots", _grad_knots_loop)
-    monkeypatch.setattr(G, "solve_fem_on_grid", _solve_fem_on_grid_loop)
+    # The solver calls the kernels behind the public knot checks.
+    monkeypatch.setattr(G.grad_knots, "unchecked", _grad_knots_loop)
+    monkeypatch.setattr(G.solve_fem_on_grid, "unchecked", _solve_fem_on_grid_loop)
     ref = solve_algorithm1(problem, SolverConfig(N=23))
     assert np.array_equal(state.t, ref.t)
     assert np.array_equal(state.theta, ref.theta)
