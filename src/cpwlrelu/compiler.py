@@ -974,6 +974,9 @@ def compile_fem_shallow(
     the size bound is combinatorial in the valences.
 
     Raises:
+        ExpansionOverflow: If a used vertex's valence exceeds
+            ``MAX_PIECES_SHALLOW`` (its hat is a max-min over that many
+            pieces); every used vertex is checked before any expansion.
         NotLocallyConvex: If a used vertex has a non-convex star.
     """
     rng = rng or np.random.default_rng(12345)
@@ -981,6 +984,13 @@ def compile_fem_shallow(
     if coeffs.shape != (mesh.num_vertices,):
         raise ValueError("need one coefficient per mesh vertex")
     used = [i for i in range(mesh.num_vertices) if coeffs[i] != 0.0]
+    for i in used:
+        n = len(mesh.vertex_to_simplices[i])
+        if n > MAX_PIECES_SHALLOW:
+            raise ExpansionOverflow(
+                f"vertex {i} has valence {n}: its hat's {n} star pieces exceed "
+                f"the expansion cap {MAX_PIECES_SHALLOW}"
+            )
     kh = compute_kh(mesh)
     d = mesh.dim
     pts = sample_points(mesh, 128, rng)

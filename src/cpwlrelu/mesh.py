@@ -12,11 +12,14 @@ coordinate ``<= BARY_TOL``.  A linear program decides only the pairs that
 no facet separates; on a conforming mesh these occur only for d >= 3,
 where two elements can be separated along a pair of edges.
 
-The module also provides the local objects the network compiler consumes:
-the star of a vertex (its incident simplices together with the affine
-function that matches the nodal hat function on each of them), a local
-convexity test for stars, volume-weighted uniform sampling, and the mesh
-quality numbers (maximum vertex valence, shape regularity).
+``build_mesh`` computes the mesh's tables once, and the local objects the
+network compiler consumes read them: the facet table (``neighbors[k, j]``
+is the element across the facet opposite local vertex ``j`` of element
+``k``, or -1 on the boundary) gives the boundary and the convexity test of
+a vertex star, and row ``j`` of ``bary_inverse[k]`` is the affine of vertex
+``j``'s hat function on element ``k``.  The module also provides the mesh
+quality numbers (maximum vertex valence, shape regularity) and
+volume-weighted uniform sampling.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ logger = logging.getLogger(__name__)
 BARY_TOL = 1e-10
 #: Non-degeneracy threshold on the homogeneous vertex-matrix determinant.
 DEGENERACY_TOL = 1e-12
-#: Residual bound for the local affine interpolation solves.
+#: Residual bound for the hat affines at their element's vertices.
 INTERP_RESIDUAL_TOL = 1e-12
 
 MESH_SCHEMA_VERSION = "1"
@@ -58,8 +60,13 @@ class SimplicialMesh:
             (vertices of facets belonging to exactly one element).
         bary_inverse: Stacked inverses of the homogeneous vertex matrices,
             shape ``(m, d+1, d+1)``; barycentric coordinates of ``x`` in
-            element ``k`` are ``bary_inverse[k] @ [x, 1]``.
+            element ``k`` are ``bary_inverse[k] @ [x, 1]``, so row ``j`` of
+            ``bary_inverse[k]`` is ``[gradient, offset]`` of ``lam_j`` on
+            ``k``.
         volumes: Element volumes, shape ``(m,)``.
+        neighbors: The element across the facet opposite local vertex ``j``
+            of element ``k``, or -1 where that facet is on the boundary,
+            shape ``(m, d+1)``.  Derived by :func:`build_mesh`.
         vertex_to_simplices: For each vertex, the sorted indices of elements
             containing it.
     """
@@ -70,6 +77,7 @@ class SimplicialMesh:
     boundary_vertices: NDArray[np.int64]
     bary_inverse: NDArray[np.float64]
     volumes: NDArray[np.float64]
+    neighbors: NDArray[np.int64]
     vertex_to_simplices: list[tuple[int, ...]] = field(repr=False)
 
     @property
@@ -120,10 +128,14 @@ class VertexStar:
 # ---------------------------------------------------------------------------
 
 
-def _facets(simplex: NDArray[np.int64]) -> list[frozenset[int]]:
-    """All (d-1)-faces of a simplex, as frozensets of vertex indices."""
-    verts = [int(v) for v in simplex]
-    return [frozenset(verts[:i] + verts[i + 1 :]) for i in range(len(verts))]
+def _row_groups(rows: NDArray[np.int64]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """Each row's group of equal rows, and the group sizes: the inverse and
+    the counts of ``np.unique(rows, axis=0)``, from one ``lexsort``."""
+    order = np.lexsort(rows.T)
+    s = rows[order]
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(np.r_[True, np.any(s[1:] != s[:-1], axis=1)]) - 1
+    return group, np.bincount(group)
 
 
 def _check_no_interior_overlap(mesh: SimplicialMesh, k1: int, k2: int) -> None:
@@ -231,9 +243,10 @@ def build_mesh(
         raise ValueError(f"elements of a {d}-dimensional mesh need {d + 1} vertices")
     if simplices.min() < 0 or simplices.max() >= n:
         raise NonConforming("element refers to a vertex index out of range")
-    for k in range(m):
-        if len(set(int(v) for v in simplices[k])) != d + 1:
-            raise NonConforming(f"element {k} repeats a vertex")
+    ordered = np.sort(simplices, axis=1)
+    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if repeats.size:
+        raise NonConforming(f"element {repeats[0]} repeats a vertex")
 
     # Homogeneous vertex matrices (columns are vertices), their inverses and volumes.
     A = np.concatenate([vertices[simplices].transpose(0, 2, 1), np.ones((m, 1, d + 1))], axis=1)
@@ -246,35 +259,35 @@ def build_mesh(
     bary_inverse = np.linalg.inv(A)
     volumes = det / math.factorial(d)
 
-    keys = [frozenset(int(v) for v in simplices[k]) for k in range(m)]
-    if len(set(keys)) != m:
+    if len(_row_groups(ordered)[1]) != m:
         raise NonConforming("duplicate elements")
 
-    # Boundary vertices from facets used by exactly one element.
-    facet_count = Counter(f for k in range(m) for f in _facets(simplices[k]))
-    if any(cnt > 2 for cnt in facet_count.values()):
+    # The facet table: slot (k, j) holds the sorted facet opposite local vertex j.
+    others = np.nonzero(~np.eye(d + 1, dtype=bool))[1].reshape(d + 1, d)
+    facets = np.sort(simplices[:, others], axis=2).reshape(m * (d + 1), d)
+    facet_id, count = _row_groups(facets)
+    if count.max() > 2:
         raise NonConforming("a facet is shared by more than two elements")
-    boundary: set[int] = set()
-    for f, cnt in facet_count.items():
-        if cnt == 1:
-            boundary |= f
+    shared = count[facet_id] == 2
+    owner = np.repeat(np.arange(m), d + 1)
+    owners_sum = np.bincount(facet_id, weights=owner).astype(np.int64)
+    neighbors = np.where(shared, owners_sum[facet_id] - owner, -1)
 
-    v2s: list[list[int]] = [[] for _ in range(n)]
-    for k in range(m):
-        for v in simplices[k]:
-            v2s[int(v)].append(k)
-    vertex_to_simplices = [tuple(sorted(s)) for s in v2s]
-    if any(not s for s in vertex_to_simplices):
+    valence = np.bincount(simplices.ravel(), minlength=n)
+    if np.any(valence == 0):
         raise NonConforming("mesh has an unused vertex")
+    by_vertex = np.argsort(simplices.ravel(), kind="stable") // (d + 1)
+    splits = np.split(by_vertex, np.cumsum(valence)[:-1])
 
     mesh = SimplicialMesh(
         dim=d,
         vertices=vertices,
         simplices=simplices,
-        boundary_vertices=np.array(sorted(boundary), dtype=np.int64),
+        boundary_vertices=np.unique(facets[~shared]),
         bary_inverse=bary_inverse,
         volumes=volumes,
-        vertex_to_simplices=vertex_to_simplices,
+        neighbors=neighbors.reshape(m, d + 1),
+        vertex_to_simplices=[tuple(s.tolist()) for s in splits],
     )
 
     if validate:
@@ -292,27 +305,27 @@ def build_mesh(
 def vertex_star(mesh: SimplicialMesh, i: int) -> VertexStar:
     """Builds the star of vertex ``i`` with its per-element hat affines.
 
-    On each incident element the returned affine function solves the
-    interpolation conditions: value 1 at vertex ``i``, value 0 at the other
-    element vertices.
+    On each incident element ``k`` the hat is the barycentric coordinate of
+    ``i``, so its affine is the row of ``bary_inverse[k]`` at ``i``'s local
+    index: value 1 at vertex ``i``, value 0 at the element's other vertices.
 
     Raises:
-        SingularSystem: If an interpolation solve leaves a residual above
-            tolerance (cannot happen on a non-degenerate element).
+        SingularSystem: If a row misses those values by more than
+            ``INTERP_RESIDUAL_TOL`` (cannot happen on a non-degenerate
+            element).
     """
     incident = mesh.vertex_to_simplices[i]
-    affines = []
-    for k in incident:
-        verts = mesh.simplices[k]
-        M = np.hstack([mesh.vertices[verts], np.ones((mesh.dim + 1, 1))])
-        rhs = (verts == i).astype(float)
-        coef = np.linalg.solve(M, rhs)
-        resid = float(np.max(np.abs(M @ coef - rhs)))
-        if resid > INTERP_RESIDUAL_TOL:
-            raise SingularSystem(
-                f"interpolation residual {resid:.3e} on element {k} at vertex {i}"
-            )
-        affines.append(AffineFunc(coef[:-1], float(coef[-1])))
+    S = mesh.simplices[list(incident)]
+    at_i = S == i
+    rows = mesh.bary_inverse[list(incident), np.argmax(at_i, axis=1)]
+    hom = np.concatenate([mesh.vertices[S], np.ones(S.shape + (1,))], axis=2)
+    resid = np.abs(np.einsum("kac,kc->ka", hom, rows) - at_i).max(axis=1)
+    if resid.max() > INTERP_RESIDUAL_TOL:
+        c = int(np.argmax(resid))
+        raise SingularSystem(
+            f"interpolation residual {resid[c]:.3e} on element {incident[c]} at vertex {i}"
+        )
+    affines = [AffineFunc(r[:-1], float(r[-1])) for r in rows]
     return VertexStar(center=i, incident=incident, local_affines=affines)
 
 
@@ -320,21 +333,20 @@ def is_locally_convex(mesh: SimplicialMesh, i: int, tol: float = BARY_TOL) -> bo
     """Tests whether the star of vertex ``i`` is a convex set.
 
     The star is star-shaped, so it is convex exactly when every boundary
-    facet of the star (a facet belonging to exactly one incident element)
-    supports it.  The facet opposite local vertex ``j`` of element ``k``
-    supports the star iff every star vertex has barycentric coordinate
-    ``lam_j >= -tol`` in ``k``; ``tol`` is therefore barycentric.
+    facet of the star supports it.  Read from the facet table, the star's
+    boundary facets are the facets opposite ``i`` and the facets with no
+    neighbour (``neighbors == -1``); every other facet of an incident
+    element is shared with another incident element.  The facet opposite
+    local vertex ``j`` of element ``k`` supports the star iff every star
+    vertex has barycentric coordinate ``lam_j >= -tol`` in ``k``; ``tol``
+    is therefore barycentric.
     """
-    incident = mesh.vertex_to_simplices[i]
-    facet_count = Counter(f for k in incident for f in _facets(mesh.simplices[k]))
-    star = np.unique(mesh.simplices[list(incident)])
+    incident = list(mesh.vertex_to_simplices[i])
+    star = np.unique(mesh.simplices[incident])
     hom = np.hstack([mesh.vertices[star], np.ones((star.size, 1))])
-    for k in incident:
-        lam_min = (hom @ mesh.bary_inverse[k].T).min(axis=0)
-        for f, lam_j in zip(_facets(mesh.simplices[k]), lam_min):
-            if facet_count[f] == 1 and lam_j < -tol:
-                return False
-    return True
+    lam_min = np.einsum("kjc,vc->kjv", mesh.bary_inverse[incident], hom).min(axis=2)
+    rim = (mesh.simplices[incident] == i) | (mesh.neighbors[incident] < 0)
+    return not np.any(rim & (lam_min < -tol))
 
 
 def compute_kh(mesh: SimplicialMesh) -> int:
@@ -342,46 +354,22 @@ def compute_kh(mesh: SimplicialMesh) -> int:
     return max(len(s) for s in mesh.vertex_to_simplices)
 
 
-def _circumradius(V: NDArray[np.float64]) -> float:
-    """Circumradius of the simplex with vertex rows ``V`` ((d+1, d))."""
-    v0 = V[0]
-    E = V[1:] - v0  # (d, d)
-    # Solve 2 (v_j - v_0) . x = |v_j|^2 - |v_0|^2 for the circumcenter x.
-    center = np.linalg.solve(2.0 * E, np.sum(V[1:] ** 2, axis=1) - np.sum(v0**2))
-    return float(np.linalg.norm(center - v0))
-
-
-def _facet_measure(P: NDArray[np.float64]) -> float:
-    """(d-1)-volume of the facet with vertex rows ``P`` ((d, d)).
-
-    A single point (d = 1) has measure 1, which makes the inradius formula
-    ``r = d V / sum(facet measures)`` reduce to the half-length in 1D.
-    """
-    q = P.shape[0] - 1
-    if q == 0:
-        return 1.0
-    E = P[1:] - P[0]
-    G = E @ E.T
-    return math.sqrt(max(float(np.linalg.det(G)), 0.0)) / math.factorial(q)
-
-
 def shape_regularity(mesh: SimplicialMesh) -> float:
     """Minimum inradius/circumradius ratio over all elements.
 
-    Inradius is ``d V / sum(facet measures)``; the circumcenter solves the
-    equal-distance linear system.  For 1D meshes both radii equal the
-    half-length, so the result is exactly 1.0.
+    The inradius is ``1 / sum_j |grad lam_j|``, read from ``bary_inverse``
+    (``|grad lam_j|`` is the inverse height over facet ``j``); the
+    circumcenter solves the equal-distance linear system.  For 1D meshes
+    both radii equal the half-length, so the result is exactly 1.0.
     """
-    best = np.inf
-    for k in range(mesh.num_simplices):
-        V = mesh.vertices[mesh.simplices[k]]
-        facets_sum = sum(
-            _facet_measure(np.delete(V, j, axis=0)) for j in range(mesh.dim + 1)
-        )
-        r = mesh.dim * mesh.volumes[k] / facets_sum
-        R = _circumradius(V)
-        best = min(best, r / R)
-    return float(best)
+    d = mesh.dim
+    r = 1.0 / np.linalg.norm(mesh.bary_inverse[:, :, :d], axis=2).sum(axis=1)
+    V = mesh.vertices[mesh.simplices]
+    # Solve 2 (v_j - v_0) . x = |v_j|^2 - |v_0|^2 for the circumcenter x.
+    sq = np.sum(V**2, axis=2)
+    center = np.linalg.solve(2.0 * (V[:, 1:] - V[:, :1]), (sq[:, 1:] - sq[:, :1])[..., None])
+    R = np.linalg.norm(center[..., 0] - V[:, 0], axis=1)
+    return float(np.min(r / R))
 
 
 # ---------------------------------------------------------------------------

@@ -97,24 +97,25 @@ def delaunay_rim_mesh(n: int, seed: int) -> SimplicialMesh:
     raise RuntimeError(f"no locally convex rim mesh found for n={n}, seed={seed}")
 
 
-def kuhn_cube_mesh() -> SimplicialMesh:
-    """The unit cube split into 6 tetrahedra sharing the main diagonal."""
-    verts = np.array(
-        [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float
-    )
+def kuhn_cube_mesh(k: int = 1) -> SimplicialMesh:
+    """``k^3`` cubes of the unit cube, each split into the 6 Kuhn tetrahedra
+    that share its main diagonal (one cube by default)."""
+    n = k + 1
+    g = np.linspace(0.0, 1.0, n)
+    verts = np.array([[x, y, z] for x in g for y in g for z in g])
 
     def idx(p):
-        return 4 * p[0] + 2 * p[1] + p[2]
+        return (p[0] * n + p[1]) * n + p[2]
 
     tets = []
-    for perm in itertools.permutations(range(3)):
-        p = np.zeros(3, dtype=int)
-        path = [idx(p)]
-        for axis in perm:
-            p = p.copy()
-            p[axis] = 1
-            path.append(idx(p))
-        tets.append(path)
+    for corner in itertools.product(range(k), repeat=3):
+        for perm in itertools.permutations(range(3)):
+            p = list(corner)
+            path = [idx(p)]
+            for axis in perm:
+                p[axis] += 1
+                path.append(idx(p))
+            tets.append(path)
     return build_mesh(verts, np.array(tets))
 
 

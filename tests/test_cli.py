@@ -36,7 +36,7 @@ from cpwlrelu.relu_net import (
     save_network,
 )
 
-from helpers import crisscross_mesh, square_two_triangles
+from helpers import crisscross_mesh, kuhn_cube_mesh, square_two_triangles
 
 
 @pytest.fixture()
@@ -232,6 +232,18 @@ def test_compile_rejects_ragged_simplices(tmp_path, mesh_file, coeff_file, capsy
     err = capsys.readouterr().err
     assert rc == 1
     assert "ragged mesh 'simplices': row 1" in err and "Traceback" not in err
+
+
+def test_compile_fem_shallow_over_the_valence_cap_is_an_error(tmp_path, capsys):
+    mesh = kuhn_cube_mesh(2)
+    mpath, cpath = tmp_path / "kuhn.json", tmp_path / "c.json"
+    mpath.write_text(json.dumps(mesh_to_dict(mesh)))
+    cpath.write_text(json.dumps(np.random.default_rng(0).normal(size=mesh.num_vertices).tolist()))
+    rc = _cli_main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(cpath),
+                    "--pathway", "shallow", "-o", str(tmp_path / "n.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: vertex 4 has valence 12" in err and "Traceback" not in err
 
 
 def test_verify_rejects_zero_samples(tmp_path, mesh_file, coeff_file, capsys):

@@ -599,12 +599,12 @@ def test_shallow_cpwl_networks_pinned(name, seed):
 # NetBuilder) and for the deep networks of the 8x8 criss-cross grid and the
 # Kuhn cube, with standard normal coefficients of seed 0.
 _PINNED_BUILDER_NETS = {
-    "fem-deep": "084712ec8b6f3eac34ec422d4402eb58bc85508e5b02fe1f41097dbecc3ec557",
-    "fem-shallow": "34bd0215ae8282d2c43dcc142ed15f584907005cc1cd358cd48673825a2e67a9",
+    "fem-deep": "667ede5061fd715f5685c98f8ea5b16f4780d2b84ccf6786e8c09e1829f3c580",
+    "fem-shallow": "34e8247a3580e5dd13acc0b0f2ee5373d9be118cc038613c43d2d3c04ed60c39",
     "cpwl-shallow": "9f472eae58b7f3e1ea264db862758f6ba8b7dbe466068cd9f8ee72e374622a32",
     "lattice-shallow": "03bc2dfe1ad2490940b4bc5e42c353d984cbb575b9e0a96b20c9011e03bf1321",
     "max-of-m": "4bfd70d87dd285f99a16bd8e9ae11d7f749151108a79069ac484b8107f61ddeb",
-    "crisscross-8x8-deep": "df0d20d2b171fd60ebdd91bc271eb84e5d4929aded72ed5f13e1bf95741c7f84",
+    "crisscross-8x8-deep": "b7df11503afb696050728f1ce3ae098ab39efdfaa70867fc61f851ebb70ebb60",
     "kuhn-cube-deep": "b201d58efe412e2187e843962538ceb73951eb009ceee1107b1fbbb1ffab84ce",
 }
 
@@ -626,6 +626,30 @@ def test_shallow_piece_cap(rng):
     f = random_max_affine(2, C.MAX_PIECES_SHALLOW + 1, rng)
     with pytest.raises(ExpansionOverflow):
         compile_cpwl_shallow(f, rng)
+
+
+def test_fem_shallow_valence_cap(monkeypatch):
+    """A hat over ``n`` star elements is a max-min over ``n`` pieces, so the
+    shallow FE pathway refuses a used vertex whose valence exceeds the piece
+    cap, before expanding any hat: the Kuhn 2^3 centre (valence 24) would
+    expand into 2^24 - 1 terms."""
+    mesh = kuhn_cube_mesh(2)
+    coeffs = np.random.default_rng(0).normal(size=mesh.num_vertices)
+
+    def refuse(clauses):
+        pytest.fail("a hat was expanded before every vertex was checked")
+
+    monkeypatch.setattr(C, "_expand_lattice_terms", refuse)
+    with pytest.raises(
+        ExpansionOverflow,
+        match=rf"^vertex 4 has valence 12: .* the expansion cap {C.MAX_PIECES_SHALLOW}$",
+    ):
+        compile_fem_shallow(mesh, coeffs)
+    monkeypatch.undo()
+    # The cap reads only the used vertices: vertex 0 (valence 6) alone compiles.
+    net, _ = compile_fem_shallow(mesh, unit(mesh, 0))
+    X = sample_points(mesh, 500, np.random.default_rng(1))
+    assert np.max(np.abs(eval_network(net, X) - interpolate(mesh, unit(mesh, 0), X))) < 1e-9
 
 
 def test_lattice_clause_width_cap(rng):

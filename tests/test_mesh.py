@@ -197,6 +197,24 @@ def test_boundary_vertices_oracle():
     assert set(cc.boundary_vertices) == set(range(9)) - inner
 
 
+def test_facet_table_oracle(mesh_corpus):
+    """``neighbors[k, j]`` is the other element holding the facet opposite
+    local vertex ``j`` of element ``k``, or -1 when no element does; the
+    boundary vertices are the vertices of the -1 facets."""
+    for name, mesh in mesh_corpus:
+        sets = [set(s) for s in mesh.simplices.tolist()]
+        assert mesh.neighbors.shape == mesh.simplices.shape, name
+        rim = set()
+        for k, simplex in enumerate(mesh.simplices.tolist()):
+            for j, v in enumerate(simplex):
+                facet = sets[k] - {v}
+                holders = [l for l, s in enumerate(sets) if l != k and facet <= s]
+                assert mesh.neighbors[k, j] == (holders[0] if holders else -1), (name, k, j)
+                if not holders:
+                    rim |= facet
+        assert set(mesh.boundary_vertices.tolist()) == rim, name
+
+
 def test_volumes_oracle():
     mesh = square_two_triangles()
     assert np.allclose(mesh.volumes, 0.5)
@@ -221,6 +239,12 @@ def test_shape_regularity_known_values():
         np.array([[0, 1, 2]]),
     )
     assert shape_regularity(eq) == pytest.approx(0.5, rel=1e-12)
+    # Regular tetrahedron: r/R = 1/3.
+    tet = build_mesh(
+        np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]),
+        np.array([[0, 1, 2, 3]]),
+    )
+    assert shape_regularity(tet) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_kh_oracle(mesh_corpus):
@@ -308,6 +332,18 @@ def test_locally_convex_negative_case():
     mesh = build_mesh(verts, simp)
     assert not is_locally_convex(mesh, 0)
     assert is_locally_convex(mesh, 1)
+    # An interior vertex whose link polygon has a reflex corner at (0, 0.2),
+    # below the chord of its neighbours: the star of 0 is a dart.  Element
+    # [1, 2, 3] fills the notch, so the two facets that fail to support the
+    # star are interior facets of the mesh.
+    verts = np.array(
+        [[0.0, 0.0], [1.0, 0.5], [0.0, 0.2], [-1.0, 0.5], [0.0, -1.0]]
+    )
+    simp = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [1, 2, 3]])
+    mesh = build_mesh(verts, simp)
+    assert list(mesh.interior_vertices) == [0, 2]
+    assert not is_locally_convex(mesh, 0)
+    assert is_locally_convex(mesh, 2)
 
 
 def test_corpus_is_locally_convex(mesh_corpus):
