@@ -52,7 +52,6 @@ from .cpwl import (
     AffineFunc,
     CpwlPieces,
     LatticeForm,
-    _piece_values,
     eval_lattice,
     lattice_from_convex_regions,
     lattice_from_unique_order,
@@ -66,6 +65,7 @@ from .errors import (
     ExpansionOverflow,
     NotLocallyConvex,
     NumericalDependenceAmbiguous,
+    RewriteCheckFailed,
 )
 from .mesh import (
     SimplicialMesh,
@@ -278,17 +278,16 @@ def _balanced(kind: str, nodes: list[_Node]) -> _Node:
 
 
 def _affine_leaves(
-    leaves: dict[bytes, _Node], affs: list[AffineFunc], scale: float = 1.0
+    leaves: dict[bytes, _Node], rows: NDArray[np.float64], scale: float = 1.0
 ) -> list[_Node]:
-    """The leaf nodes of the rows ``[scale * gradient, scale * offset]``.
+    """The leaf nodes of the ``[gradient, offset]`` rows of ``scale * rows``.
 
     ``leaves`` maps each row's exact bytes to its leaf, which reads the row
     as level-0 channel ``len(leaves)`` at its first use; a repeated row gets
     the leaf of its first use.
     """
     nodes = []
-    for a in affs:
-        row = np.append(scale * a.gradient, scale * a.offset)
+    for row in scale * rows:
         key = row.tobytes()
         if key not in leaves:
             leaves[key] = _Node("leaf", ch=ChannelRef(0, len(leaves)))
@@ -398,9 +397,9 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
 # ---------------------------------------------------------------------------
 
 
-def _star_affines(mesh: SimplicialMesh, vertex: int) -> list[AffineFunc]:
+def _star_affines(mesh: SimplicialMesh, vertex: int) -> NDArray[np.float64]:
     """The local affines of a convex vertex star, whose hat is
-    ``max(0, min_k g_k)``.
+    ``max(0, min_k g_k)``, as the star's ``(k, d + 1)`` block of rows.
 
     Raises:
         NotLocallyConvex: If the star is not convex.
@@ -410,7 +409,7 @@ def _star_affines(mesh: SimplicialMesh, vertex: int) -> list[AffineFunc]:
             f"the star of vertex {vertex} is not convex; its hat function is "
             "not the max-min form of its local affines"
         )
-    return vertex_star(mesh, vertex).local_affines
+    return vertex_star(mesh, vertex).affine_rows
 
 
 def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
@@ -510,21 +509,23 @@ def _expand_lattice_terms(clauses: list[tuple[int, ...]]) -> dict[frozenset, int
 class _Term:
     """One signed max term, possibly with a dependent extra argument.
 
-    Value: ``sign * max({c0} U affs U {dep})`` where the dependent argument
-    is ``sum_j alphas[j] * affs[j] + alpha0`` (absent when ``alphas`` is
-    None).  ``c0 = None`` means no constant argument.
+    Value: ``sign * max({c0} U rows U {dep})`` over the affine arguments
+    whose ``[gradient, offset]`` rows form the ``(w, d + 1)`` block ``rows``;
+    the dependent argument is ``sum_j alphas[j] * rows[j] + alpha0`` (absent
+    when ``alphas`` is None).  ``c0 = None`` means no constant argument.
+    Terms share blocks, so a rewrite writes only to copies.
     """
 
     sign: int
     c0: float | None
-    affs: list[AffineFunc]
+    rows: NDArray[np.float64]
     alphas: NDArray[np.float64] | None = None
     alpha0: float = 0.0
 
     @property
     def width(self) -> int:
         """Arguments besides the dependent one, the constant included."""
-        return len(self.affs) + (self.c0 is not None)
+        return len(self.rows) + (self.c0 is not None)
 
 
 def _term_value(t: _Term, X: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -535,11 +536,10 @@ def _term_value(t: _Term, X: NDArray[np.float64]) -> NDArray[np.float64]:
     runs down the columns, which is faster than along short rows.
     """
     X = np.atleast_2d(X)
-    L = len(t.affs)
+    L = len(t.rows)
     V = np.empty((L + (t.alphas is not None) + (t.c0 is not None), X.shape[0]))
-    if L:
-        np.matmul(np.array([a.gradient for a in t.affs]), X.T, out=V[:L])
-        V[:L] += np.array([a.offset for a in t.affs])[:, None]
+    np.matmul(t.rows[:, :-1], X.T, out=V[:L])
+    V[:L] += t.rows[:, -1:]
     if t.alphas is not None:
         V[L] = t.alphas @ V[:L] + t.alpha0
     if t.c0 is not None:
@@ -548,11 +548,11 @@ def _term_value(t: _Term, X: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _check_rewrite(before: NDArray, after: NDArray, what: str) -> None:
-    """Raises AssertionError unless ``|after - before| <= REWRITE_TOL *
+    """Raises RewriteCheckFailed unless ``|after - before| <= REWRITE_TOL *
     max(1, max|before|)`` at every point."""
     scale = max(1.0, float(np.max(np.abs(before))))
     if np.max(np.abs(before - after)) > REWRITE_TOL * scale:
-        raise AssertionError(f"{what} failed numerical check")
+        raise RewriteCheckFailed(f"{what} failed numerical check")
 
 
 def _audit_rewrite(
@@ -589,9 +589,10 @@ def _resolve_dependent(
     alphas, a0 = t.alphas, t.alpha0
     assert alphas is not None
     J = [j for j in range(len(alphas)) if abs(alphas[j]) > 1e-12]
+    rows = t.rows
     if not J:
         c0 = a0 if t.c0 is None else max(t.c0, a0)
-        result = _Term(t.sign, c0, list(t.affs))
+        result = _Term(t.sign, c0, rows)
         (rv,) = _audit_rewrite(value, [result], pts, "constant-merge")
         out.append((result, rv))
         return
@@ -599,29 +600,27 @@ def _resolve_dependent(
     if len(J) == 1 and len(ones) == 1:
         j = J[0]
         if a0 > 0:
-            affs = list(t.affs)
-            affs[j] = AffineFunc(affs[j].gradient, affs[j].offset + a0)
-            result = _Term(t.sign, t.c0, affs)
+            shifted = rows.copy()
+            shifted[j, -1] += a0
+            result = _Term(t.sign, t.c0, shifted)
         else:
-            result = _Term(t.sign, t.c0, list(t.affs))
+            result = _Term(t.sign, t.c0, rows)
         (rv,) = _audit_rewrite(value, [result], pts, "domination")
         out.append((result, rv))
         return
+    zero = np.zeros(rows.shape[1])
     if len(ones) == len(J):
         # All unit coefficients: re-root the dependency on a new member
         # l_eta' = sum_{j in J} l_j + a0, expressing the old member through
         # it with coefficients {+1, -1...} so the next step can pivot.
         eta = J[-1]
-        grad = sum((t.affs[j].gradient for j in J), np.zeros_like(t.affs[0].gradient))
-        off = sum(t.affs[j].offset for j in J) + a0
-        affs = list(t.affs)
-        old = affs[eta]
-        affs[eta] = AffineFunc(grad, off)
-        alphas2 = np.zeros(len(affs))
+        rerooted = rows.copy()
+        rerooted[eta] = sum((rows[j] for j in J), zero)
+        rerooted[eta, -1] += a0
+        alphas2 = np.zeros(len(rows))
+        alphas2[J[:-1]] = -1.0
         alphas2[eta] = 1.0
-        for j in J[:-1]:
-            alphas2[j] = -1.0
-        t2 = _Term(t.sign, t.c0, affs, alphas2, -a0)
+        t2 = _Term(t.sign, t.c0, rerooted, alphas2, -a0)
         (v2,) = _audit_rewrite(value, [t2], pts, "re-rooting")
         _resolve_dependent(t2, v2, pts, out)
         return
@@ -630,35 +629,27 @@ def _resolve_dependent(
     alpha = float(alphas[eta])
     abar = 1.0 / (1.0 - alpha)
     rest = [j for j in J if j != eta]
-    h_grad = sum(
-        (alphas[j] * t.affs[j].gradient for j in rest),
-        np.zeros_like(t.affs[0].gradient),
-    )
-    h_off = sum(alphas[j] * t.affs[j].offset for j in rest) + a0
+    h = sum((alphas[j] * rows[j] for j in rest), zero)
+    h[-1] += a0
     # Dependent for branches A and B: abar * h over the unchanged indices.
-    alphas_h = np.zeros(len(t.affs))
-    for j in rest:
-        alphas_h[j] = abar * alphas[j]
+    alphas_h = np.zeros(len(rows))
+    alphas_h[rest] = abar * alphas[rest]
     const_h = abar * a0
-    gprime = AffineFunc(
-        alpha * t.affs[eta].gradient + h_grad, alpha * t.affs[eta].offset + h_off
-    )
+    rows_b = rows.copy()
+    rows_b[eta] = alpha * rows[eta] + h
     if alpha > 1.0:
         signs = (-1, 1, 1)
-        affs_c = list(t.affs)  # median is the member itself
+        rows_c = rows  # median is the member itself
     elif 0.0 < alpha < 1.0:
         signs = (1, -1, 1)
-        affs_c = list(t.affs)
-        affs_c[eta] = gprime
+        rows_c = rows_b
     else:
         signs = (1, 1, -1)
-        affs_c = list(t.affs)
-        affs_c[eta] = AffineFunc(abar * h_grad, abar * h_off)
-    branch_a = _Term(t.sign * signs[0], t.c0, list(t.affs), alphas_h.copy(), const_h)
-    affs_b = list(t.affs)
-    affs_b[eta] = gprime
-    branch_b = _Term(t.sign * signs[1], t.c0, affs_b, alphas_h.copy(), const_h)
-    branch_c = _Term(t.sign * signs[2], t.c0, affs_c)
+        rows_c = rows.copy()
+        rows_c[eta] = abar * h
+    branch_a = _Term(t.sign * signs[0], t.c0, rows, alphas_h.copy(), const_h)
+    branch_b = _Term(t.sign * signs[1], t.c0, rows_b, alphas_h.copy(), const_h)
+    branch_c = _Term(t.sign * signs[2], t.c0, rows_c)
     va, vb, vc = _audit_rewrite(
         value, [branch_a, branch_b, branch_c], pts, f"three-term (alpha={alpha:.6g})"
     )
@@ -668,7 +659,7 @@ def _resolve_dependent(
 
 
 def _find_dependency(
-    affs: list[AffineFunc], d: int
+    rows: NDArray[np.float64], d: int
 ) -> tuple[int, NDArray[np.float64], float]:
     """Finds one argument affinely expressible through at most ``d`` others.
 
@@ -686,11 +677,10 @@ def _find_dependency(
         NumericalDependenceAmbiguous: On an ambiguous fit or when no clean
             dependency is found.
     """
-    L = len(affs)
+    L = len(rows)
     # Column j < L is [gradient_j; offset_j]; column L is the constant [0; 1].
     A = np.zeros((d + 1, L + 1))
-    A[:d, :L] = np.array([a.gradient for a in affs]).T
-    A[d, :L] = [a.offset for a in affs]
+    A[:, :L] = rows.T
     A[d, L] = 1.0
     for tgt in range(L - 1, -1, -1):
         others = [j for j in range(L) if j != tgt]
@@ -719,14 +709,15 @@ def _find_dependency(
 def reduce_term_width(
     sign: int,
     c0: float | None,
-    affs: list[AffineFunc],
+    rows: NDArray[np.float64],
     max_args: int,
     pts: NDArray[np.float64],
 ) -> list[_Term]:
     """Rewrites one max term into terms with at most ``max_args`` arguments.
 
-    The constant (when present) counts as an argument.  Each elimination
-    step removes one affine argument by expressing it through at most ``d``
+    The term is ``sign * max({c0} U rows)`` (see :class:`_Term`); ``rows``
+    is read, never written.  The constant (when present) counts as an
+    argument.  Each elimination step removes one affine argument by expressing it through at most ``d``
     others plus a constant, then resolving the resulting dependent argument
     exactly.  The rewritten sum is numerically re-verified against the
     original at ``pts``.
@@ -734,8 +725,8 @@ def reduce_term_width(
     Returns:
         Pure terms (no dependents) whose signed sum equals the input term.
     """
-    d = affs[0].dim if affs else 0
-    first = _Term(sign, c0, list(affs))
+    d = rows.shape[1] - 1
+    first = _Term(sign, c0, rows)
     if first.width <= max_args:
         return [first]
     # Each queued term travels with its value at ``pts``, computed once.
@@ -746,9 +737,8 @@ def reduce_term_width(
         if t.width <= max_args:
             done.append(t)
             continue
-        tgt, alphas, a0 = _find_dependency(t.affs, d)
-        reduced_affs = [a for j, a in enumerate(t.affs) if j != tgt]
-        twd = _Term(t.sign, t.c0, reduced_affs, alphas, a0)
+        tgt, alphas, a0 = _find_dependency(t.rows, d)
+        twd = _Term(t.sign, t.c0, np.delete(t.rows, tgt, axis=0), alphas, a0)
         pieces: list[tuple[_Term, NDArray]] = []
         _resolve_dependent(twd, _term_value(twd, pts), pts, pieces)
         if len(pieces) > 2 ** (d + 1) - 1:
@@ -764,31 +754,27 @@ def reduce_term_width(
 # --- pure terms to networks ------------------------------------------------
 
 
-def _affine_key(a: AffineFunc) -> tuple:
-    return tuple(np.round(a.gradient, 12)) + (round(a.offset, 12),)
-
-
 def _merge_pure_terms(
     weighted: list[tuple[int, _Term]]
-) -> list[tuple[int, float | None, list[AffineFunc]]]:
-    """Merges identical pure terms, returning (net weight, c0, affs) triples."""
+) -> list[tuple[int, float | None, NDArray[np.float64]]]:
+    """Merges identical pure terms, returning (net weight, c0, rows) triples."""
     acc: dict[tuple, list] = {}
     for w, t in weighted:
         key = (
             None if t.c0 is None else round(t.c0, 12),
-            tuple(sorted(_affine_key(a) for a in t.affs)),
+            tuple(sorted(map(tuple, np.round(t.rows, 12)))),
         )
         if key in acc:
             acc[key][0] += w * t.sign
         else:
-            acc[key] = [w * t.sign, t.c0, list(t.affs)]
-    return [(w, c0, affs) for w, c0, affs in acc.values() if w != 0]
+            acc[key] = [w * t.sign, t.c0, t.rows]
+    return [(w, c0, rows) for w, c0, rows in acc.values() if w != 0]
 
 
 def _terms_net(
-    merged: list[tuple[int, float | None, list[AffineFunc]]], dim: int
+    merged: list[tuple[int, float | None, NDArray[np.float64]]], dim: int
 ) -> ReluNetwork:
-    """One network for ``sum w * max({c0} U affs)`` over the merged terms.
+    """One network for ``sum w * max({c0} U rows)`` over the merged terms.
 
     Each term is one balanced max tree in a shared builder.  Its integer
     weight folds into the first layer (``k max(S) = max(k S)`` for
@@ -797,15 +783,21 @@ def _terms_net(
     """
     leaves: dict[bytes, _Node] = {}
     trees = []
-    for w, c0, affs in merged:
+    for w, c0, rows in merged:
         zero = [_ZERO] if c0 == 0.0 else []
-        consts = [] if c0 is None or zero else [AffineFunc(np.zeros(dim), c0)]
-        trees.append(_balanced("max", zero + _affine_leaves(leaves, consts + affs, abs(w))))
+        if c0 is not None and not zero:
+            rows = np.vstack([np.append(np.zeros(dim), c0), rows])
+        trees.append(_balanced("max", zero + _affine_leaves(leaves, rows, abs(w))))
     signs = [1.0 if w > 0 else -1.0 for w, _, _ in merged]
     return _emit_trees(dim, leaves, trees, signs)
 
 
 # --- shallow compile entry points ------------------------------------------
+
+
+def _piece_rows(pieces: list[AffineFunc]) -> NDArray[np.float64]:
+    """The ``(m, d + 1)`` block of rows ``[gradient, offset]`` of ``pieces``."""
+    return np.array([np.append(p.gradient, p.offset) for p in pieces])
 
 
 def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]:
@@ -827,11 +819,9 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
                 f"clause {k} has {len(s)} members, above d+1 = {d + 1}; "
                 "rewrite the form first (compile_cpwl_shallow does this)"
             )
+    P = _piece_rows(lat.pieces)
     leaves: dict[bytes, _Node] = {}
-    clauses = [
-        _balanced("min", _affine_leaves(leaves, [lat.pieces[i] for i in s]))
-        for s in lat.clauses
-    ]
+    clauses = [_balanced("min", _affine_leaves(leaves, P[list(s)])) for s in lat.clauses]
     depth = max(c.depth for c in clauses)
     if depth > ceil_log2(d + 1):
         raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
@@ -899,16 +889,15 @@ def compile_cpwl_shallow(
     pts = f.sample_domain(64, rng)
     state = _expand_lattice_terms(lat.clauses)
     # Sanity: the expansion must reproduce the lattice form exactly.
-    piece_vals = _piece_values(lat.pieces, pts)
+    P = _piece_rows(lat.pieces)
+    piece_vals = pts @ P[:, :-1].T + P[:, -1]
     acc = np.zeros(pts.shape[0])
     for S, w in state.items():
         acc += w * piece_vals[:, sorted(S)].max(axis=1)
     _check_rewrite(eval_lattice(lat, pts), acc, "internal error: lattice expansion")
     weighted: list[tuple[int, _Term]] = []
     for S, w in sorted(state.items(), key=lambda kv: sorted(kv[0])):
-        pures = reduce_term_width(
-            1, None, [lat.pieces[i] for i in sorted(S)], d + 1, pts
-        )
+        pures = reduce_term_width(1, None, P[sorted(S)], d + 1, pts)
         weighted.extend((w, t) for t in pures)
     merged = _merge_pure_terms(weighted)
     net = _terms_net(merged, d)
@@ -998,9 +987,9 @@ def compile_fem_shallow(
     for i in used:
         sgn = 1 if coeffs[i] > 0 else -1
         k = abs(float(coeffs[i]))
-        gs = [AffineFunc(k * g.gradient, k * g.offset) for g in _star_affines(mesh, i)]
+        gs = k * _star_affines(mesh, i)
         for T, w in _expand_lattice_terms([tuple(range(len(gs)))]).items():
-            pures = reduce_term_width(1, 0.0, [gs[j] for j in sorted(T)], d + 1, pts)
+            pures = reduce_term_width(1, 0.0, gs[sorted(T)], d + 1, pts)
             weighted.extend((sgn * w, t) for t in pures)
     merged = _merge_pure_terms(weighted)
     net = _terms_net(merged, d)

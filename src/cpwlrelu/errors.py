@@ -92,6 +92,11 @@ class NumericalDependenceAmbiguous(CpwlReluError):
     """A least-squares dependency fit falls in the undecidable residual band."""
 
 
+class RewriteCheckFailed(CpwlReluError, AssertionError):
+    """A width rewrite deviates from the term it replaces at the check
+    points (also an AssertionError: the rewrites are exact identities)."""
+
+
 class BoundViolated(CpwlReluError):
     """A compiled network exceeds its predicted size or depth bound."""
 

@@ -33,7 +33,6 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linprog
 
-from .cpwl import AffineFunc
 from .errors import DegenerateSimplex, NonConforming, OutsideDomain, SingularSystem, as_int
 
 logger = logging.getLogger(__name__)
@@ -113,14 +112,15 @@ class VertexStar:
     Attributes:
         center: The vertex index.
         incident: Sorted indices of elements containing the vertex.
-        local_affines: For each incident element, the affine function that
-            equals 1 at the center vertex and 0 at the element's other
-            vertices (parallel lists with ``incident``).
+        affine_rows: ``(len(incident), d + 1)`` block; row ``k`` is
+            ``[gradient, offset]`` of the affine function on element
+            ``incident[k]`` that equals 1 at the center vertex and 0 at the
+            element's other vertices.
     """
 
     center: int
     incident: tuple[int, ...]
-    local_affines: list[AffineFunc]
+    affine_rows: NDArray[np.float64]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +325,7 @@ def vertex_star(mesh: SimplicialMesh, i: int) -> VertexStar:
         raise SingularSystem(
             f"interpolation residual {resid[c]:.3e} on element {incident[c]} at vertex {i}"
         )
-    affines = [AffineFunc(r[:-1], float(r[-1])) for r in rows]
-    return VertexStar(center=i, incident=incident, local_affines=affines)
+    return VertexStar(center=i, incident=incident, affine_rows=rows)
 
 
 def is_locally_convex(mesh: SimplicialMesh, i: int, tol: float = BARY_TOL) -> bool:

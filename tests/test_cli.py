@@ -26,6 +26,7 @@ def main(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
         return _cli_main(argv)
+from cpwlrelu.compiler import MAX_PIECES_SHALLOW
 from cpwlrelu.cpwl import lattice_from_dict, pieces_from_dict
 from cpwlrelu.mesh import mesh_from_dict, mesh_to_dict
 from cpwlrelu.relu_net import (
@@ -244,6 +245,24 @@ def test_compile_fem_shallow_over_the_valence_cap_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "error: vertex 4 has valence 12" in err and "Traceback" not in err
+
+
+def test_compile_fem_shallow_failed_rewrite_check_is_an_error(tmp_path, capsys):
+    """Under the valence cap, Kuhn 2^3 still breaks the width rewrite's
+    numerical check at a valence-8 vertex; the CLI reports it, no traceback."""
+    mesh = kuhn_cube_mesh(2)
+    coeffs = np.random.default_rng(0).normal(size=mesh.num_vertices)
+    valence = np.array([len(s) for s in mesh.vertex_to_simplices])
+    coeffs[valence > MAX_PIECES_SHALLOW] = 0.0
+    mpath, cpath = tmp_path / "kuhn.json", tmp_path / "c.json"
+    mpath.write_text(json.dumps(mesh_to_dict(mesh)))
+    cpath.write_text(json.dumps(coeffs.tolist()))
+    rc = _cli_main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(cpath),
+                    "--pathway", "shallow", "-o", str(tmp_path / "n.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: " in err and "failed numerical check" in err
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_zero_samples(tmp_path, mesh_file, coeff_file, capsys):

@@ -200,7 +200,7 @@ def test_node_size_matches_emitted_network(rng):
                     for _ in range(int(rng.integers(1, 7)))]
             kind = str(rng.choice(["min", "max"]))
             groups.append(C._balanced(
-                kind, _zero_led(kind, C._affine_leaves(leaves, affs), rng)))
+                kind, _zero_led(kind, C._affine_leaves(leaves, C._piece_rows(affs)), rng)))
         kind = str(rng.choice(["min", "max"]))
         root = C._balanced(kind, _zero_led(kind, groups, rng))
         X = rng.uniform(-2, 2, size=(200, d))
@@ -219,8 +219,9 @@ def test_emit_trees_emits_each_distinct_subtree_once(rng):
     root, and ``relu(max(a, b))`` is a root read with both signs."""
     affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
     leaves = {}
-    a, b, c = C._affine_leaves(leaves, affs)
-    (a2,) = C._affine_leaves(leaves, affs[:1])
+    rows = C._piece_rows(affs)
+    a, b, c = C._affine_leaves(leaves, rows)
+    (a2,) = C._affine_leaves(leaves, rows[:1])
     assert a2 is a and len(leaves) == 3
     ab = lambda: C._Node("max", (a, b))
     r1 = C._Node("min", (ab(), c))
@@ -302,11 +303,11 @@ def test_reduce_term_width_postconditions(rng):
         c0 = float(rng.normal()) if rng.random() < 0.5 else None
         pts = rng.uniform(-3, 3, size=(250, d))
         before = C.REWRITE_CHECKS_PASSED
-        out = reduce_term_width(1, c0, affs, d + 1, pts)
+        out = reduce_term_width(1, c0, C._piece_rows(affs), d + 1, pts)
         assert C.REWRITE_CHECKS_PASSED > before  # every step was audited
         for t in out:
             assert t.alphas is None  # pure terms only
-            width = len(t.affs) + (1 if t.c0 is not None else 0)
+            width = len(t.rows) + (1 if t.c0 is not None else 0)
             assert width <= d + 1
         stacked = [a(pts) for a in affs] + ([] if c0 is None else [np.full(len(pts), c0)])
         ref = np.max(np.stack(stacked), axis=0)
@@ -319,7 +320,7 @@ def test_reduce_width_noop_when_narrow(rng):
     d = 2
     affs = [AffineFunc(rng.normal(size=d), 0.0) for _ in range(2)]
     pts = rng.uniform(-1, 1, size=(50, d))
-    out = reduce_term_width(1, None, affs, d + 1, pts)
+    out = reduce_term_width(1, None, C._piece_rows(affs), d + 1, pts)
     assert len(out) == 1 and out[0].alphas is None
 
 
@@ -350,7 +351,7 @@ def test_reduce_term_width_audit_count_is_pinned(monkeypatch):
     pts = rng.uniform(-3, 3, size=(200, 2))
     seen = _record_audits(monkeypatch)
     before = C.REWRITE_CHECKS_PASSED
-    out = reduce_term_width(1, 0.25, affs, 3, pts)
+    out = reduce_term_width(1, 0.25, C._piece_rows(affs), 3, pts)
     assert C.REWRITE_CHECKS_PASSED - before == len(seen) == 164
     assert len(out) == 133
     kinds = [kind for kind, _ in seen]
@@ -363,7 +364,7 @@ def test_audit_rejects_a_wrong_rewrite(rng, monkeypatch):
     # A dependent argument 2.5 a0 + 0.7 a1 - 0.1 takes the three-term pivot;
     # capture that rewrite's branches, then corrupt them.
     affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(2)]
-    t = C._Term(1, 0.3, affs, np.array([2.5, 0.7]), -0.1)
+    t = C._Term(1, 0.3, C._piece_rows(affs), np.array([2.5, 0.7]), -0.1)
     pts = rng.uniform(-3, 3, size=(200, 2))
     value = C._term_value(t, pts)
     seen = _record_audits(monkeypatch)
@@ -375,20 +376,60 @@ def test_audit_rejects_a_wrong_rewrite(rng, monkeypatch):
     audit(value, branches, pts, "three-term")  # the true rewrite passes
 
     a, b, c = branches
-    flipped = C._Term(-a.sign, a.c0, a.affs, a.alphas, a.alpha0)
+    flipped = C._Term(-a.sign, a.c0, a.rows, a.alphas, a.alpha0)
     with pytest.raises(AssertionError):
         audit(value, [flipped, b, c], pts, "sign-flipped")
 
     # Move the offset of the argument of the pure branch that is its max
     # most often, so the move shows at the audit points.
-    winners = np.argmax(np.stack([g(pts) for g in c.affs], axis=1), axis=1)
+    winners = np.argmax(pts @ c.rows[:, :-1].T + c.rows[:, -1], axis=1)
     j = int(np.bincount(winners).argmax())
-    moved_affs = list(c.affs)
-    moved_affs[j] = AffineFunc(c.affs[j].gradient, c.affs[j].offset + 1e-6)
-    moved = C._Term(c.sign, c.c0, moved_affs)
+    moved_rows = c.rows.copy()
+    moved_rows[j, -1] += 1e-6
+    moved = C._Term(c.sign, c.c0, moved_rows)
     assert np.any(C._term_value(moved, pts) != C._term_value(c, pts))
     with pytest.raises(AssertionError):
         audit(value, [a, b, moved], pts, "offset-moved")
+
+
+def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
+    """Terms share row blocks, so a rewrite may change rows only in a copy:
+    the caller's block, each parent term's rows and every audited part's
+    rows keep their bits to the end, and a compile leaves
+    ``mesh.bary_inverse`` as it was."""
+    snapshots, kinds = [], set()
+    audit = C._audit_rewrite
+
+    def snapshot(v, parts, p, what):
+        snapshots.extend((t, t.rows.tobytes()) for t in parts)
+        kinds.add(what.split()[0])
+        return audit(v, parts, p, what)
+
+    monkeypatch.setattr(C, "_audit_rewrite", snapshot)
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    # three-term pivots with 0 < alpha < 1, alpha > 1 and alpha < 0,
+    # re-rooting, domination with a shifted offset, constant merge
+    for alphas, a0 in (([2.5, 0.7], -0.1), ([0.5, 3.0], 0.2), ([1.0, -2.0], 0.1),
+                       ([1.0, 1.0], 0.3), ([0.0, 1.0], 0.4), ([0.0, 0.0], 0.1)):
+        rows = rng.normal(size=(2, 3))
+        t = C._Term(1, 0.3, rows, np.array(alphas), a0)
+        before = rows.tobytes()
+        C._resolve_dependent(t, C._term_value(t, pts), pts, [])
+        assert t.rows is rows and rows.tobytes() == before, alphas
+    g = rng.normal(size=(4, 3))
+    rows = np.vstack([g[:3], g[0] + [0, 0, 0.5], g[0] + g[1] - [0, 0, 0.3]])
+    before = rows.tobytes()
+    reduce_term_width(1, 0.25, rows, 3, pts)
+    assert rows.tobytes() == before
+    assert kinds == {"constant-merge", "domination", "re-rooting", "three-term"}
+    assert all(t.rows.tobytes() == b for t, b in snapshots)
+
+    mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
+    bary = mesh.bary_inverse.tobytes()
+    coeffs = rng.normal(size=mesh.num_vertices)
+    compile_fem_deep(mesh, coeffs)
+    compile_fem_shallow(mesh, coeffs)
+    assert mesh.bary_inverse.tobytes() == bary
 
 
 def test_term_value_matches_per_argument_evaluation(rng):
@@ -402,7 +443,7 @@ def test_term_value_matches_per_argument_evaluation(rng):
             want = np.column_stack([want, cols @ alphas + a0])
         if c0 is not None:
             want = np.column_stack([want, np.full(len(X), c0)])
-        got = C._term_value(C._Term(-1, c0, affs, alphas, a0), X)
+        got = C._term_value(C._Term(-1, c0, C._piece_rows(affs), alphas, a0), X)
         assert np.allclose(got, -want.max(axis=1), rtol=0, atol=1e-12)
 
 
@@ -434,7 +475,7 @@ def test_ambiguous_dependency_is_a_hard_error(rng):
     ]
     pts = np.random.default_rng(0).uniform(-1, 1, size=(50, 2))
     with pytest.raises(NumericalDependenceAmbiguous):
-        reduce_term_width(1, 0.5, affs, 3, pts)
+        reduce_term_width(1, 0.5, C._piece_rows(affs), 3, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +736,7 @@ def test_fem_compiles_hand_the_builder_no_zero_leaf(mesh_corpus, monkeypatch, rn
 def test_weighted_term_folds_into_one_subnetwork(rng):
     """Weight 3 scales the term's affines instead of copying its network."""
     affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
-    net = C._terms_net([(3, None, affs)], 2)
+    net = C._terms_net([(3, None, C._piece_rows(affs))], 2)
     assert net.hidden_layer_count == 2
     assert net.size == 8  # two gadgets and one carry, not two copies (16)
     X = rng.uniform(-2, 2, size=(2000, 2))

@@ -300,10 +300,11 @@ def test_vertex_star_affines_are_nodal(mesh_corpus):
     for name, mesh in mesh_corpus:
         for i in range(len(mesh.vertices)):
             star = vertex_star(mesh, i)
-            for k, aff in zip(star.incident, star.local_affines):
+            for k, row in zip(star.incident, star.affine_rows):
                 for v in mesh.simplices[k]:
                     want = 1.0 if v == i else 0.0
-                    assert abs(aff(mesh.vertices[v]) - want) < 1e-10, (name, i)
+                    got = mesh.vertices[v] @ row[:-1] + row[-1]
+                    assert abs(got - want) < 1e-10, (name, i)
 
 
 def test_hat_equals_min_identity_on_convex_stars(mesh_corpus, rng):
@@ -317,9 +318,8 @@ def test_hat_equals_min_identity_on_convex_stars(mesh_corpus, rng):
             coeffs[i] = 1.0
             X = sample_points(mesh, 400, rng)
             hat = interpolate(mesh, coeffs, X)
-            expr = np.maximum(
-                0.0, np.min(np.stack([a(X) for a in star.local_affines]), axis=0)
-            )
+            R = star.affine_rows
+            expr = np.maximum(0.0, np.min(X @ R[:, :-1].T + R[:, -1], axis=1))
             assert np.max(np.abs(hat - expr)) < 1e-10, (name, i)
 
 

@@ -4,13 +4,18 @@
 by name, so deleting or renaming one of them (``NetBuilder.apply_level``,
 ``parallel``, ...) breaks every ``bench/run.py --trace 1`` run.  This test
 catches that in the main suite; it imports ``bench/spans.py`` and changes
-nothing there.
+nothing there.  Likewise the audited rewrite steps of one pass over the
+bench's shallow workloads, which a traced run reports as
+``compiler.rewrite_audits``, are pinned here by importing
+``bench/workloads.py``.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cpwlrelu import compiler, cpwl, galerkin1d, mesh, quantize, relu_net
 
@@ -21,10 +26,17 @@ MODULES = (compiler, cpwl, galerkin1d, mesh, quantize, relu_net)
 TRACED_BINDINGS = 46
 
 
-def _spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("spans", path)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name: str, monkeypatch):
+    """Imports ``bench/<name>.py`` with ``bench`` on the path (its modules
+    import each other); ``monkeypatch`` restores the path and
+    ``sys.modules[name]``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -39,8 +51,8 @@ def _bindings() -> dict:
     return {(owner, key): value for owner in owners for key, value in vars(owner).items()}
 
 
-def test_library_tracing_installs_and_uninstalls():
-    spans = _spans()
+def test_library_tracing_installs_and_uninstalls(monkeypatch):
+    spans = _bench_module("spans", monkeypatch)
     before = _bindings()
     tracer = spans.Tracer()
     try:
@@ -59,3 +71,14 @@ def test_library_tracing_installs_and_uninstalls():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("workload, audits", [("fem-shallow", 6845), ("pieces", 10105)])
+def test_bench_pass_rewrite_audit_count_is_pinned(monkeypatch, workload, audits):
+    """Compiling every item of the workload once runs exactly ``audits``
+    audited rewrite steps; the item inputs do not depend on the seed."""
+    workloads = _bench_module("workloads", monkeypatch)
+    before = compiler.REWRITE_CHECKS_PASSED
+    for item in workloads.WORKLOADS[workload]().items:
+        item.compile(item.setup(np.random.default_rng(0)))
+    assert compiler.REWRITE_CHECKS_PASSED - before == audits
