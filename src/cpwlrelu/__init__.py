@@ -11,6 +11,7 @@ from .errors import CpwlReluError
 
 __version__ = "0.1.0"
 
+#: Each file format's schema version; the serializers write and check these.
 SCHEMA_VERSIONS = {
     "mesh": "1",
     "cpwl": "1",

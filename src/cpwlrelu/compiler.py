@@ -16,7 +16,8 @@ Two constructive pathways, both exact (no approximation):
   are rewritten — using exact max-algebra identities, numerically verified
   at every step — into terms of at most ``d + 1`` arguments, so the final
   network has hidden depth ``ceil(log2(d + 1))`` regardless of the input's
-  complexity.  A term's integer weight ``w`` is folded into its first layer
+  complexity.  A term's weight ``w`` (the expansion's integer, times
+  ``c_i`` for a hat) is folded into its first layer
   (``|w| max(S) = max(|w| S)``), leaving only its sign to the output.
   A term ``max(0, S)`` takes its zero as a ``relu`` neuron on ``max(S)``.
 
@@ -32,7 +33,8 @@ own +-1 weight.  Every hidden layer past the first keeps weights in
 arbitrary networks pairwise, seeding a builder on each pair side by side;
 the trees' builder is seeded on the zero-hidden-layer network of their leaves.
 
-Every compile function returns the network together with a
+Every compile function checks the network against its reference at sample
+points (`SelfCheckFailed` otherwise) and returns it together with a
 :class:`BoundReport` whose predicted depth and size bounds have been
 asserted against the actual network (`BoundViolated` otherwise).
 """
@@ -66,6 +68,7 @@ from .errors import (
     NotLocallyConvex,
     NumericalDependenceAmbiguous,
     RewriteCheckFailed,
+    SelfCheckFailed,
 )
 from .mesh import (
     SimplicialMesh,
@@ -223,7 +226,7 @@ def equivalence_report(
 def _self_check(net: ReluNetwork, reference, X: NDArray, what: str) -> None:
     rep = equivalence_report(net, reference, X, COMPILE_TOL)
     if not rep.passed:
-        raise AssertionError(
+        raise SelfCheckFailed(
             f"internal error: {what} deviates by {rep.max_abs_diff:.3e} "
             f"at {rep.worst_point!r}"
         )
@@ -382,6 +385,9 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
     depth = max(n.hidden_layer_count for n in nets)
     padded_sizes = [n.size + _neurons("id") * (depth - n.hidden_layer_count) for n in nets]
     net = prune_dead_channels(_max_of_nets(nets))
+    X = np.random.default_rng(12345).normal(size=(64, nets[0].input_dim))
+    _self_check(net, lambda P: np.max([eval_network(n, P) for n in nets], axis=0), X,
+                "max of networks")
     return net, _bound_report(
         net,
         pathway="max-of-m",
@@ -755,29 +761,29 @@ def reduce_term_width(
 
 
 def _merge_pure_terms(
-    weighted: list[tuple[int, _Term]]
-) -> list[tuple[int, float | None, NDArray[np.float64]]]:
-    """Merges identical pure terms, returning (net weight, c0, rows) triples."""
+    weighted: list[tuple[float, _Term]]
+) -> list[tuple[float, float | None, NDArray[np.float64]]]:
+    """Merges identical pure terms, returning (net weight, c0, rows) triples.
+    A net weight is the correctly rounded sum (``math.fsum``), so weights
+    that cancel exactly leave no roundoff term behind, in any order."""
     acc: dict[tuple, list] = {}
     for w, t in weighted:
         key = (
             None if t.c0 is None else round(t.c0, 12),
             tuple(sorted(map(tuple, np.round(t.rows, 12)))),
         )
-        if key in acc:
-            acc[key][0] += w * t.sign
-        else:
-            acc[key] = [w * t.sign, t.c0, t.rows]
-    return [(w, c0, rows) for w, c0, rows in acc.values() if w != 0]
+        acc.setdefault(key, [[], t.c0, t.rows])[0].append(w * t.sign)
+    merged = [(math.fsum(ws), c0, rows) for ws, c0, rows in acc.values()]
+    return [(w, c0, rows) for w, c0, rows in merged if w != 0]
 
 
 def _terms_net(
-    merged: list[tuple[int, float | None, NDArray[np.float64]]], dim: int
+    merged: list[tuple[float, float | None, NDArray[np.float64]]], dim: int
 ) -> ReluNetwork:
     """One network for ``sum w * max({c0} U rows)`` over the merged terms.
 
-    Each term is one balanced max tree in a shared builder.  Its integer
-    weight folds into the first layer (``k max(S) = max(k S)`` for
+    Each term is one balanced max tree in a shared builder.  Its weight
+    folds into the first layer (``k max(S) = max(k S)`` for
     ``k > 0``), so only the sign reaches the output combination and every
     output entry lies in ``{+-1}``.  A constant ``c0 = 0`` is :data:`_ZERO`.
     """
@@ -827,6 +833,8 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
         raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
     padded_sizes = [c.size + _neurons("id") * (depth - c.depth) for c in clauses]
     net = _emit_trees(d, leaves, [_balanced("max", clauses)], [1.0])
+    X = np.random.default_rng(12345).normal(size=(64, d))
+    _self_check(net, lambda P: eval_lattice(lat, P), X, "shallow lattice compile")
     return net, _bound_report(
         net,
         pathway="shallow-lattice",
@@ -954,11 +962,11 @@ def compile_fem_shallow(
     """Compiles a nodal finite element function via the shallow pathway.
 
     Each hat ``max(0, min_k g_k)`` with nonzero coefficient is expanded by
-    inclusion-exclusion into ``2^n - 1`` signed terms
-    ``max(0, max_{k in T} g_k)`` over its ``n`` star affines, scaled by
-    ``|c_i|`` (the expansion is positively homogeneous); wide terms are
-    rewritten to at most ``d + 1`` arguments, identical terms merge across
-    hats, and each merged term's sign goes into the output combination.
+    inclusion-exclusion into ``2^n - 1`` terms ``w max(0, max_{k in T} g_k)``
+    over its ``n`` star affines; wide terms are rewritten on the star's own
+    rows to at most ``d + 1`` arguments, each pure term weighs ``c_i w``,
+    identical terms merge across hats, and each merged weight folds into the
+    first layer as in the deep pathway, its sign into the output.
     Hidden depth stays at most ``ceil(log2(d+1))`` regardless of the mesh;
     the size bound is combinatorial in the valences.
 
@@ -983,14 +991,12 @@ def compile_fem_shallow(
     kh = compute_kh(mesh)
     d = mesh.dim
     pts = sample_points(mesh, 128, rng)
-    weighted: list[tuple[int, _Term]] = []
+    weighted: list[tuple[float, _Term]] = []
     for i in used:
-        sgn = 1 if coeffs[i] > 0 else -1
-        k = abs(float(coeffs[i]))
-        gs = k * _star_affines(mesh, i)
+        gs = _star_affines(mesh, i)
         for T, w in _expand_lattice_terms([tuple(range(len(gs)))]).items():
             pures = reduce_term_width(1, 0.0, gs[sorted(T)], d + 1, pts)
-            weighted.extend((sgn * w, t) for t in pures)
+            weighted.extend((coeffs[i] * w, t) for t in pures)
     merged = _merge_pure_terms(weighted)
     net = _terms_net(merged, d)
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), pts, "shallow FE function")

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from . import SCHEMA_VERSIONS
 from .errors import (
     AmbiguousActivePiece,
     DimensionUnsupported,
@@ -660,14 +661,11 @@ def verify_1d_path_lemma(f: CpwlPieces) -> int:
 # Serialization
 # ---------------------------------------------------------------------------
 
-CPWL_SCHEMA_VERSION = "1"
-LATTICE_SCHEMA_VERSION = "1"
-
 
 def pieces_to_dict(f: CpwlPieces) -> dict:
     """JSON-ready dict: pieces, regions (as half-space objects), domain box."""
     return {
-        "schema": CPWL_SCHEMA_VERSION,
+        "schema": SCHEMA_VERSIONS["cpwl"],
         "dim": f.dim,
         "pieces": [{"a": p.gradient.tolist(), "b": p.offset} for p in f.pieces],
         "regions": [
@@ -684,7 +682,7 @@ def pieces_from_dict(d: dict) -> CpwlPieces:
     """Reads a piece-list dict; a malformed dict raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"a piece list must be a JSON object, not {type(d).__name__}")
-    if d.get("schema", CPWL_SCHEMA_VERSION) != CPWL_SCHEMA_VERSION:
+    if d.get("schema", SCHEMA_VERSIONS["cpwl"]) != SCHEMA_VERSIONS["cpwl"]:
         raise ValueError(f"unsupported piece-list schema {d.get('schema')!r}")
     try:
         pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]
@@ -708,7 +706,7 @@ def pieces_from_dict(d: dict) -> CpwlPieces:
 
 def lattice_to_dict(f: LatticeForm) -> dict:
     return {
-        "schema": LATTICE_SCHEMA_VERSION,
+        "schema": SCHEMA_VERSIONS["lattice"],
         "pieces": [{"a": p.gradient.tolist(), "b": p.offset} for p in f.pieces],
         "clauses": [list(s) for s in f.clauses],
     }
@@ -718,7 +716,7 @@ def lattice_from_dict(d: dict) -> LatticeForm:
     """Reads a lattice dict; a malformed dict raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"a lattice must be a JSON object, not {type(d).__name__}")
-    if d.get("schema", LATTICE_SCHEMA_VERSION) != LATTICE_SCHEMA_VERSION:
+    if d.get("schema", SCHEMA_VERSIONS["lattice"]) != SCHEMA_VERSIONS["lattice"]:
         raise ValueError(f"unsupported lattice schema {d.get('schema')!r}")
     try:
         pieces = [AffineFunc(np.array(p["a"], dtype=float), float(p["b"])) for p in d["pieces"]]

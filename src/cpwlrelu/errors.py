@@ -97,6 +97,11 @@ class RewriteCheckFailed(CpwlReluError, AssertionError):
     points (also an AssertionError: the rewrites are exact identities)."""
 
 
+class SelfCheckFailed(CpwlReluError, AssertionError):
+    """A compiled network deviates from its reference at the self-check
+    points (also an AssertionError: the constructions are exact)."""
+
+
 class BoundViolated(CpwlReluError):
     """A compiled network exceeds its predicted size or depth bound."""
 

@@ -33,6 +33,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linprog
 
+from . import SCHEMA_VERSIONS
 from .errors import DegenerateSimplex, NonConforming, OutsideDomain, SingularSystem, as_int
 
 logger = logging.getLogger(__name__)
@@ -43,8 +44,6 @@ BARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
 #: Residual bound for the hat affines at their element's vertices.
 INTERP_RESIDUAL_TOL = 1e-12
-
-MESH_SCHEMA_VERSION = "1"
 
 
 @dataclass
@@ -445,7 +444,7 @@ def sample_points(
 
 def mesh_to_dict(mesh: SimplicialMesh) -> dict:
     return {
-        "schema": MESH_SCHEMA_VERSION,
+        "schema": SCHEMA_VERSIONS["mesh"],
         "dim": mesh.dim,
         "vertices": mesh.vertices.tolist(),
         "simplices": mesh.simplices.tolist(),
@@ -457,7 +456,7 @@ def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
     """Reads a mesh dict; a malformed dict raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"a mesh must be a JSON object, not {type(d).__name__}")
-    if d.get("schema", MESH_SCHEMA_VERSION) != MESH_SCHEMA_VERSION:
+    if d.get("schema", SCHEMA_VERSIONS["mesh"]) != SCHEMA_VERSIONS["mesh"]:
         raise ValueError(f"unsupported mesh schema {d.get('schema')!r}")
     try:
         for name in ("vertices", "simplices"):  # numpy's ragged-array error names neither

@@ -27,11 +27,10 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 
+from . import SCHEMA_VERSIONS
 from .errors import DimensionMismatch, EmptyList, PairwiseDependent, as_int
 
 logger = logging.getLogger(__name__)
-
-NETWORK_SCHEMA_VERSION = "2"
 
 #: Feature-matrix rank threshold factor for the independence check.
 RANK_TOL_FACTOR = 1e-8
@@ -485,7 +484,7 @@ def network_to_dict(net: ReluNetwork) -> dict:
         for W, b in net.layers
     ]
     return {
-        "schema": NETWORK_SCHEMA_VERSION,
+        "schema": SCHEMA_VERSIONS["network"],
         "input_dim": net.input_dim,
         "layers": layers,
     }
@@ -515,7 +514,7 @@ def network_from_dict(d: dict) -> ReluNetwork:
     if not isinstance(d, dict):
         raise ValueError(f"a network must be a JSON object, not {type(d).__name__}")
     schema = d.get("schema", "1")
-    if schema not in ("1", "2"):
+    if schema not in ("1", SCHEMA_VERSIONS["network"]):
         raise ValueError(f"unsupported network schema {schema!r}")
     try:
         layers = [_layer_from_dict(layer, schema) for layer in d["layers"]]

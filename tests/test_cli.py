@@ -26,18 +26,25 @@ def main(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
         return _cli_main(argv)
-from cpwlrelu.compiler import MAX_PIECES_SHALLOW
-from cpwlrelu.cpwl import lattice_from_dict, pieces_from_dict
+from cpwlrelu import compiler
+from cpwlrelu.cpwl import (
+    LatticeForm,
+    lattice_from_dict,
+    lattice_to_dict,
+    pieces_from_dict,
+    pieces_to_dict,
+)
 from cpwlrelu.mesh import mesh_from_dict, mesh_to_dict
 from cpwlrelu.relu_net import (
     ReluNetwork,
+    affine_network,
     eval_network,
     network_from_dict,
     network_to_dict,
     save_network,
 )
 
-from helpers import crisscross_mesh, kuhn_cube_mesh, square_two_triangles
+from helpers import crisscross_mesh, kuhn_cube_mesh, random_max_affine, square_two_triangles
 
 
 @pytest.fixture()
@@ -247,21 +254,32 @@ def test_compile_fem_shallow_over_the_valence_cap_is_an_error(tmp_path, capsys):
     assert "error: vertex 4 has valence 12" in err and "Traceback" not in err
 
 
-def test_compile_fem_shallow_failed_rewrite_check_is_an_error(tmp_path, capsys):
-    """Under the valence cap, Kuhn 2^3 still breaks the width rewrite's
-    numerical check at a valence-8 vertex; the CLI reports it, no traceback."""
-    mesh = kuhn_cube_mesh(2)
-    coeffs = np.random.default_rng(0).normal(size=mesh.num_vertices)
-    valence = np.array([len(s) for s in mesh.vertex_to_simplices])
-    coeffs[valence > MAX_PIECES_SHALLOW] = 0.0
-    mpath, cpath = tmp_path / "kuhn.json", tmp_path / "c.json"
-    mpath.write_text(json.dumps(mesh_to_dict(mesh)))
-    cpath.write_text(json.dumps(coeffs.tolist()))
-    rc = _cli_main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(cpath),
+def test_compile_fem_shallow_failed_rewrite_check_is_an_error(tmp_path, mesh_file,
+                                                             coeff_file, monkeypatch, capsys):
+    """A width rewrite that fails its numerical check (forced here by a
+    negative tolerance) is reported by the CLI, with no traceback."""
+    monkeypatch.setattr(compiler, "REWRITE_TOL", -1.0)
+    rc = _cli_main(["compile-fem", "--mesh", str(mesh_file[0]), "--coeffs", str(coeff_file[0]),
                     "--pathway", "shallow", "-o", str(tmp_path / "n.json")])
     err = capsys.readouterr().err
     assert rc == 1
     assert "error: " in err and "failed numerical check" in err
+    assert "Traceback" not in err
+
+
+def test_compile_fem_failed_self_check_is_an_error(tmp_path, capsys):
+    """Coefficients of 1e7 put the deep network's roundoff above the absolute
+    1e-9 self-check; the CLI reports the failed check, with no traceback."""
+    mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
+    coeffs = 1e7 * np.random.default_rng(0).normal(size=mesh.num_vertices)
+    mpath, cpath = tmp_path / "m.json", tmp_path / "c.json"
+    mpath.write_text(json.dumps(mesh_to_dict(mesh)))
+    cpath.write_text(json.dumps(coeffs.tolist()))
+    rc = _cli_main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(cpath),
+                    "--pathway", "deep", "-o", str(tmp_path / "n.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: internal error: deep FE function deviates by" in err
     assert "Traceback" not in err
 
 
@@ -665,6 +683,25 @@ def test_version_flag():
     assert __version__ in buf.getvalue()
 
 
+def test_version_schemas_match_what_the_serializers_write(rng):
+    """``python -m cpwlrelu --version`` names the schema each of the four
+    ``*_to_dict`` functions writes."""
+    proc = subprocess.run([sys.executable, "-m", "cpwlrelu", "--version"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.strip()
+    assert line.startswith(f"cpwlrelu {__version__} (schemas: ") and line.endswith(")")
+    schemas = json.loads(line[line.index("{"):-1])
+    f = random_max_affine(2, 3, rng)
+    written = {
+        "mesh": mesh_to_dict(square_two_triangles()),
+        "cpwl": pieces_to_dict(f),
+        "lattice": lattice_to_dict(LatticeForm(f.pieces, [(0, 1), (2,)])),
+        "network": network_to_dict(affine_network([1.0, 2.0], 0.5)),
+    }
+    assert schemas == {name: d["schema"] for name, d in written.items()}
+
+
 def test_console_script_subprocess(tmp_path, mesh_file, coeff_file):
     out = _compile(tmp_path, mesh_file, coeff_file)
     proc = subprocess.run(
@@ -756,8 +793,8 @@ _REPORT_CASES = {
 }
 
 _BOUND_FEM = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
-              "predicted_size_bound": "750", "actual_size": 234,
-              "d": 2, "kh": 6, "m": 8, "M": 60}
+              "predicted_size_bound": "750", "actual_size": 223,
+              "d": 2, "kh": 6, "m": 8, "M": 54}
 _BOUND_CPWL = {"pathway": "shallow", "predicted_depth": 2, "actual_depth": 2,
                "predicted_size_bound": "4802", "actual_size": 8,
                "d": 2, "kh": None, "m": 3, "M": 3}
@@ -766,7 +803,7 @@ _PINNED_REPORTS = {
         "command": "compile-fem", "inputs": ["coeffs.json", "mesh.json"],
         "config": {"pathway": "shallow", "seed": 12345},
         "results": {"bound": _BOUND_FEM,
-                    "stats": {"hidden_layers": 2, "size": 234, "nonzero_params": 598},
+                    "stats": {"hidden_layers": 2, "size": 223, "nonzero_params": 576},
                     "output": "fem-out.json"}},
     "compile-cpwl": {
         "command": "compile-cpwl", "inputs": ["cpwl.json"],

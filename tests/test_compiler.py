@@ -44,6 +44,7 @@ from cpwlrelu.errors import (
     ExpansionOverflow,
     NotLocallyConvex,
     NumericalDependenceAmbiguous,
+    SelfCheckFailed,
 )
 from cpwlrelu.mesh import build_mesh, compute_kh, interpolate, sample_points
 from cpwlrelu.quantize import QuantGrid, check_structured
@@ -641,7 +642,7 @@ def test_shallow_cpwl_networks_pinned(name, seed):
 # Kuhn cube, with standard normal coefficients of seed 0.
 _PINNED_BUILDER_NETS = {
     "fem-deep": "667ede5061fd715f5685c98f8ea5b16f4780d2b84ccf6786e8c09e1829f3c580",
-    "fem-shallow": "34e8247a3580e5dd13acc0b0f2ee5373d9be118cc038613c43d2d3c04ed60c39",
+    "fem-shallow": "37432d5195fb181de1fa2e2d5b58386835e0e0b09426e04c3df88e6337abd3c9",
     "cpwl-shallow": "9f472eae58b7f3e1ea264db862758f6ba8b7dbe466068cd9f8ee72e374622a32",
     "lattice-shallow": "03bc2dfe1ad2490940b4bc5e42c353d984cbb575b9e0a96b20c9011e03bf1321",
     "max-of-m": "4bfd70d87dd285f99a16bd8e9ae11d7f749151108a79069ac484b8107f61ddeb",
@@ -693,6 +694,19 @@ def test_fem_shallow_valence_cap(monkeypatch):
     assert np.max(np.abs(eval_network(net, X) - interpolate(mesh, unit(mesh, 0), X))) < 1e-9
 
 
+def test_fem_shallow_kuhn_valence_8_vertices_compile():
+    """The rewrite runs on the star's own rows, whatever the coefficient:
+    Kuhn 2^3 with seed-0 coefficients on the valence-8 vertices 1 and 25
+    compiles shallow and matches the interpolant."""
+    mesh = kuhn_cube_mesh(2)
+    coeffs = np.zeros(mesh.num_vertices)
+    coeffs[[1, 25]] = np.random.default_rng(0).normal(size=mesh.num_vertices)[[1, 25]]
+    net, report = compile_fem_shallow(mesh, coeffs)
+    assert report.actual_depth == 2
+    X = sample_points(mesh, 500, np.random.default_rng(1))
+    assert np.max(np.abs(eval_network(net, X) - interpolate(mesh, coeffs, X))) < 1e-9
+
+
 def test_lattice_clause_width_cap(rng):
     pieces = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(5)]
     lat = LatticeForm(pieces, [(0, 1, 2, 3, 4)])
@@ -733,6 +747,16 @@ def test_fem_compiles_hand_the_builder_no_zero_leaf(mesh_corpus, monkeypatch, rn
             assert "zero" not in kinds and "relu" in kinds, (name, compile_fn.__name__)
 
 
+def test_merged_weights_that_cancel_leave_no_term(rng):
+    """Hat coefficients that cancel exactly drop their term in any order;
+    a running float sum would leave ``0.1 + 0.2 - 0.1 - 0.2 = 2.8e-17``."""
+    rows = rng.normal(size=(2, 3))
+    t, u = C._Term(1, 0.0, rows), C._Term(-1, 0.0, rows[::-1].copy())
+    assert C._merge_pure_terms([(0.1, t), (0.2, t), (0.1, u), (0.2, u)]) == []
+    ((w, c0, kept),) = C._merge_pure_terms([(0.1, t), (0.2, t), (0.1, u)])
+    assert (w, c0) == (0.2, 0.0) and kept is rows
+
+
 def test_weighted_term_folds_into_one_subnetwork(rng):
     """Weight 3 scales the term's affines instead of copying its network."""
     affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
@@ -744,6 +768,42 @@ def test_weighted_term_folds_into_one_subnetwork(rng):
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
     out = net.layers[-1][0].toarray()
     assert set(out[out != 0].tolist()) <= {1.0, -1.0}
+
+
+def test_every_compile_entry_point_checks_itself(rng, monkeypatch):
+    """Each compile compares its network with its own reference; a negative
+    tolerance makes every one of those checks fail, as a typed error."""
+    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    coeffs = rng.normal(size=mesh.num_vertices)
+    pieces = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(4)]
+    nets = [affine_network(rng.normal(size=2), 0.0) for _ in range(3)]
+    monkeypatch.setattr(C, "COMPILE_TOL", -1.0)
+    for compile_call in (
+        lambda: compile_fem_deep(mesh, coeffs),
+        lambda: compile_fem_shallow(mesh, coeffs),
+        lambda: compile_cpwl_shallow(random_max_affine(2, 4, rng), rng),
+        lambda: compile_lattice_shallow(LatticeForm(pieces, [(0, 1, 2), (1, 3), (2,)])),
+        lambda: compile_max_of_m(nets),
+    ):
+        with pytest.raises(SelfCheckFailed, match="^internal error: .* deviates by"):
+            compile_call()
+
+
+def test_lattice_and_max_of_m_self_checks_see_a_wrong_network(monkeypatch):
+    """Both checks compare with a reference of their own: an output bias off
+    by 1e-6 fails them at the default tolerance."""
+
+    def off(net):
+        W, b = net.layers[-1]
+        return ReluNetwork(net.input_dim, [*net.layers[:-1], (W, b + 1e-6)])
+
+    prune = C.prune_dead_channels
+    monkeypatch.setattr(C, "prune_dead_channels", lambda net: off(prune(net)))
+    pieces = [AffineFunc(np.array([1.0, 0.0]), 0.0), AffineFunc(np.array([0.0, 1.0]), 0.0)]
+    with pytest.raises(SelfCheckFailed, match="shallow lattice compile"):
+        compile_lattice_shallow(LatticeForm(pieces, [(0,), (1,)]))
+    with pytest.raises(SelfCheckFailed, match="max of networks"):
+        compile_max_of_m([affine_network([1.0, 0.0], 0.0), affine_network([0.0, 1.0], 0.0)])
 
 
 def test_compiled_layers_are_all_csr(rng):

@@ -19,6 +19,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpwlrelu.compiler import compile_cpwl_shallow
 from cpwlrelu.cpwl import (
     GEOM_TOL,
     AffineFunc,
@@ -44,6 +45,7 @@ from cpwlrelu.errors import (
     OutsideDomain,
     PreconditionViolated,
 )
+from cpwlrelu.relu_net import eval_network
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +199,13 @@ def test_validate_evaluates_no_piece_one_at_a_time(monkeypatch):
 
 def test_polytope_vertices_unit_square():
     A, c = box_halfspaces(np.zeros(2), np.ones(2))
-    V = polytope_vertices(A, c, 2)
-    got = {tuple(np.round(v, 9)) for v in V}
+    got = {tuple(np.round(v, 9)) for v in polytope_vertices(A, c)}
     assert got == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # Cut by x + y <= 1.5: the corner (1, 1) violates the cut by 0.5, which
+    # only a loose feasibility tolerance would accept.
+    A, c = np.vstack([A, [1.0, 1.0]]), np.append(c, 1.5)
+    got = {tuple(np.round(v, 9)) for v in polytope_vertices(A, c)}
+    assert got == {(0, 0), (0, 1), (1, 0), (1, 0.5), (0.5, 1)}
 
 
 def test_clip_polygon_area_oracle():
@@ -238,6 +244,23 @@ def test_both_lattice_routes_reproduce_source(rng, cpwl_instances):
                 lat = lattice_from_convex_regions(f)
             got = eval_lattice(lat, X)
             assert np.max(np.abs(got - ref)) < 1e-9, (name, route)
+
+
+def test_parallel_pieces_split_no_cell(rng):
+    """The ramp ``min(max(x, 0), 1)`` on ``[-1, 2] x [0, 1]``: its pieces 0
+    and 1 are parallel, so only the lines x = 0 and x = 1 cut the box, and
+    both lattice routes compile it exactly."""
+    pieces = [AffineFunc(np.zeros(2), 0.0), AffineFunc(np.array([1.0, 0.0]), 0.0),
+              AffineFunc(np.zeros(2), 1.0)]
+    e = np.array([[1.0, 0.0]])
+    regions = [(e, np.array([0.0])), (np.vstack([-e, e]), np.array([0.0, 1.0])),
+               (-e, np.array([-1.0]))]
+    f = CpwlPieces(2, pieces, regions, (np.array([-1.0, 0.0]), np.array([2.0, 1.0])))
+    assert unique_order_partition(f).num_cells == 3
+    X = f.sample_domain(500, rng)
+    for route in ("order", "regions"):
+        net, _ = compile_cpwl_shallow(f, route=route)
+        assert np.max(np.abs(eval_network(net, X) - np.clip(X[:, 0], 0, 1))) < 1e-12, route
 
 
 def test_lattice_clause_count_bounds(cpwl_instances):

@@ -263,6 +263,22 @@ def test_make_state_defaults_to_galerkin(problem):
     )
 
 
+def test_optimizer_converged_exit(problem):
+    """A gradient tolerance above any gradient stops before the first move."""
+    state = solve_algorithm1(problem, SolverConfig(N=9, grad_tol=1e9))
+    assert state.converged and not state.stalled
+    assert len(state.trace) == 1
+    assert np.array_equal(state.t, solve_afem(problem, 9))
+
+
+def test_optimizer_stalled_exit(problem):
+    """A first step below ``eta_min`` stalls the line search, and the knots
+    stay where the adaptive initialization put them."""
+    state = solve_algorithm1(problem, SolverConfig(N=9, eta=1e-20))
+    assert state.stalled and not state.converged
+    assert np.array_equal(state.t, solve_afem(problem, 9))
+
+
 def test_solver_rejects_bad_init(problem):
     cfg = SolverConfig(N=9)
     with pytest.raises(KnotOrderViolated):

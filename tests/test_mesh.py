@@ -262,6 +262,19 @@ def test_find_simplex_and_outside():
         interpolate(mesh, np.zeros(4), np.array([[2.0, 2.0]]))
 
 
+def test_one_dimensional_arrays_are_read_as_columns_and_rows(rng):
+    """A 1D vertex array is ``(n, 1)``, a 1D simplex array one element, and
+    a 1D point array on a 1D mesh ``(q, 1)``."""
+    line = build_mesh(np.array([0.0, 0.5, 1.0]), [[0, 1], [1, 2]])
+    assert np.array_equal(line.vertices, [[0.0], [0.5], [1.0]])
+    triangle = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [0, 1, 2])
+    assert np.array_equal(triangle.simplices, [[0, 1, 2]])
+    coeffs = np.array([1.0, -2.0, 3.0])
+    x = rng.uniform(0.0, 1.0, size=20)
+    assert np.array_equal(interpolate(line, coeffs, x), interpolate(line, coeffs, x[:, None]))
+    assert np.max(np.abs(interpolate(line, coeffs, x) - np.interp(x, [0, 0.5, 1], coeffs))) < 1e-14
+
+
 def test_interpolation_patch_test(mesh_corpus, rng):
     """Nodal interpolation reproduces affine functions exactly."""
     for name, mesh in mesh_corpus:

@@ -7,7 +7,8 @@ catches that in the main suite; it imports ``bench/spans.py`` and changes
 nothing there.  Likewise the audited rewrite steps of one pass over the
 bench's shallow workloads, which a traced run reports as
 ``compiler.rewrite_audits``, are pinned here by importing
-``bench/workloads.py``.
+``bench/workloads.py``, and so are the shallow FE merged term counts of its
+items under a scale of their coefficients.
 """
 
 import importlib.util
@@ -73,7 +74,7 @@ def test_library_tracing_installs_and_uninstalls(monkeypatch):
     assert all(after[key] is value for key, value in before.items())
 
 
-@pytest.mark.parametrize("workload, audits", [("fem-shallow", 6845), ("pieces", 10105)])
+@pytest.mark.parametrize("workload, audits", [("fem-shallow", 6853), ("pieces", 10105)])
 def test_bench_pass_rewrite_audit_count_is_pinned(monkeypatch, workload, audits):
     """Compiling every item of the workload once runs exactly ``audits``
     audited rewrite steps; the item inputs do not depend on the seed."""
@@ -82,3 +83,16 @@ def test_bench_pass_rewrite_audit_count_is_pinned(monkeypatch, workload, audits)
     for item in workloads.WORKLOADS[workload]().items:
         item.compile(item.setup(np.random.default_rng(0)))
     assert compiler.REWRITE_CHECKS_PASSED - before == audits
+
+
+def test_fem_shallow_bench_terms_do_not_move_with_coefficient_scale(monkeypatch):
+    """The shallow FE rewrite and merge key see only the mesh, so a power-of-two
+    scale of the coefficients leaves every bench item's merged term count
+    ``M`` as it is.  (Network sizes may still differ by a neuron: pruning
+    drops channels by an absolute weight tolerance.)"""
+    workloads = _bench_module("workloads", monkeypatch)
+    pinned = {"crisscross-3x3": 168, "crisscross-4x4": 467, "delaunay-rim-9": 111}
+    for item in workloads.WORKLOADS["fem-shallow"]().items:
+        m, c = item.setup(np.random.default_rng(0))
+        Ms = {s: compiler.compile_fem_shallow(m, s * c)[1].M for s in (1.0, 2.0**10, 2.0**-10)}
+        assert set(Ms.values()) == {pinned[item.name]}, (item.name, Ms)
