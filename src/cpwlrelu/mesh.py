@@ -20,6 +20,18 @@ a vertex star, and row ``j`` of ``bary_inverse[k]`` is the affine of vertex
 ``j``'s hat function on element ``k``.  The module also provides the mesh
 quality numbers (maximum vertex valence, shape regularity) and
 volume-weighted uniform sampling.
+
+Points are located (``find_simplex``, under every ``interpolate``) through a
+uniform bucket grid over the mesh's bounding box, built per call with at
+most one bucket per element.  Each element is listed in every bucket that
+its padded bounding box meets, and each point is tested against its own
+bucket's list only, in one batched barycentric evaluation.  Where several
+elements contain a point (on a shared facet or vertex), the lowest index
+wins, as in a scan of the elements in order.  The grid is coarsened until
+it lists at most ``LOCATE_ENTRIES_PER_ELEMENT`` entries per element, and
+the (point, candidate) pairs are tested in batches of
+``LOCATE_CHUNK_PAIRS``, so memory stays O(m + q) for ``q`` points on ``m``
+elements, also on meshes of long slivers.
 """
 
 from __future__ import annotations
@@ -28,13 +40,21 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linprog
 
 from . import SCHEMA_VERSIONS
-from .errors import DegenerateSimplex, NonConforming, OutsideDomain, SingularSystem, as_int
+from .errors import (
+    DegenerateSimplex,
+    DimensionMismatch,
+    NonConforming,
+    OutsideDomain,
+    SingularSystem,
+    as_int,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +64,12 @@ BARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
 #: Residual bound for the hat affines at their element's vertices.
 INTERP_RESIDUAL_TOL = 1e-12
+#: Bound on the bucket-table entries per element of ``find_simplex``.
+LOCATE_ENTRIES_PER_ELEMENT = 32
+#: (point, candidate element) pairs ``find_simplex`` tests in one batch.
+LOCATE_CHUNK_PAIRS = 1 << 16
+#: Offset of the point locator's grid, in buckets: 2 minus the golden ratio.
+_GRID_PHASE = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -98,11 +124,6 @@ class SimplicialMesh:
         hom = np.hstack([X, np.ones((X.shape[0], 1))])
         return hom @ self.bary_inverse[k].T
 
-    def contains(self, k: int, X: NDArray[np.float64], tol: float = BARY_TOL) -> NDArray[np.bool_]:
-        """Weak membership of points in the closed element ``k``."""
-        lam = self.barycentric(k, X)
-        return np.all(lam >= -tol, axis=1)
-
 
 @dataclass
 class VertexStar:
@@ -137,6 +158,20 @@ def _row_groups(rows: NDArray[np.int64]) -> tuple[NDArray[np.int64], NDArray[np.
     return group, np.bincount(group)
 
 
+def _padded_boxes(
+    corners: NDArray[np.float64], tol: float
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Lower and upper corners ``(m, d)`` of the elements' bounding boxes.
+
+    ``corners`` holds each element's vertices, shape ``(m, d+1, d)``.  Each
+    box is padded by ``(d+1) tol extent + tol``, so that it holds every
+    point whose barycentric coordinates in its element are all ``>= -tol``.
+    """
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    pad = corners.shape[1] * tol * (hi - lo).max(axis=1, keepdims=True) + tol
+    return lo - pad, hi + pad
+
+
 def _check_no_interior_overlap(mesh: SimplicialMesh, k1: int, k2: int) -> None:
     """Raises NonConforming if elements k1, k2 share interior points.
 
@@ -164,16 +199,14 @@ def _check_conformity(mesh: SimplicialMesh) -> None:
     """Raises NonConforming on a hanging node or an interior overlap.
 
     Each element is tested against the later ones (in the order of the
-    boxes' lower x-bounds) whose bounding boxes meet its own, each box
-    padded by ``(d+1) BARY_TOL extent + BARY_TOL`` so that it holds every
-    point with all coordinates ``>= -BARY_TOL``.  A facet-separated pair
-    needs no linear program: its optimum is ``<= BARY_TOL`` as well.
+    boxes' lower x-bounds) whose bounding boxes, padded by
+    :func:`_padded_boxes` for ``BARY_TOL``, meet its own.  A
+    facet-separated pair needs no linear program: its optimum is
+    ``<= BARY_TOL`` as well.
     """
     d, S, B = mesh.dim, mesh.simplices, mesh.bary_inverse
     hom = np.hstack([mesh.vertices, np.ones((mesh.num_vertices, 1))])[S]  # (m, d+1, d+1)
-    lo, hi = hom[:, :, :d].min(axis=1), hom[:, :, :d].max(axis=1)
-    pad = (d + 1) * BARY_TOL * (hi - lo).max(axis=1, keepdims=True) + BARY_TOL
-    lo, hi = lo - pad, hi + pad
+    lo, hi = _padded_boxes(hom[:, :, :d], BARY_TOL)
     order = np.argsort(lo[:, 0], kind="stable")
     ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
     for p, k in enumerate(order):
@@ -375,18 +408,129 @@ def shape_regularity(mesh: SimplicialMesh) -> float:
 # ---------------------------------------------------------------------------
 
 
-def find_simplex(mesh: SimplicialMesh, X: NDArray[np.float64], tol: float = BARY_TOL) -> NDArray[np.int64]:
-    """Index of a containing element per point (-1 where none contains it)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.full(X.shape[0], -1, dtype=np.int64)
-    remaining = np.arange(X.shape[0])
-    for k in range(mesh.num_simplices):
-        if remaining.size == 0:
+def _grid_shape(extent: list[float], m: int) -> NDArray[np.int64]:
+    """Buckets per axis of a uniform grid over a box of the given extents:
+    near-cubic buckets, at most ``m`` of them, at least one per axis.  The
+    thinnest axes are cut first, so that a flat box spends its budget on
+    the wide axes."""
+    shape = np.ones(len(extent), dtype=np.int64)
+    budget = float(m)
+    axes = sorted(range(len(extent)), key=extent.__getitem__)
+    for r, a in enumerate(axes):
+        width = (math.prod(extent[b] for b in axes[r:]) / budget) ** (1.0 / (len(axes) - r))
+        shape[a] = max(1, int(extent[a] / width))
+        budget /= shape[a]
+    return shape
+
+
+class _BucketGrid(NamedTuple):
+    """The per-call table of :func:`find_simplex`.
+
+    A uniform grid of ``shape`` buckets of size ``width`` from ``base``
+    covers the box ``[lo, hi]`` of the padded element boxes.  ``members``
+    lists the elements of each bucket, bucket after bucket (C order) and in
+    index order within a bucket; ``load`` holds the lists' lengths.
+    """
+
+    lo: NDArray[np.float64]
+    hi: NDArray[np.float64]
+    base: NDArray[np.float64]
+    width: NDArray[np.float64]
+    shape: NDArray[np.int64]
+    members: NDArray[np.int64]
+    load: NDArray[np.int64]
+
+
+def _bucket_grid(mesh: SimplicialMesh, tol: float) -> _BucketGrid:
+    """Builds the bucket grid of :func:`find_simplex` (see the module docstring)."""
+    d, m = mesh.dim, mesh.num_simplices
+    lo, hi = _padded_boxes(mesh.vertices[mesh.simplices], max(tol, 0.0))
+    box_lo, box_hi = lo.min(axis=0), hi.max(axis=0)
+    buckets = m
+    while True:
+        shape = _grid_shape((box_hi - box_lo).tolist(), buckets)
+        # The grid starts a fraction _GRID_PHASE of a bucket below the box, so
+        # that bucket boundaries miss the lines of structured meshes: a box
+        # ending on a boundary would spill into the next bucket by its pad.
+        width = (box_hi - box_lo) / (shape - _GRID_PHASE)
+        base = box_lo - _GRID_PHASE * width
+        first = np.minimum(((lo - base) / width).astype(np.int64), shape - 1)
+        span = np.minimum(((hi - base) / width).astype(np.int64), shape - 1) - first + 1
+        cover = span.prod(axis=1)
+        if cover.sum() <= LOCATE_ENTRIES_PER_ELEMENT * m:
             break
-        inside = mesh.contains(k, X[remaining], tol)
-        hit = remaining[inside]
-        out[hit] = k
-        remaining = remaining[~inside]
+        buckets //= 2
+    # Entry e lists element owner[e] in the bucket at offset[e] within its
+    # box, read as a mixed-radix number with digits span[owner[e]].
+    owner = np.repeat(np.arange(m), cover)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(cover) - cover, cover)
+    bucket = np.zeros(owner.size, dtype=np.int64)
+    for a in range(d):
+        bucket = bucket * shape[a] + first[owner, a] + offset % span[owner, a]
+        offset //= span[owner, a]
+    members = owner[np.argsort(bucket, kind="stable")]
+    load = np.bincount(bucket, minlength=int(shape.prod()))
+    return _BucketGrid(box_lo, box_hi, base, width, shape, members, load)
+
+
+def find_simplex(mesh: SimplicialMesh, X: NDArray[np.float64], tol: float = BARY_TOL) -> NDArray[np.int64]:
+    """The lowest index of an element containing each point, or -1.
+
+    An element contains ``x`` when all barycentric coordinates of ``x`` in
+    it are ``>= -tol``.  The points are located through a bucket grid (see
+    the module docstring); a batch tests at most ``LOCATE_CHUNK_PAIRS``
+    (point, element) pairs, or one point's whole bucket.
+
+    Args:
+        mesh: The mesh.
+        X: Points, shape ``(q, d)``; a NaN or infinite point lies in no
+            element.
+
+    Returns:
+        Element indices, shape ``(q,)``.
+
+    Raises:
+        DimensionMismatch: If the points are not ``d``-dimensional.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    q, d = X.shape[0], mesh.dim
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatch(
+            f"mesh expects points of dimension {d}, got points of shape {X.shape}"
+        )
+    g = _bucket_grid(mesh, tol)
+
+    # Each point's bucket; a point outside the grid's box (or NaN) has no
+    # candidates, and its coordinates are never computed with.
+    XT = np.ascontiguousarray(X.T)
+    inside = np.all((XT >= g.lo[:, None]) & (XT <= g.hi[:, None]), axis=0)
+    cell = (np.where(inside, XT, g.lo[:, None]) - g.base[:, None]) / g.width[:, None]
+    own = np.ravel_multi_index(np.minimum(cell.astype(np.int64), g.shape[:, None] - 1), g.shape)
+    count = np.where(inside, g.load[own], 0)
+    ends = np.cumsum(count)  # pairs of the points up to and including each
+    shift = (np.cumsum(g.load) - g.load)[own] - (ends - count)
+    # BT[c, j, k]: entry (j, c) of bary_inverse[k], so that the coordinates
+    # of a batch are d multiply-adds of contiguous rows.
+    BT = np.ascontiguousarray(mesh.bary_inverse.transpose(2, 1, 0))
+    out = np.full(q, -1, dtype=np.int64)
+    done = 0
+    while done < q:
+        first_pair = ends[done] - count[done]
+        stop = max(done + 1, int(np.searchsorted(ends, first_pair + LOCATE_CHUNK_PAIRS, "right")))
+        c = count[done:stop]
+        pair_pt = np.repeat(np.arange(done, stop), c)
+        k = g.members.take(np.repeat(shift[done:stop], c) + np.arange(first_pair, ends[stop - 1]))
+        Bk = BT.take(k, axis=2)
+        lam = Bk[d]  # lam[j, p]: coordinate j of the pair's point in the pair's element
+        for a in range(d):
+            lam += Bk[a] * np.repeat(XT[a, done:stop], c)
+        hit = np.flatnonzero(np.all(lam >= -tol, axis=0))
+        # A point's pairs run in index order, so its first hit is the lowest.
+        p = pair_pt[hit]
+        lowest = np.ones(p.size, dtype=bool)
+        lowest[1:] = p[1:] != p[:-1]
+        out[p[lowest]] = k[hit[lowest]]
+        done = stop
     return out
 
 
@@ -404,7 +548,9 @@ def interpolate(
         Values, shape ``(q,)``.
 
     Raises:
-        OutsideDomain: If a point lies in no element.
+        DimensionMismatch: If the points are not ``d``-dimensional.
+        OutsideDomain: If a point lies in no element (also a NaN or
+            infinite point).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (mesh.num_vertices,):

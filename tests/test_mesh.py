@@ -5,17 +5,24 @@ triangle incircle/circumcircle, regular simplex ratios), the affine patch
 test for interpolation, and direct evaluation for hat functions.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from helpers import chain_mesh, crisscross_mesh, kuhn_cube_mesh, square_two_triangles
+from scipy.spatial import Delaunay
 
 from cpwlrelu import mesh as mesh_module
 from cpwlrelu.errors import (
     DegenerateSimplex,
+    DimensionMismatch,
     NonConforming,
     OutsideDomain,
 )
 from cpwlrelu.mesh import (
+    BARY_TOL,
+    LOCATE_ENTRIES_PER_ELEMENT,
     build_mesh,
     compute_kh,
     find_simplex,
@@ -301,6 +308,125 @@ def test_sample_points_inside(mesh_corpus, rng):
         X = sample_points(mesh, 300, rng)
         assert X.shape == (300, mesh.dim)
         assert np.all(find_simplex(mesh, X) >= 0), name
+
+
+# ---------------------------------------------------------------------------
+# Point location
+# ---------------------------------------------------------------------------
+
+
+def _oracle_simplex(mesh, X, tol=BARY_TOL):
+    """The lowest ``k`` with every barycentric coordinate ``>= -tol``, else -1,
+    by one element at a time."""
+    out = np.full(len(X), -1)
+    for k in reversed(range(mesh.num_simplices)):
+        out[np.all(mesh.barycentric(k, X) >= -tol, axis=1)] = k
+    return out
+
+
+def _facet_midpoints(mesh):
+    """Midpoint, element and local index ``j`` of the facet opposite vertex
+    ``j`` of each element, one row per (element, j)."""
+    d = mesh.dim
+    others = np.nonzero(~np.eye(d + 1, dtype=bool))[1].reshape(d + 1, d)
+    mid = mesh.vertices[mesh.simplices[:, others]].mean(axis=2).reshape(-1, d)
+    k, j = np.divmod(np.arange(mid.shape[0]), d + 1)
+    return mid, k, j
+
+
+def _beyond_boundary(mesh, t):
+    """Boundary-facet midpoints pushed outwards until the coordinate of the
+    opposite vertex is ``-t``."""
+    mid, k, j = _facet_midpoints(mesh)
+    rim = mesh.neighbors.ravel() < 0
+    g = mesh.bary_inverse[k[rim], j[rim], :-1]
+    return mid[rim] - t * g / np.sum(g * g, axis=1, keepdims=True)
+
+
+def test_find_simplex_matches_lowest_index_oracle(mesh_corpus, rng):
+    # The 40 x 1e-3 strip has one bucket across its height.
+    grids = [("cc-32x32", crisscross_mesh(np.linspace(0, 1, 32), np.linspace(0, 1, 32))),
+             ("strip", crisscross_mesh(np.linspace(0.0, 40.0, 41), [0.0, 1e-3]))]
+    for name, mesh in list(mesh_corpus) + grids:
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        far = (lo + hi) / 2 + 10.0 * (hi - lo) * rng.normal(size=(20, mesh.dim))
+        near, off = _beyond_boundary(mesh, 0.5 * BARY_TOL), _beyond_boundary(mesh, 1e-6)
+        grid = mesh_module._bucket_grid(mesh, BARY_TOL)
+        X = np.vstack([sample_points(mesh, 300, rng), mesh.vertices,
+                       _facet_midpoints(mesh)[0], near, off, far, [hi + 1e6, grid.lo, grid.hi]])
+        got = find_simplex(mesh, X)
+        assert np.array_equal(got, _oracle_simplex(mesh, X)), name
+        # Shared points go to the lowest of the elements holding them.
+        nv = mesh.num_vertices
+        assert got[300:300 + nv].tolist() == [s[0] for s in mesh.vertex_to_simplices], name
+        assert np.all(find_simplex(mesh, near) >= 0), name
+        assert np.all(find_simplex(mesh, off) == -1), name
+    strip = grids[1][1]
+    shape = mesh_module._bucket_grid(strip, BARY_TOL).shape
+    assert shape[1] == 1 and shape[0] > 1
+
+
+def test_find_simplex_rejects_malformed_points():
+    mesh = square_two_triangles()
+    with pytest.raises(DimensionMismatch, match=r"dimension 2, got points of shape \(4, 3\)"):
+        interpolate(mesh, np.zeros(4), np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatch):
+        find_simplex(mesh, np.zeros((4, 1)))
+    bad = np.array([[np.inf, 0.5], [0.5, np.nan], [-np.inf, -np.inf], [np.nan, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_simplex(mesh, bad).tolist() == [-1, -1, -1, -1]
+        assert find_simplex(mesh, np.vstack([bad, [[0.75, 0.1]]]))[-1] == 0
+        for row in bad:
+            with pytest.raises(OutsideDomain):
+                interpolate(mesh, np.zeros(4), row[None, :])
+        assert find_simplex(mesh, np.zeros((0, 2))).shape == (0,)
+        assert interpolate(mesh, np.zeros(4), np.zeros((0, 2))).shape == (0,)
+
+
+def _crisscross_arrays(n):
+    """Vertices and elements of the n x n-vertex criss-cross grid on [0, 1]^2."""
+    xs = np.linspace(0.0, 1.0, n)
+    verts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    a = (np.arange(n - 1)[None, :] + n * np.arange(n - 1)[:, None]).ravel()
+    simp = np.concatenate([np.stack([a, a + 1, a + n + 1], axis=1),
+                           np.stack([a, a + n + 1, a + n], axis=1)])
+    return verts, simp
+
+
+def test_find_simplex_on_a_128_grid(rng):
+    """Locating 20 000 points on 32 258 elements is one batched pass."""
+    mesh = build_mesh(*_crisscross_arrays(128), validate=False)
+    X = sample_points(mesh, 20_000, rng)
+    ks = find_simplex(mesh, X)
+    assert np.all(ks >= 0)
+    hom = np.hstack([X, np.ones((len(X), 1))])
+    lam = np.einsum("qij,qj->qi", mesh.bary_inverse[ks], hom)
+    assert lam.min() >= -BARY_TOL
+    a, b = rng.normal(size=2), float(rng.normal())
+    vals = interpolate(mesh, mesh.vertices @ a + b, X)
+    assert np.max(np.abs(vals - (X @ a + b))) < 1e-12
+
+
+def test_find_simplex_on_slivers_keeps_table_and_memory_small(rng):
+    """The Delaunay triangulation of 3 000 points on a circle is a mesh of
+    long slivers whose boxes overlap; the table stays within its bound and
+    the candidates are tested in batches."""
+    t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
+    P = np.stack([np.cos(t), np.sin(t)], axis=1)
+    mesh = build_mesh(P, Delaunay(P).simplices, validate=False)
+    m = mesh.num_simplices
+    members = mesh_module._bucket_grid(mesh, BARY_TOL).members
+    assert members.size <= LOCATE_ENTRIES_PER_ELEMENT * m
+    X = sample_points(mesh, 5000, rng)
+    tracemalloc.start()
+    try:
+        got = find_simplex(mesh, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _oracle_simplex(mesh, X))
+    assert peak < 32e6, peak
 
 
 # ---------------------------------------------------------------------------
