@@ -21,17 +21,24 @@ Two constructive pathways, both exact (no approximation):
   (``|w| max(S) = max(|w| S)``), leaving only its sign to the output.
   A term ``max(0, S)`` takes its zero as a ``relu`` neuron on ``max(S)``.
 
-Both pathways emit every gadget through one :class:`NetBuilder` per
-compile, level by level, as sparse CSR layers: all hats or terms share the
-builder, each tree's root is carried to the common depth, and the output
-layer sums the roots with their signs.  Each distinct subexpression is
-emitted once: a leaf is keyed by the exact bytes of its affine row and a
-gadget by its kind and its children, so a leaf, gadget or carry that
-several trees hold is one set of neurons that each consumer reads with its
-own +-1 weight.  Every hidden layer past the first keeps weights in
-``{0, +-1}`` with zero bias.  `compile_max_of_m` combines
-arbitrary networks pairwise, seeding a builder on each pair side by side;
-the trees' builder is seeded on the zero-hidden-layer network of their leaves.
+Both pathways hold their gadget trees as arrays (:class:`_Forest`: one
+entry per node, in post-order), built from one index template per
+balanced-tree shape, so a deep compile reads every star in one
+:func:`~cpwlrelu.mesh.vertex_stars` pass and builds the trees of all hats
+of one valence at once.  :func:`_emit_trees` emits the trees through one
+:class:`NetBuilder` per compile, level by level, as sparse CSR layers: all
+hats or terms share the builder, each tree's root is carried to the common
+depth, and the output layer sums the roots with their signs.  Each
+distinct subexpression is emitted once, by hash-consing level by level:
+one ``np.unique`` keys the leaves by the exact bytes of their affine rows,
+and one per level keys the gadgets by their code and their children's
+keys, so a leaf, gadget or carry that several trees hold is one set of
+neurons that each consumer reads with its own +-1 weight.  The neurons
+keep the order of a depth-first interning of the trees, one after
+another.  Every hidden layer past the first keeps weights in ``{0, +-1}``
+with zero bias.  `compile_max_of_m` combines arbitrary networks pairwise,
+seeding a builder on each pair side by side; the trees' builder is seeded
+on the zero-hidden-layer network of their distinct leaves.
 
 Every compile function checks the network against its reference at sample
 points (`SelfCheckFailed` otherwise) and returns it together with a
@@ -41,11 +48,13 @@ asserted against the actual network (`BoundViolated` otherwise).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -71,16 +80,17 @@ from .errors import (
     SelfCheckFailed,
 )
 from .mesh import (
+    INTERP_RESIDUAL_TOL,
     SimplicialMesh,
+    StarTable,
     compute_kh,
     interpolate,
-    is_locally_convex,
     sample_points,
-    vertex_star,
+    vertex_stars,
 )
 from .relu_net import (
     GADGETS,
-    ChannelRef,
+    OPS,
     NetBuilder,
     ReluNetwork,
     eval_network,
@@ -93,6 +103,10 @@ logger = logging.getLogger(__name__)
 #: Caps for the shallow expansion (raising them only costs memory/time).
 MAX_PIECES_SHALLOW = 8
 MAX_CLAUSES_SHALLOW = 64
+#: Cap on the deep pathway's size bound ``(5 kh - 4) N``, checked before
+#: any emission: 2^21 neurons.  The 256 x 256 criss-cross grid (kh = 6,
+#: bound 1 703 936) compiles in about 1 GB; 512 x 512 (6 815 744) is refused.
+MAX_NEURONS_DEEP = 2**21
 
 #: Dependency-fit acceptance and ambiguity thresholds (relative).
 DEP_ACCEPT = 1e-8
@@ -237,118 +251,235 @@ def _self_check(net: ReluNetwork, reference, X: NDArray, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    """A balanced min/max expression over level-0 builder channels.
+#: Node codes of a gadget forest: an ``OPS`` code, or ``LEAF`` for a leaf.
+MIN, MAX, ID, RELU = (OPS.index(kind) for kind in ("min", "max", "id", "relu"))
+LEAF = -1
 
-    ``kind`` is ``"leaf"`` (``ch`` is a level-0 channel), ``"min"``,
-    ``"max"``, ``"relu"`` (one child) or ``"zero"`` (:data:`_ZERO`).
-    ``depth`` is the level at which the value becomes available and ``size``
-    the neurons its subtree costs as a tree: 3 per gadget, 1 per ``relu``,
-    plus 2 per level of identity carry of a child finished before its
-    parent's level.  :func:`_emit_trees` emits a repeated subtree once, so
-    ``size`` bounds the network from above.
+
+class _Forest(NamedTuple):
+    """Trees of min/max/relu gadgets over affine leaves, as arrays over
+    their nodes in post-order (children before their parent, left before
+    right, tree after tree), so that a tree's ``span`` nodes end at its
+    root.  A repeated subtree is listed at every place it occurs.  The
+    ``r``-th leaf in this order reads row ``r`` of the block of
+    ``[gradient, offset]`` rows that the forest is emitted with.
+
+    Attributes:
+        code: Each node's ``OPS`` code, ``LEAF`` for a leaf.
+        kids: Its children's node indices, shape ``(P, 2)``, -1 padded.
+        roots: The root node of each tree.
+        span: The number of nodes of each tree.
     """
 
-    __slots__ = ("kind", "children", "ch", "depth", "size")
-
-    def __init__(self, kind: str, children: tuple = (), ch=None):
-        self.kind = kind
-        self.children = children
-        self.ch = ch
-        self.depth = self.size = 0
-        if children:
-            self.depth = 1 + max(c.depth for c in children)
-            self.size = _neurons(kind) + sum(
-                c.size + _neurons("id") * (self.depth - 1 - c.depth) for c in children
-            )
+    code: NDArray[np.int64]
+    kids: NDArray[np.int64]
+    roots: NDArray[np.int64]
+    span: NDArray[np.int64]
 
 
-#: A leading zero of a max list; :func:`_balanced` folds it into a ``relu``.
-_ZERO = _Node("zero")
+def _ranks(counts: NDArray[np.int64]) -> NDArray[np.int64]:
+    """``0, 1, ..., counts[g] - 1`` for each group ``g`` in turn."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _balanced(kind: str, nodes: list[_Node]) -> _Node:
-    """Balanced tree: the left half takes ``ceil(m/2)`` of the nodes, so a
-    leading :data:`_ZERO` ends in a pair ``max(_ZERO, x) = relu(x)``."""
-    if not nodes:
-        raise EmptyList(f"cannot take {kind} of zero arguments")
-    if len(nodes) == 1:
-        return nodes[0]
-    if kind == "max" and len(nodes) == 2 and nodes[0] is _ZERO:
-        return _Node("relu", nodes[1:])
-    k = (len(nodes) + 1) // 2
-    return _Node(kind, (_balanced(kind, nodes[:k]), _balanced(kind, nodes[k:])))
+def _leaves(n: int) -> _Forest:
+    """``n`` one-node trees."""
+    return _Forest(np.full(n, LEAF), np.full((n, 2), -1), np.arange(n), np.ones(n, dtype=np.int64))
 
 
-def _affine_leaves(
-    leaves: dict[bytes, _Node], rows: NDArray[np.float64], scale: float = 1.0
-) -> list[_Node]:
-    """The leaf nodes of the ``[gradient, offset]`` rows of ``scale * rows``.
+@functools.lru_cache(maxsize=None)
+def _template(code: int, width: int, zero_led: bool) -> tuple[NDArray, NDArray, NDArray]:
+    """The balanced ``OPS[code]`` tree over ``width`` arguments, after a
+    constant 0 if ``zero_led``, in post-order: per node its code (``LEAF``
+    for an argument), its argument's index (or -1) and its children's node
+    indices (-1 padded).
 
-    ``leaves`` maps each row's exact bytes to its leaf, which reads the row
-    as level-0 channel ``len(leaves)`` at its first use; a repeated row gets
-    the leaf of its first use.
+    The left half takes ``ceil(n/2)`` of the ``n`` arguments, so a leading
+    constant 0 of a max ends in a pair ``max(0, x)``, one ``relu`` node.
     """
-    nodes = []
-    for row in scale * rows:
-        key = row.tobytes()
-        if key not in leaves:
-            leaves[key] = _Node("leaf", ch=ChannelRef(0, len(leaves)))
-        nodes.append(leaves[key])
-    return nodes
+    if width < 1:
+        raise EmptyList(f"cannot take {OPS[code]} of zero arguments")
+    nodes: list[tuple[int, int, int, int]] = []
+
+    def build(lo: int, hi: int, zero: bool) -> int:
+        n = hi - lo + zero
+        if zero and n == 2:
+            nodes.append((RELU, -1, build(lo, hi, False), -1))
+        elif n == 1:
+            nodes.append((LEAF, lo, -1, -1))
+        else:
+            mid = lo + (n + 1) // 2 - zero
+            nodes.append((code, -1, build(lo, mid, zero), build(mid, hi, False)))
+        return len(nodes) - 1
+
+    build(0, width, zero_led)
+    codes, items, left, right = np.array(nodes).T
+    template = codes, items, np.stack([left, right], axis=1)
+    for a in template:
+        a.flags.writeable = False  # shared by every caller of the cache
+    return template
+
+
+def _gadget_trees(code: int, widths, items: _Forest, zero_led=False) -> _Forest:
+    """One balanced ``OPS[code]`` tree per entry of ``widths``, in order:
+    tree ``t`` takes the next ``widths[t]`` trees of ``items`` as its
+    arguments, after a constant 0 where ``zero_led`` (a flag for every tree
+    or one per tree; max trees only) is set.
+
+    The trees are built from one :func:`_template` per distinct shape: each
+    template node becomes one gadget node, and each argument node the
+    argument's whole tree, copied with its node indices shifted.
+    """
+    widths = np.asarray(widths, dtype=np.int64)
+    if widths.sum() != len(items.roots):
+        raise ValueError(f"{widths.sum()} arguments for {len(items.roots)} trees")
+    if not len(widths):
+        return _leaves(0)
+    shapes, shape_of = np.unique(2 * widths + np.asarray(zero_led), return_inverse=True)
+    tabs = [_template(code, int(s) // 2, bool(s % 2)) for s in shapes]
+    length = np.array([len(t[0]) for t in tabs], dtype=np.int64)
+    t_code, t_item, t_kids = (np.concatenate([t[f] for t in tabs]) for f in range(3))
+    # Every template node of every tree, tree after tree: its tree, and its
+    # row of the concatenated templates.
+    L = length[shape_of]
+    base = np.cumsum(L) - L
+    tree = np.repeat(np.arange(len(widths)), L)
+    tab = np.repeat((np.cumsum(length) - length)[shape_of], L) + _ranks(L)
+    node_code = t_code[tab]
+    arg = node_code == LEAF
+    item = (np.cumsum(widths) - widths)[tree[arg]] + t_item[tab[arg]]
+    chunk = np.ones(len(tab), dtype=np.int64)
+    chunk[arg] = items.span[item]
+    end = np.cumsum(chunk)  # each template node's root is node end - 1
+    code_out = np.empty(end[-1], dtype=np.int64)
+    kids = np.full((end[-1], 2), -1)
+    g = ~arg
+    at = end[g] - 1
+    code_out[at] = node_code[g]
+    tk = t_kids[tab[g]]
+    kids[at] = np.where(tk >= 0, end[base[tree[g]][:, None] + tk] - 1, -1)
+    n = chunk[arg]
+    src = np.repeat(items.roots[item] - n + 1, n) + _ranks(n)
+    shift = np.repeat(end[arg] - 1 - items.roots[item], n)
+    code_out[src + shift] = items.code[src]
+    moved = items.kids[src]
+    kids[src + shift] = np.where(moved >= 0, moved + shift[:, None], -1)
+    return _Forest(code_out, kids, end[base + L - 1] - 1, np.add.reduceat(chunk, base))
+
+
+def _depths(trees: _Forest) -> NDArray[np.int64]:
+    """Each node's level: 0 for a leaf, else one above its deepest child."""
+    depth = np.zeros(len(trees.code), dtype=np.int64)
+    g = np.flatnonzero(trees.code != LEAF)
+    kids = trees.kids[g]
+    kids = np.where(kids < 0, kids[:, :1], kids)
+    while True:
+        new = 1 + depth[kids].max(axis=1, initial=0)
+        if np.array_equal(new, depth[g]):
+            return depth
+        depth[g] = new
+
+
+def _parents(trees: _Forest) -> NDArray[np.int64]:
+    """Each node's parent, -1 for a root."""
+    parent = np.full(len(trees.code), -1)
+    for c in (0, 1):
+        has = np.flatnonzero(trees.kids[:, c] >= 0)
+        parent[trees.kids[has, c]] = has
+    return parent
+
+
+def _tree_sizes(trees: _Forest) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """Each tree's depth and its neurons as a tree: 3 per gadget, 1 per
+    ``relu``, plus 2 per level of identity carry of a child finished before
+    its parent's level.  :func:`_emit_trees` emits a repeated subtree once,
+    so a tree's size bounds its network from above."""
+    depth, parent = _depths(trees), _parents(trees)
+    neurons = np.array([_neurons(k) for k in OPS] + [0])  # LEAF = -1 is last
+    cost = neurons[trees.code]
+    has = np.flatnonzero(parent >= 0)
+    cost[has] += _neurons("id") * (depth[parent[has]] - 1 - depth[has])
+    total = np.concatenate([[0], np.cumsum(cost)])
+    return depth[trees.roots], total[trees.roots + 1] - total[trees.roots + 1 - trees.span]
+
+
+def _intern(key: NDArray[np.int64], nodes: NDArray[np.int64], packed: NDArray) -> NDArray[np.int64]:
+    """Hash-consing of one batch: gives ``nodes`` one key per distinct
+    ``packed`` value, new keys numbered on from ``key``'s largest in
+    first-use order, and returns the index in ``nodes`` of each new key's
+    first node, in key order."""
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    key[nodes] = key.max(initial=-1) + 1 + rank[inverse]
+    return first[order]
 
 
 def _emit_trees(
-    dim: int, leaves: dict[bytes, _Node], roots: list[_Node], signs: list[float]
+    dim: int, rows: NDArray[np.float64], trees: _Forest, signs: NDArray[np.float64]
 ) -> ReluNetwork:
     """Emits the trees, one hidden layer per level, into a builder seeded on
-    ``ReluNetwork(dim, [(G, offsets)])`` of the :func:`_affine_leaves` rows,
-    and returns the pruned network computing ``sum_k signs[k] * roots[k]``.
+    the zero-hidden-layer network of their distinct leaf rows (``rows`` is
+    the ``(n, dim + 1)`` block of the ``n`` leaves), and returns the pruned
+    network computing ``sum_t signs[t] * tree_t``.
 
-    Equal subtrees are emitted once: a node's key is its kind and its
-    children's keys in order (a leaf's key is its channel), and each
-    distinct key gets one gadget or ``relu`` at the level of its depth.  A
-    consumer at level ``L`` reads its child's channel at level ``L - 1``, so
-    a value finished before its last consumer's level rides one chain of
-    identity carries (2 neurons per level) that every consumer reads from,
-    and every root is carried to the deepest root's level.  Each neuron
-    computes what it would in an unshared emission; a shared channel is
-    read with each consumer's own +-1 weight.
+    Equal subtrees are emitted once, by hash-consing level by level
+    (:func:`_intern`): a leaf is keyed by the exact bytes of its row and
+    becomes a level-0 channel in first-use order; a gadget is keyed by its
+    code and its children's keys, one batch per level.  A consumer at level
+    ``L`` reads its child's channel at level ``L - 1``, so a value finished
+    before its last consumer's level rides one chain of identity carries
+    (2 neurons per level) that every consumer reads from, and every root is
+    carried to the deepest root's level.  Each neuron computes what it
+    would in an unshared emission; a shared channel is read with each
+    consumer's own +-1 weight.
+
+    Within a level the operations follow the nodes in post-order: a gadget
+    comes at its key's first node, and a carry of a key to level ``L`` at
+    the first node of that key read at level ``L`` or above.  This is the
+    order in which interning the trees depth first, one after another,
+    would schedule them.
     """
-    rows = np.array([np.frombuffer(k) for k in leaves]) if leaves else np.zeros((0, dim + 1))
-    builder = NetBuilder(ReluNetwork(dim, [(rows[:, :-1], rows[:, -1])]))
-    top = max((r.depth for r in roots), default=0)
-    ids: dict[tuple, int] = {}
-    chan: list[ChannelRef | None] = []  # per id: its channel at the current level
-    carried: list[int] = []  # per id: the level its carry chain reaches so far
-    ops_at: list[list[tuple[str, int, tuple[int, ...]]]] = [[] for _ in range(top + 1)]
-
-    def intern(node: _Node, level: int) -> int:
-        """The id of ``node``'s key, with its gadget scheduled once and its
-        carry chain extended up to ``level``, where a consumer reads it."""
-        children = tuple([intern(c, node.depth - 1) for c in node.children])
-        key = (node.kind, node.ch.row) if node.kind == "leaf" else (node.kind, *children)
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(chan)
-            chan.append(node.ch)
-            carried.append(node.depth)
-            if children:
-                ops_at[node.depth].append((node.kind, i, children))
-        if level > carried[i]:
-            for t in range(carried[i] + 1, level + 1):
-                ops_at[t].append(("id", i, (i,)))
-            carried[i] = level
-        return i
-
-    root_ids = [intern(r, top) for r in roots]
+    code, kids = trees.code, trees.kids
+    depth = _depths(trees)
+    top = int(depth[trees.roots].max(initial=0))
+    key = np.full(len(code), -1, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, dim + 1)
+    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * (dim + 1)))).ravel()
+    seed = rows[_intern(key, np.flatnonzero(code == LEAF), row_bytes)]
+    # Operations, one tuple of columns per batch: level, node, code,
+    # operand keys a and b (-1 for none), result key.
+    ops = []
     for level in range(1, top + 1):
-        todo = ops_at[level]
-        outs = builder.apply_level([(op, *(chan[c] for c in args)) for op, _, args in todo])
-        for (_, i, _), out in zip(todo, outs):
-            chan[i] = out
-    output = [(sg, chan[i]) for sg, i in zip(signs, root_ids)]
-    return prune_dead_channels(builder.finish([output]))
+        at = np.flatnonzero(depth == level)
+        a, b = key[kids[at, 0]], np.where(kids[at, 1] >= 0, key[kids[at, 1]], -1)
+        radix = key.max() + 2
+        new = _intern(key, at, (code[at] * radix + a) * radix + b + 1)
+        ops.append((np.full(len(new), level), at[new], code[at[new]], a[new], b[new], key[at[new]]))
+    # Carries: a node is read at its parent's level - 1 (a root at the top
+    # level); a key's chain grows at each node that reads it above its reach.
+    parent = _parents(trees)
+    read = np.where(parent >= 0, depth[parent] - 1, top)
+    node = np.argsort(key, kind="stable")  # by key, in post-order within a key
+    k, stride = key[node], top + 1
+    reach = np.maximum.accumulate(k * stride + read[node])
+    before = np.maximum(np.concatenate([[-1], reach[:-1]]), k * stride + depth[node]) - k * stride
+    grow = np.maximum(read[node] - before, 0)
+    k = np.repeat(k, grow)
+    ops.append((np.repeat(before, grow) + 1 + _ranks(grow), np.repeat(node, grow),
+                np.full(len(k), ID), k, np.full(len(k), -1), k))
+    level, node, op, a, b, k = (np.concatenate(col) for col in zip(*ops))
+    order = np.lexsort((node, level))
+    level, op, a, b, k = level[order], op[order], a[order], b[order], k[order]
+    builder = NetBuilder(ReluNetwork(dim, [(seed[:, :-1], seed[:, -1])]))
+    channel = np.arange(key.max(initial=-1) + 1)  # of each key, at the current level
+    bounds = np.searchsorted(level, np.arange(1, top + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        builder.apply_level(op[lo:hi], channel[a[lo:hi]],
+                            np.where(b[lo:hi] >= 0, channel[b[lo:hi]], -1))
+        channel[k[lo:hi]] = np.arange(hi - lo)
+    return prune_dead_channels(builder.finish([(signs, channel[key[trees.roots]])]))
 
 
 def _max_of_nets(nets: list[ReluNetwork]) -> ReluNetwork:
@@ -359,9 +490,8 @@ def _max_of_nets(nets: list[ReluNetwork]) -> ReluNetwork:
     k = (len(nets) + 1) // 2
     pair = parallel([_max_of_nets(nets[:k]), _max_of_nets(nets[k:])])
     builder = NetBuilder(pair)
-    a, b = (ChannelRef(builder.level, r) for r in (0, 1))
-    (out,) = builder.apply_level([("max", a, b)])
-    return builder.finish([[(1.0, out)]])
+    builder.apply_level([MAX], [0], [1])
+    return builder.finish([([1.0], [0])])
 
 
 def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]:
@@ -403,36 +533,47 @@ def compile_max_of_m(nets: list[ReluNetwork]) -> tuple[ReluNetwork, BoundReport]
 # ---------------------------------------------------------------------------
 
 
-def _star_affines(mesh: SimplicialMesh, vertex: int) -> NDArray[np.float64]:
-    """The local affines of a convex vertex star, whose hat is
-    ``max(0, min_k g_k)``, as the star's ``(k, d + 1)`` block of rows.
+def _checked_coeffs(mesh: SimplicialMesh, coeffs) -> NDArray[np.float64]:
+    """``coeffs`` as floats, one finite value per mesh vertex.
 
     Raises:
-        NotLocallyConvex: If the star is not convex.
+        ValueError: On a wrong shape, or naming the first vertex whose
+            coefficient is NaN or infinite.
     """
-    if not is_locally_convex(mesh, vertex):
-        raise NotLocallyConvex(
-            f"the star of vertex {vertex} is not convex; its hat function is "
-            "not the max-min form of its local affines"
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (mesh.num_vertices,):
+        raise ValueError("need one coefficient per mesh vertex")
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise ValueError(
+            f"the coefficient of vertex {bad[0]} is {coeffs[bad[0]]}; "
+            "FE coefficients must be finite"
         )
-    return vertex_star(mesh, vertex).affine_rows
+    return coeffs
 
 
-def _deep_net(mesh: SimplicialMesh, coeffs: dict[int, float]) -> ReluNetwork:
-    """Network for ``sum_i c_i * relu(min_k g_k^(i))`` over the given vertices.
+def _hat_stars(mesh: SimplicialMesh, used: NDArray[np.int64]) -> StarTable:
+    """The stars of the used vertices, whose hats are ``max(0, min_k g_k)``
+    over their affines, from one :func:`vertex_stars` pass.
 
-    ``g_k^(i)`` are vertex ``i``'s star affines; for a convex star the
-    expression equals ``c_i`` times its nodal hat on the meshed domain.
-    Each hat's affines are scaled by ``|c_i|`` in the first layer and its
-    sign lands in the output combination; all hats share one builder.
+    Raises:
+        NotLocallyConvex: If the first faulty star (in ``used`` order) is
+            not convex.
+        SingularSystem: If its affines miss their nodal values.
     """
-    leaves: dict[bytes, _Node] = {}
-    trees = []
-    for i, c in coeffs.items():
-        mins = _balanced("min", _affine_leaves(leaves, _star_affines(mesh, i), abs(c)))
-        trees.append(_Node("relu", (mins,)))
-    signs = [float(np.sign(c)) for c in coeffs.values()]
-    return _emit_trees(mesh.dim, leaves, trees, signs)
+    stars = vertex_stars(mesh, used)
+    fault = ~stars.convex
+    owner = np.repeat(np.arange(len(used)), np.diff(stars.starts))
+    fault[owner[stars.residual > INTERP_RESIDUAL_TOL]] = True
+    if fault.any():
+        u = int(np.argmax(fault))
+        if not stars.convex[u]:
+            raise NotLocallyConvex(
+                f"the star of vertex {used[u]} is not convex; its hat function is "
+                "not the max-min form of its local affines"
+            )
+        stars.check_residual(u)
+    return stars
 
 
 def compile_fem_deep(
@@ -442,36 +583,50 @@ def compile_fem_deep(
 ) -> tuple[ReluNetwork, BoundReport]:
     """Compiles a nodal finite element function via the deep pathway.
 
-    The function ``sum_i c_i phi_i`` is built hat by hat in one builder;
-    each hat's first layer is scaled by ``|c_i|`` and the sign lands in the
-    output combination, so all layers past the first stay on the low-bit
-    grid with zero bias.  Bounds (checked): hidden depth
-    ``ceil(log2 kh) + 1``, size ``(5 kh - 4) N`` with ``N`` the number of
-    nonzero coefficients.  A hat over ``n <= kh`` star affines costs
-    ``n - 1`` min gadgets (3 neurons each), at most one 2-neuron carry per
-    min gadget (the halves of a balanced tree differ by at most one level),
-    the top ``relu`` neuron, and a carry from depth ``ceil(log2 n) + 1`` to
-    the common depth, at most ``2 (kh - n)`` neurons: ``5 (n - 1) + 1 +
-    2 (kh - n) = 3 n - 4 + 2 kh <= 5 kh - 4``.
+    The function ``sum_i c_i phi_i`` over the vertices with ``c_i != 0`` is
+    one tree ``relu(min_k g_k^(i))`` per hat over its star affines, all
+    emitted by one builder; each hat's affines are scaled by ``|c_i|`` in
+    the first layer and its sign lands in the output combination, so all
+    layers past the first stay on the low-bit grid with zero bias.  For a
+    convex star the tree equals ``c_i`` times the nodal hat on the meshed
+    domain.  Bounds (checked): hidden depth ``ceil(log2 kh) + 1``, size
+    ``(5 kh - 4) N`` with ``N`` the number of nonzero coefficients.  A hat
+    over ``n <= kh`` star affines costs ``n - 1`` min gadgets (3 neurons
+    each), at most one 2-neuron carry per min gadget (the halves of a
+    balanced tree differ by at most one level), the top ``relu`` neuron,
+    and a carry from depth ``ceil(log2 n) + 1`` to the common depth, at
+    most ``2 (kh - n)`` neurons: ``5 (n - 1) + 1 + 2 (kh - n) = 3 n - 4 +
+    2 kh <= 5 kh - 4``.
 
     Raises:
+        ValueError: If a coefficient is missing, NaN or infinite.
+        ExpansionOverflow: If the size bound exceeds ``MAX_NEURONS_DEEP``;
+            checked before any star is read.
         NotLocallyConvex: If a used vertex has a non-convex star.
     """
     rng = rng or np.random.default_rng(12345)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (mesh.num_vertices,):
-        raise ValueError("need one coefficient per mesh vertex")
-    used = [i for i in range(mesh.num_vertices) if coeffs[i] != 0.0]
+    coeffs = _checked_coeffs(mesh, coeffs)
+    used = np.flatnonzero(coeffs)
     kh = compute_kh(mesh)
-    net = _deep_net(mesh, {i: float(coeffs[i]) for i in used})
+    bound = len(used) * ((_neurons("min") + _neurons("id")) * (kh - 1) + _neurons("relu"))
+    if bound > MAX_NEURONS_DEEP:
+        raise ExpansionOverflow(
+            f"the deep network's size bound (5 kh - 4) N = {bound} (kh = {kh}, "
+            f"N = {len(used)}) exceeds the limit MAX_NEURONS_DEEP = {MAX_NEURONS_DEEP}"
+        )
+    stars = _hat_stars(mesh, used)
+    c = coeffs[used]
+    hats = _gadget_trees(MIN, np.diff(stars.starts), _leaves(len(stars.incident)))
+    trees = _gadget_trees(MAX, np.ones(len(used)), hats, zero_led=True)
+    rows = stars.affine_rows * np.repeat(np.abs(c), np.diff(stars.starts))[:, None]
+    net = _emit_trees(mesh.dim, rows, trees, np.sign(c))
     X = sample_points(mesh, 128, rng)
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), X, "deep FE function")
     return net, _bound_report(
         net,
         pathway="deep",
         predicted_depth=ceil_log2(kh) + 1,
-        predicted_size_bound=len(used)
-        * ((_neurons("min") + _neurons("id")) * (kh - 1) + _neurons("relu")),
+        predicted_size_bound=bound,
         d=mesh.dim,
         kh=kh,
         m=len(used),
@@ -785,17 +940,22 @@ def _terms_net(
     Each term is one balanced max tree in a shared builder.  Its weight
     folds into the first layer (``k max(S) = max(k S)`` for
     ``k > 0``), so only the sign reaches the output combination and every
-    output entry lies in ``{+-1}``.  A constant ``c0 = 0`` is :data:`_ZERO`.
+    output entry lies in ``{+-1}``.  A constant ``c0 = 0`` leads its max
+    list and becomes a ``relu`` neuron; any other constant is the leaf
+    ``[0, c0]`` in front of the rows.
     """
-    leaves: dict[bytes, _Node] = {}
-    trees = []
+    blocks = []
     for w, c0, rows in merged:
-        zero = [_ZERO] if c0 == 0.0 else []
-        if c0 is not None and not zero:
+        if c0 is not None and c0 != 0.0:
             rows = np.vstack([np.append(np.zeros(dim), c0), rows])
-        trees.append(_balanced("max", zero + _affine_leaves(leaves, rows, abs(w))))
-    signs = [1.0 if w > 0 else -1.0 for w, _, _ in merged]
-    return _emit_trees(dim, leaves, trees, signs)
+        blocks.append(abs(w) * rows)
+    trees = _gadget_trees(
+        MAX, [len(b) for b in blocks], _leaves(sum(len(b) for b in blocks)),
+        zero_led=[c0 == 0.0 for _, c0, _ in merged],
+    )
+    rows = np.concatenate(blocks) if blocks else np.zeros((0, dim + 1))
+    signs = np.array([1.0 if w > 0 else -1.0 for w, _, _ in merged])
+    return _emit_trees(dim, rows, trees, signs)
 
 
 # --- shallow compile entry points ------------------------------------------
@@ -826,20 +986,22 @@ def compile_lattice_shallow(lat: LatticeForm) -> tuple[ReluNetwork, BoundReport]
                 "rewrite the form first (compile_cpwl_shallow does this)"
             )
     P = _piece_rows(lat.pieces)
-    leaves: dict[bytes, _Node] = {}
-    clauses = [_balanced("min", _affine_leaves(leaves, P[list(s)])) for s in lat.clauses]
-    depth = max(c.depth for c in clauses)
+    members = [list(s) for s in lat.clauses]
+    clauses = _gadget_trees(MIN, [len(s) for s in members], _leaves(sum(map(len, members))))
+    depths, sizes = _tree_sizes(clauses)
+    depth = int(depths.max())
     if depth > ceil_log2(d + 1):
         raise BoundViolated("a clause tree is deeper than ceil(log2(d+1))")
-    padded_sizes = [c.size + _neurons("id") * (depth - c.depth) for c in clauses]
-    net = _emit_trees(d, leaves, [_balanced("max", clauses)], [1.0])
+    padded_sizes = sizes + _neurons("id") * (depth - depths)
+    rows = P[np.concatenate(members)]
+    net = _emit_trees(d, rows, _gadget_trees(MAX, [M], clauses), np.ones(1))
     X = np.random.default_rng(12345).normal(size=(64, d))
     _self_check(net, lambda P: eval_lattice(lat, P), X, "shallow lattice compile")
     return net, _bound_report(
         net,
         pathway="shallow-lattice",
         predicted_depth=ceil_log2(d + 1) + ceil_log2(M) + 1,
-        predicted_size_bound=sum(padded_sizes) + _neurons("max") * (2 * M - 1),
+        predicted_size_bound=int(padded_sizes.sum()) + _neurons("max") * (2 * M - 1),
         d=d,
         m=lat.num_pieces,
         M=M,
@@ -971,16 +1133,15 @@ def compile_fem_shallow(
     the size bound is combinatorial in the valences.
 
     Raises:
+        ValueError: If a coefficient is missing, NaN or infinite.
         ExpansionOverflow: If a used vertex's valence exceeds
             ``MAX_PIECES_SHALLOW`` (its hat is a max-min over that many
             pieces); every used vertex is checked before any expansion.
         NotLocallyConvex: If a used vertex has a non-convex star.
     """
     rng = rng or np.random.default_rng(12345)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (mesh.num_vertices,):
-        raise ValueError("need one coefficient per mesh vertex")
-    used = [i for i in range(mesh.num_vertices) if coeffs[i] != 0.0]
+    coeffs = _checked_coeffs(mesh, coeffs)
+    used = np.flatnonzero(coeffs)
     for i in used:
         n = len(mesh.vertex_to_simplices[i])
         if n > MAX_PIECES_SHALLOW:
@@ -990,10 +1151,11 @@ def compile_fem_shallow(
             )
     kh = compute_kh(mesh)
     d = mesh.dim
+    stars = _hat_stars(mesh, used)
     pts = sample_points(mesh, 128, rng)
     weighted: list[tuple[float, _Term]] = []
-    for i in used:
-        gs = _star_affines(mesh, i)
+    for u, i in enumerate(used):
+        gs = stars.affine_rows[stars.starts[u] : stars.starts[u + 1]]
         for T, w in _expand_lattice_terms([tuple(range(len(gs)))]).items():
             pures = reduce_term_width(1, 0.0, gs[sorted(T)], d + 1, pts)
             weighted.extend((coeffs[i] * w, t) for t in pures)

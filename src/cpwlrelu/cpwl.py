@@ -728,7 +728,7 @@ def lattice_from_dict(d: dict) -> LatticeForm:
 
 def save_pieces(f: CpwlPieces, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pieces_to_dict(f), fh)
+        fh.write(json.dumps(pieces_to_dict(f)))
 
 
 def load_pieces(path: str) -> CpwlPieces:

@@ -111,7 +111,8 @@ class EmptyList(CpwlReluError):
 
 
 class ExpansionOverflow(CpwlReluError):
-    """The max/min expansion would exceed the configured piece/cell caps."""
+    """The max/min expansion or a network would exceed a configured cap
+    (pieces, clauses, deep network size)."""
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ network compiler consumes read them: the facet table (``neighbors[k, j]``
 is the element across the facet opposite local vertex ``j`` of element
 ``k``, or -1 on the boundary) gives the boundary and the convexity test of
 a vertex star, and row ``j`` of ``bary_inverse[k]`` is the affine of vertex
-``j``'s hat function on element ``k``.  The module also provides the mesh
-quality numbers (maximum vertex valence, shape regularity) and
-volume-weighted uniform sampling.
+``j``'s hat function on element ``k``.  ``vertex_stars`` reads the stars
+of any list of vertices from these tables in one pass.  The module also
+provides the mesh quality numbers (maximum vertex valence, shape
+regularity) and volume-weighted uniform sampling.
 
 Points are located (``find_simplex``, under every ``interpolate``) through a
 uniform bucket grid over the mesh's bounding box, built per call with at
@@ -334,50 +335,120 @@ def build_mesh(
 # ---------------------------------------------------------------------------
 
 
-def vertex_star(mesh: SimplicialMesh, i: int) -> VertexStar:
-    """Builds the star of vertex ``i`` with its per-element hat affines.
+class StarTable(NamedTuple):
+    """The stars of a list of vertices, from :func:`vertex_stars`.
 
-    On each incident element ``k`` the hat is the barycentric coordinate of
-    ``i``, so its affine is the row of ``bary_inverse[k]`` at ``i``'s local
-    index: value 1 at vertex ``i``, value 0 at the element's other vertices.
+    Star ``u`` (of vertex ``centers[u]``) owns the entries ``starts[u]`` to
+    ``starts[u + 1]`` of ``incident``, ``affine_rows`` and ``residual``, one
+    per element containing the vertex, in element order.
+    """
+
+    centers: NDArray[np.int64]
+    starts: NDArray[np.int64]
+    #: The element of each entry.
+    incident: NDArray[np.int64]
+    #: ``[gradient, offset]`` of the hat of the star's vertex on that element.
+    affine_rows: NDArray[np.float64]
+    #: Largest miss of that affine's values 1 at the vertex, 0 at the
+    #: element's other vertices.
+    residual: NDArray[np.float64]
+    #: Per star: every boundary facet of the star supports it.
+    convex: NDArray[np.bool_]
+
+    def check_residual(self, u: int) -> None:
+        """Raises SingularSystem, naming the element and the vertex, if an
+        affine of star ``u`` misses its values by more than
+        ``INTERP_RESIDUAL_TOL`` (impossible on a non-degenerate element)."""
+        c = self.starts[u] + int(np.argmax(self.residual[self.starts[u] : self.starts[u + 1]]))
+        if self.residual[c] > INTERP_RESIDUAL_TOL:
+            raise SingularSystem(
+                f"interpolation residual {self.residual[c]:.3e} on element "
+                f"{self.incident[c]} at vertex {self.centers[u]}"
+            )
+
+
+def vertex_stars(
+    mesh: SimplicialMesh, centers: NDArray[np.int64], tol: float = BARY_TOL
+) -> StarTable:
+    """The stars of ``centers``, their hat affines and convexity, in one pass.
+
+    On each element ``k`` containing vertex ``i`` the hat of ``i`` is its
+    barycentric coordinate, so its affine is the row of ``bary_inverse[k]``
+    at ``i``'s local index: one stable argsort of ``simplices.ravel()``
+    lists those (element, local index) slots vertex by vertex, in element
+    order, and the rows are read from ``bary_inverse`` at the slots.
+
+    A star is star-shaped, so it is convex exactly when every boundary
+    facet of the star supports it.  Read from the facet table, the star's
+    boundary facets are the facets opposite the centre and the facets with
+    no neighbour (``neighbors == -1``); every other facet of an element of
+    the star is shared with another.  The facet opposite local vertex ``j``
+    of element ``k`` supports the star iff every star vertex has
+    barycentric coordinate ``lam_j >= -tol`` in ``k``; this is tested on
+    all (boundary facet, star vertex) pairs at once, so ``tol`` is
+    barycentric.
+    """
+    d, n = mesh.dim, mesh.num_vertices
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1)
+    flat = mesh.simplices.ravel()
+    valence = np.bincount(flat, minlength=n)
+    val = valence[centers]
+    starts = np.concatenate([[0], np.cumsum(val)])
+    owner = np.repeat(np.arange(len(centers)), val)  # the star of each entry
+    within = np.arange(starts[-1]) - starts[owner]
+    first = np.cumsum(valence) - valence
+    slot = np.argsort(flat, kind="stable")[first[centers][owner] + within]
+    elem, local = np.divmod(slot, d + 1)
+    rows = mesh.bary_inverse.reshape(-1, d + 1)[slot]
+
+    hom = np.concatenate([mesh.vertices, np.ones((n, 1))], axis=1)
+    nodal = np.einsum("kac,kc->ka", hom[mesh.simplices[elem]], rows)
+    nodal[np.arange(len(slot)), local] -= 1.0
+    residual = np.abs(nodal).max(axis=1, initial=0.0)
+
+    # The star's vertices, (star, vertex) pairs sorted by star and vertex.
+    pair = np.unique(owner[:, None] * n + mesh.simplices[elem])
+    star_of, star_v = np.divmod(pair, n)
+    count = np.bincount(star_of, minlength=len(centers))
+    # The boundary facets of each star, against each of its vertices.
+    fk, fj = np.nonzero(mesh.neighbors[elem] < 0)
+    fk, fj = np.concatenate([np.arange(len(slot)), fk]), np.concatenate([local, fj])
+    per = count[owner[fk]]
+    facet = np.repeat(np.arange(len(fk)), per)
+    vert = star_v[
+        np.repeat(np.cumsum(count)[owner[fk]] - per, per)
+        + np.arange(per.sum())
+        - np.repeat(np.cumsum(per) - per, per)
+    ]
+    lam = mesh.bary_inverse[elem[fk[facet]], fj[facet]]
+    lam = np.einsum("pc,pc->p", lam, hom[vert])
+    convex = np.ones(len(centers), dtype=bool)
+    convex[owner[fk[facet[lam < -tol]]]] = False
+    return StarTable(centers, starts, elem, rows, residual, convex)
+
+
+def vertex_star(mesh: SimplicialMesh, i: int) -> VertexStar:
+    """The star of vertex ``i`` with its per-element hat affines: the
+    :func:`vertex_stars` pass on one vertex.
 
     Raises:
-        SingularSystem: If a row misses those values by more than
+        SingularSystem: If an affine misses its values 1 at ``i`` and 0 at
+            the element's other vertices by more than
             ``INTERP_RESIDUAL_TOL`` (cannot happen on a non-degenerate
             element).
     """
-    incident = mesh.vertex_to_simplices[i]
-    S = mesh.simplices[list(incident)]
-    at_i = S == i
-    rows = mesh.bary_inverse[list(incident), np.argmax(at_i, axis=1)]
-    hom = np.concatenate([mesh.vertices[S], np.ones(S.shape + (1,))], axis=2)
-    resid = np.abs(np.einsum("kac,kc->ka", hom, rows) - at_i).max(axis=1)
-    if resid.max() > INTERP_RESIDUAL_TOL:
-        c = int(np.argmax(resid))
-        raise SingularSystem(
-            f"interpolation residual {resid[c]:.3e} on element {incident[c]} at vertex {i}"
-        )
-    return VertexStar(center=i, incident=incident, affine_rows=rows)
+    star = vertex_stars(mesh, [i])
+    star.check_residual(0)
+    return VertexStar(
+        center=i, incident=tuple(star.incident.tolist()), affine_rows=star.affine_rows
+    )
 
 
 def is_locally_convex(mesh: SimplicialMesh, i: int, tol: float = BARY_TOL) -> bool:
-    """Tests whether the star of vertex ``i`` is a convex set.
-
-    The star is star-shaped, so it is convex exactly when every boundary
-    facet of the star supports it.  Read from the facet table, the star's
-    boundary facets are the facets opposite ``i`` and the facets with no
-    neighbour (``neighbors == -1``); every other facet of an incident
-    element is shared with another incident element.  The facet opposite
-    local vertex ``j`` of element ``k`` supports the star iff every star
-    vertex has barycentric coordinate ``lam_j >= -tol`` in ``k``; ``tol``
-    is therefore barycentric.
-    """
-    incident = list(mesh.vertex_to_simplices[i])
-    star = np.unique(mesh.simplices[incident])
-    hom = np.hstack([mesh.vertices[star], np.ones((star.size, 1))])
-    lam_min = np.einsum("kjc,vc->kjv", mesh.bary_inverse[incident], hom).min(axis=2)
-    rim = (mesh.simplices[incident] == i) | (mesh.neighbors[incident] < 0)
-    return not np.any(rim & (lam_min < -tol))
+    """Tests whether the star of vertex ``i`` is a convex set: the
+    :func:`vertex_stars` pass on one vertex, whose docstring gives the test
+    and the meaning of ``tol``."""
+    return bool(vertex_stars(mesh, [i], tol).convex[0])
 
 
 def compute_kh(mesh: SimplicialMesh) -> int:
@@ -638,7 +709,7 @@ def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
 
 def save_mesh(mesh: SimplicialMesh, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mesh_to_dict(mesh), fh)
+        fh.write(json.dumps(mesh_to_dict(mesh)))
 
 
 def load_mesh(path: str, validate: bool = True) -> SimplicialMesh:

@@ -341,16 +341,6 @@ def independence_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChannelRef:
-    """A value available at one builder level: row ``row`` of that level's
-    channel matrix ``C`` applied to its activations, plus entry ``row`` of
-    its bias vector."""
-
-    level: int
-    row: int
-
-
 #: The builder's operations: ``kind -> (sign rows, output weights)``.
 #: Hidden neuron ``k`` computes ``relu(sa_k * a + sb_k * b)`` and the result
 #: is ``sum_k combo_k * neuron_k``: ``min(a, b) = a - relu(a - b)`` and
@@ -362,33 +352,40 @@ GADGETS = {
     "id": (((1.0,), (-1.0,)), (1.0, -1.0)),
     "relu": (((1.0,),), (1.0,)),
 }
+#: Operation codes: ``OPS[code]`` is the ``GADGETS`` kind.
+OPS = tuple(GADGETS)
+#: Per operation code, its operands and its neurons.
+_ARITY = np.array([len(GADGETS[kind][0][0]) for kind in OPS])
+_SIZE = np.array([len(GADGETS[kind][0]) for kind in OPS])
 
 
 class NetBuilder:
     """Continues a ReLU network one level at a time from channels.
 
-    The one constructor takes a seed network: its hidden layers become the
-    builder's first layers, its output layer the channel matrix ``C`` and
-    the bias vector beside it, and its output ``r`` the channel
-    ``ChannelRef(net.hidden_layer_count, r)``.  A zero-hidden-layer seed
-    ``[(G, offsets)]`` thus starts at level 0 with one affine channel per
-    row.  :meth:`apply_level` turns a list of gadget operations into
-    a sparse sign matrix ``S`` (one entry per operand of each neuron, from
-    :data:`GADGETS`) and emits the hidden layer ``S @ C``; the next level's
-    ``C`` holds one row per operation, its output weights on its own
-    neurons, with zero bias.  :meth:`finish` emits the output layer the
-    same way.  Biases are therefore only ever written into the first layer
-    the builder emits, and every later hidden layer has weights in
-    ``{0, +-1}``: each neuron of the previous level belongs to one channel
-    with weight ``+-1``, so ``S @ C`` stays on that set, also when a gadget
-    reads one channel as both operands (each row's two signs then sum to
-    ``0`` or ``+-1``).
+    A *channel* of a level is a row of its channel matrix ``C`` applied to
+    the level's activations, plus the entry of the bias vector beside it;
+    operations name channels by their row.  The one constructor takes a
+    seed network: its hidden layers become the builder's first layers, its
+    output layer ``C`` and the bias vector, so that output ``r`` of the seed
+    is channel ``r`` of level ``net.hidden_layer_count``.  A
+    zero-hidden-layer seed ``[(G, offsets)]`` thus starts at level 0 with
+    one affine channel per row.  :meth:`apply_level` turns an array of
+    operations into a sparse sign matrix ``S`` (one entry per operand of
+    each neuron, from :data:`GADGETS`) and emits the hidden layer
+    ``S @ C``; the next level's ``C`` holds one row per operation, its
+    output weights on its own neurons, with zero bias.  :meth:`finish`
+    emits the output layer the same way.  Biases are therefore only ever
+    written into the first layer the builder emits, and every later hidden
+    layer has weights in ``{0, +-1}``: each neuron of the previous level
+    belongs to one channel with weight ``+-1``, so ``S @ C`` stays on that
+    set, also when a gadget reads one channel as both operands (each row's
+    two signs then sum to ``0`` or ``+-1``).
 
-    Operations (each a tuple):
-        ``("min", a, b)`` — 3 neurons, channel for ``min(a, b)``.
-        ``("max", a, b)`` — 3 neurons, channel for ``max(a, b)``.
-        ``("id", a)`` — 2 neurons, carries ``a`` to the next level.
-        ``("relu", a)`` — 1 neuron, channel for ``max(a, 0)``.
+    Operations, by their kind ``OPS[code]``:
+        ``"min"`` — 3 neurons, channel for ``min(a, b)``.
+        ``"max"`` — 3 neurons, channel for ``max(a, b)``.
+        ``"id"`` — 2 neurons, carries ``a`` to the next level.
+        ``"relu"`` — 1 neuron, channel for ``max(a, 0)``.
     """
 
     def __init__(self, net: ReluNetwork):
@@ -397,72 +394,95 @@ class NetBuilder:
         self._seeded = self.level = net.hidden_layer_count
         self._C, self._bias = net.layers[-1]
 
+    @property
+    def width(self) -> int:
+        """Channels of the current level."""
+        return self._C.shape[0]
+
     def _combine(
-        self, rows: list[list[tuple[float, ChannelRef]]], bias: NDArray[np.float64]
+        self, w: NDArray[np.float64], cols: NDArray[np.int64], counts: NDArray[np.int64],
+        bias: NDArray[np.float64],
     ) -> tuple[sp.csr_matrix, NDArray[np.float64]]:
-        """The layer ``M @ C``, where row ``r`` of ``M`` holds the weights
-        ``rows[r]`` on current-level channels, and ``bias`` plus each row's
-        weighted channel biases, added in term order (``bias[r] += w * c``)."""
-        terms = [t for row in rows for t in row]
-        for _, ch in terms:
-            if ch.level != self.level:
-                raise ValueError(
-                    f"channel from level {ch.level} used at level {self.level}"
-                )
-        cols = np.array([c.row for _, c in terms], dtype=int)
-        w = np.array([w for w, _ in terms], dtype=float)
-        counts = [len(row) for row in rows]
-        np.add.at(bias, np.repeat(np.arange(len(rows)), counts), w * self._bias[cols])
-        shape = (len(rows), self._C.shape[0])
-        M = sp.csr_matrix((w, cols, np.cumsum([0, *counts])), shape=shape)
+        """The layer ``M @ C``, where row ``r`` of ``M`` holds the next
+        ``counts[r]`` weights ``w`` on the current-level channels ``cols``,
+        and ``bias`` plus each row's weighted channel biases, added in term
+        order (``bias[r] += w * c``)."""
+        bad = (cols < 0) | (cols >= self.width)
+        if bad.any():
+            raise ValueError(
+                f"channel {cols[bad][0]} is not one of the {self.width} channels "
+                f"of level {self.level}"
+            )
+        np.add.at(bias, np.repeat(np.arange(len(counts)), counts), w * self._bias[cols])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        M = sp.csr_matrix((w, cols, indptr), shape=(len(counts), self.width))
         return M @ self._C, bias
 
-    def apply_level(self, ops: list[tuple]) -> list[ChannelRef]:
-        """Emits one hidden layer realizing ``ops`` and advances the level.
+    def apply_level(self, codes: NDArray[np.int64], a: NDArray[np.int64],
+                    b: NDArray[np.int64]) -> None:
+        """Emits one hidden layer realizing the operations and advances the
+        level; the next level's channel ``j`` is operation ``j``'s result.
 
-        Args:
-            ops: Operations on current-level channels (see class docstring).
-
-        Returns:
-            One next-level channel per operation, in order.
+        Operation ``j`` is ``OPS[codes[j]]`` on the current-level channels
+        ``a[j]`` and ``b[j]``; ``b[j]`` is -1 for the one-operand ``id`` and
+        ``relu``.  Its neurons are rows of ``S``, operation after operation;
+        ``S`` is filled by one block of index arrays per :data:`GADGETS`
+        kind.
         """
-        neurons: list[list[tuple[float, ChannelRef]]] = []
-        combo: list[float] = []
-        sizes: list[int] = [0]
-        for kind, *args in ops:
-            if kind not in GADGETS:
-                raise ValueError(f"unknown builder operation {kind!r}")
-            patterns, combo_w = GADGETS[kind]
-            if len(args) != len(patterns[0]):
-                raise ValueError(f"{kind!r} takes {len(patterns[0])} operands, not {len(args)}")
-            neurons += [list(zip(signs, args)) for signs in patterns]
-            combo += combo_w
-            sizes.append(len(patterns))
+        codes = np.asarray(codes, dtype=np.int64)
+        args = np.stack([np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)], axis=1)
+        unknown = (codes < 0) | (codes >= len(OPS))
+        if unknown.any():
+            raise ValueError(f"unknown builder operation code {codes[unknown][0]}")
+        given = (args >= 0).sum(axis=1)
+        wrong = (given != _ARITY[codes]) | (args[:, 0] < 0)
+        if wrong.any():
+            j = int(np.argmax(wrong))
+            raise ValueError(
+                f"{OPS[codes[j]]!r} takes {_ARITY[codes[j]]} operands, not {given[j]}"
+            )
+        sizes = _SIZE[codes]
+        first = np.cumsum(sizes) - sizes  # each operation's first neuron
+        counts = np.repeat(_ARITY[codes], sizes)  # entries per neuron
+        entry = np.cumsum(counts) - counts  # each neuron's first entry
+        w, cols = np.empty(counts.sum()), np.empty(counts.sum(), dtype=np.int64)
+        combo = np.empty(sizes.sum())
+        for code, (patterns, combo_w) in enumerate(GADGETS.values()):
+            ops = np.flatnonzero(codes == code)
+            neurons = first[ops, None] + np.arange(len(patterns))
+            at = entry[neurons][..., None] + np.arange(len(patterns[0]))
+            w[at] = patterns
+            cols[at] = args[ops, None, : len(patterns[0])]
+            combo[neurons] = combo_w
         # -0.0 is the additive identity: each bias sums ``sign * operand bias``.
-        W, bias = self._combine(neurons, np.full(len(neurons), -0.0))
+        W, bias = self._combine(w, cols, counts, np.full(len(counts), -0.0))
         if len(self.layers) > self._seeded and np.any(bias != 0.0):
             raise AssertionError(
                 "internal builder error: nonzero bias past the first emitted layer"
             )
         self.layers.append((W, bias))
         self.level += 1
-        n = len(neurons)
+        n = len(counts)
         self._C = sp.csr_matrix(
-            (combo, np.arange(n), np.cumsum(sizes)), shape=(len(ops), n)
+            (combo, np.arange(n), np.concatenate([[0], np.cumsum(sizes)])),
+            shape=(len(codes), n),
         )
-        self._bias = np.zeros(len(ops))
-        return [ChannelRef(self.level, r) for r in range(len(ops))]
+        self._bias = np.zeros(len(codes))
 
-    def finish(self, combos: list[list[tuple[float, ChannelRef]]]) -> ReluNetwork:
+    def finish(self, rows: list[tuple[NDArray[np.float64], NDArray[np.int64]]]) -> ReluNetwork:
         """Appends the output layer combining current-level channels.
 
         Args:
-            combos: One list of ``(weight, channel)`` terms per output row.
+            rows: One ``(weights, channels)`` pair per output row: the row
+                is ``sum_t weights[t] * channel channels[t]``.
 
         Returns:
             The assembled network (sparse layers).
         """
-        W, b = self._combine(combos, np.zeros(len(combos)))
+        w = np.concatenate([np.asarray(ws, dtype=float).reshape(-1) for ws, _ in rows])
+        cols = np.concatenate([np.asarray(cs, dtype=np.int64).reshape(-1) for _, cs in rows])
+        counts = np.array([np.size(cs) for _, cs in rows])
+        W, b = self._combine(w, cols, counts, np.zeros(len(rows)))
         return ReluNetwork(self.input_dim, self.layers + [(W, b)])
 
 
@@ -526,7 +546,7 @@ def network_from_dict(d: dict) -> ReluNetwork:
 
 def save_network(net: ReluNetwork, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh)
+        fh.write(json.dumps(network_to_dict(net)))
 
 
 def load_network(path: str) -> ReluNetwork:

@@ -267,6 +267,24 @@ def test_compile_fem_shallow_failed_rewrite_check_is_an_error(tmp_path, mesh_fil
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("pathway", ["deep", "shallow"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_compile_fem_non_finite_coefficient_is_an_error(tmp_path, mesh_file, pathway, bad,
+                                                        capsys):
+    """A NaN or infinite coefficient is refused before anything is emitted,
+    naming its vertex; no network file is written."""
+    coeffs = np.random.default_rng(0).normal(size=mesh_file[1].num_vertices)
+    coeffs[[4, 6]] = bad
+    cpath, out = tmp_path / "c.json", tmp_path / "n.json"
+    cpath.write_text(json.dumps(coeffs.tolist()))  # writes NaN / Infinity
+    rc = _cli_main(["compile-fem", "--mesh", str(mesh_file[0]), "--coeffs", str(cpath),
+                    "--pathway", pathway, "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err and not out.exists()
+    assert err.startswith(f"error: the coefficient of vertex 4 is {bad}; "
+                          "FE coefficients must be finite")
+
+
 def test_compile_fem_failed_self_check_is_an_error(tmp_path, capsys):
     """Coefficients of 1e7 put the deep network's roundoff above the absolute
     1e-9 self-check; the CLI reports the failed check, with no traceback."""
@@ -513,6 +531,23 @@ def test_compile_cpwl_rejects_region_normals_of_different_widths(tmp_path, capsy
     err = capsys.readouterr().err
     assert rc == 1 and "Traceback" not in err and not out.exists()
     assert err.startswith("error: region 1 normals have 2 entries, not dim = 1 (half-space 1)")
+
+
+def test_saved_files_are_json_dumps_of_their_dicts(tmp_path, rng):
+    """``save_network``, ``save_mesh`` and ``save_pieces`` write exactly
+    ``json.dumps`` of the ``*_to_dict`` of what they save."""
+    from cpwlrelu.cpwl import save_pieces
+    from cpwlrelu.mesh import save_mesh
+
+    mesh = kuhn_cube_mesh(2)
+    net, _ = compiler.compile_fem_deep(mesh, rng.normal(size=mesh.num_vertices))
+    f = random_max_affine(2, 5, rng)
+    for save, to_dict, obj in ((save_network, network_to_dict, net),
+                               (save_mesh, mesh_to_dict, mesh),
+                               (save_pieces, pieces_to_dict, f)):
+        path = tmp_path / f"{save.__name__}.json"
+        save(obj, str(path))
+        assert path.read_text(encoding="utf-8") == json.dumps(to_dict(obj)), save.__name__
 
 
 def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):

@@ -45,12 +45,13 @@ from cpwlrelu.errors import (
     NotLocallyConvex,
     NumericalDependenceAmbiguous,
     SelfCheckFailed,
+    SingularSystem,
 )
 from cpwlrelu.mesh import build_mesh, compute_kh, interpolate, sample_points
 from cpwlrelu.quantize import QuantGrid, check_structured
 from cpwlrelu.relu_net import (
     GADGETS,
-    ChannelRef,
+    OPS,
     NetBuilder,
     ReluNetwork,
     affine_network,
@@ -86,8 +87,8 @@ def test_gadget_patterns_match_hardcoded_oracle():
         assert np.array_equal(np.array(combo), v), kind
         # the builder writes exactly these rows and output weights
         nb = NetBuilder(ReluNetwork(2, [(np.eye(2), np.zeros(2))]))  # the inputs x_0, x_1
-        (out,) = nb.apply_level([(kind, ChannelRef(0, 0), ChannelRef(0, 1))])
-        net = nb.finish([[(1.0, out)]])
+        nb.apply_level([OPS.index(kind)], [0], [1])
+        net = nb.finish([([1.0], [0])])
         assert np.array_equal(net.layers[0][0].toarray(), W), kind
         assert np.array_equal(net.layers[1][0].toarray(), v[None, :]), kind
 
@@ -158,84 +159,148 @@ def test_compile_max_of_m_pads_lazily():
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
 
 
-def _zero_led(kind, nodes, rng):
-    """``nodes``, led by ``_ZERO`` in half of the max lists."""
-    return [C._ZERO] + nodes if kind == "max" and rng.random() < 0.5 else nodes
+# Gadget trees as nested tuples: ``(kind, child, ...)`` with an ``int`` leaf
+# naming its row; the oracles below read them directly.
+ZERO = "zero"
 
 
-def _leaf_rows(leaves):
-    """The ``[gradient, offset]`` rows of ``_affine_leaves``' keyed leaves."""
-    return [np.frombuffer(key) for key in leaves]
+def _balanced_expr(kind, args):
+    """The balanced ``kind`` tree over ``args``: the left half takes
+    ``ceil(m/2)`` of them, so a leading ``ZERO`` of a max list ends in the
+    pair ``max(0, x) = ("relu", x)``."""
+    if len(args) == 1:
+        return args[0]
+    if kind == "max" and len(args) == 2 and args[0] is ZERO:
+        return ("relu", args[1])
+    k = (len(args) + 1) // 2
+    return (kind, _balanced_expr(kind, args[:k]), _balanced_expr(kind, args[k:]))
 
 
-def _tree_value(node, leaves, X):
-    """A ``_Node`` tree evaluated directly at the rows of ``X``."""
-    if node.kind == "leaf":
-        row = _leaf_rows(leaves)[node.ch.row]
-        return X @ row[:-1] + row[-1]
-    vals = [_tree_value(c, leaves, X) for c in node.children]
-    if node.kind == "relu":
+def _forest(exprs):
+    """``C._Forest`` of the trees, listed node by node in post-order, and
+    the rows its leaves read in that order."""
+    code, kids, leaf, roots, span = [], [], [], [], []
+
+    def visit(e):
+        if isinstance(e, int):
+            code.append(C.LEAF), kids.append((-1, -1)), leaf.append(e)
+        else:
+            ch = [visit(c) for c in e[1:]]
+            code.append(OPS.index(e[0])), kids.append((ch + [-1])[:2])
+        return len(code) - 1
+
+    for e in exprs:
+        start = len(code)
+        roots.append(visit(e))
+        span.append(len(code) - start)
+    arrays = (np.array(code), np.array(kids).reshape(-1, 2), np.array(roots), np.array(span))
+    return C._Forest(*(a.astype(np.int64) for a in arrays)), leaf
+
+
+def _expr_value(e, rows, X):
+    if isinstance(e, int):
+        return X @ rows[e, :-1] + rows[e, -1]
+    vals = [_expr_value(c, rows, X) for c in e[1:]]
+    if e[0] == "relu":
         return np.maximum(vals[0], 0.0)
-    return (np.minimum if node.kind == "min" else np.maximum)(*vals)
+    return (np.minimum if e[0] == "min" else np.maximum)(*vals)
 
 
-def _kinds(node):
-    yield node.kind
-    for c in node.children:
-        yield from _kinds(c)
+def _expr_size(e):
+    """``(depth, neurons)`` of a tree emitted without sharing: 3 per gadget,
+    1 per relu, 2 per level of carry of a child finished early."""
+    if isinstance(e, int):
+        return 0, 0
+    kids = [_expr_size(c) for c in e[1:]]
+    depth = 1 + max(d for d, _ in kids)
+    neurons = len(GADGETS[e[0]][0])
+    return depth, neurons + sum(s + 2 * (depth - 1 - d) for d, s in kids)
+
+
+def _kinds(trees):
+    return [OPS[c] for c in trees.code if c != C.LEAF]
+
+
+def test_gadget_trees_match_balanced_oracle(rng):
+    """``_gadget_trees`` lists the balanced trees of its templates as the
+    nested-tuple oracle does, also composed over trees of a first stage and
+    led by a zero."""
+    for trial in range(30):
+        kinds = [str(k) for k in rng.choice(["min", "max"], size=2)]
+        widths = rng.integers(1, 8, size=int(rng.integers(1, 6)))
+        zero = [kinds[0] == "max" and rng.random() < 0.5 for _ in widths]
+        stage = C._gadget_trees(OPS.index(kinds[0]), widths, C._leaves(widths.sum()), zero)
+        first, rows = [], list(range(int(widths.sum())))
+        for w, z in zip(widths, zero):
+            first.append(_balanced_expr(kinds[0], [ZERO] * z + rows[:w]))
+            rows = rows[w:]
+        assert all(np.array_equal(a, b) for a, b in zip(stage, _forest(first)[0])), trial
+        tops = rng.multinomial(len(widths) - 1, np.ones(2) / 2) + np.array([1, 0])
+        tops = tops[tops > 0]
+        top_zero = [kinds[1] == "max" and rng.random() < 0.5 for _ in tops]
+        second = C._gadget_trees(OPS.index(kinds[1]), tops, stage, top_zero)
+        want = []
+        for w, z in zip(tops, top_zero):
+            want.append(_balanced_expr(kinds[1], [ZERO] * z + first[:w]))
+            first = first[w:]
+        assert all(np.array_equal(a, b) for a, b in zip(second, _forest(want)[0])), trial
 
 
 def test_node_size_matches_emitted_network(rng):
     """The size model counts what the builder emits: for a random balanced
     tree of min/max subtrees over distinct random affine leaves, where
-    nothing can be shared, ``_Node.size`` is the network's size (the
-    unequal subtrees force identity carries, the ``_ZERO``-led max lists
-    relu nodes)."""
+    nothing can be shared, ``_tree_sizes`` gives the tree's size (the
+    unequal subtrees force identity carries, the zero-led max lists relu
+    nodes), and so does the network."""
     relus = 0
     for trial in range(40):
         d = int(rng.integers(1, 4))
-        leaves = {}
-        groups = []
+        groups, n = [], 0
         for _ in range(int(rng.integers(1, 6))):
-            affs = [AffineFunc(rng.normal(size=d), float(rng.normal()))
-                    for _ in range(int(rng.integers(1, 7)))]
+            w = int(rng.integers(1, 7))
             kind = str(rng.choice(["min", "max"]))
-            groups.append(C._balanced(
-                kind, _zero_led(kind, C._affine_leaves(leaves, C._piece_rows(affs)), rng)))
+            zero = [ZERO] if kind == "max" and rng.random() < 0.5 else []
+            groups.append(_balanced_expr(kind, zero + list(range(n, n + w))))
+            n += w
         kind = str(rng.choice(["min", "max"]))
-        root = C._balanced(kind, _zero_led(kind, groups, rng))
+        zero = [ZERO] if kind == "max" and rng.random() < 0.5 else []
+        root = _balanced_expr(kind, zero + groups)
+        rows = rng.normal(size=(n, d + 1))
+        trees, order = _forest([root])
+        assert order == list(range(n))
+        depth, size = _expr_size(root)
+        assert [a.tolist() for a in C._tree_sizes(trees)] == [[depth], [size]], trial
         X = rng.uniform(-2, 2, size=(200, d))
-        want = _tree_value(root, leaves, X)
-        relus += sum(k == "relu" for k in _kinds(root))
-        net = C._emit_trees(d, leaves, [root], [1.0])
-        assert net.size == root.size, trial
-        assert np.max(np.abs(eval_network(net, X) - want)) < 1e-12, trial
+        relus += _kinds(trees).count("relu")
+        net = C._emit_trees(d, rows, trees, np.ones(1))
+        assert (net.hidden_layer_count, net.size) == (depth, size), trial
+        assert np.max(np.abs(eval_network(net, X) - _expr_value(root, rows, X))) < 1e-12, trial
     assert relus > 0
 
 
-def test_emit_trees_emits_each_distinct_subtree_once(rng):
+def test_emit_trees_emits_each_distinct_subtree_once(rng, monkeypatch):
     """Equal subtrees and repeated leaves are emitted once and read by every
-    consumer: ``max(a, b)`` is built as a new node four times and emitted
-    as one gadget, ``min(max(a, b), c)`` is a root and a subtree of another
-    root, and ``relu(max(a, b))`` is a root read with both signs."""
-    affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
-    leaves = {}
-    rows = C._piece_rows(affs)
-    a, b, c = C._affine_leaves(leaves, rows)
-    (a2,) = C._affine_leaves(leaves, rows[:1])
-    assert a2 is a and len(leaves) == 3
-    ab = lambda: C._Node("max", (a, b))
-    r1 = C._Node("min", (ab(), c))
-    r2 = C._Node("relu", (ab(),))
-    r3 = C._Node("max", (C._Node("min", (ab(), c)), a2))
-    roots, signs = [r1, r2, r3, C._Node("relu", (ab(),))], [1.0, 1.0, -1.0, -1.0]
+    consumer: ``max(a, b)`` is listed four times and emitted as one gadget,
+    ``min(max(a, b), c)`` is a root and a subtree of another root,
+    ``relu(max(a, b))`` is a root read with both signs, and each of the
+    three rows is one level-0 channel, read by up to five leaves."""
+    rows = rng.normal(size=(3, 3))
+    ab = ("max", 0, 1)
+    roots = [("min", ab, 2), ("relu", ab), ("max", ("min", ab, 2), 0), ("relu", ab)]
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
     X = rng.uniform(-2, 2, size=(500, 2))
-    want = sum(s * _tree_value(r, leaves, X) for s, r in zip(signs, roots))
-    net = C._emit_trees(2, leaves, roots, signs)
+    want = sum(s * _expr_value(r, rows, X) for s, r in zip(signs, roots))
+    seeds = []
+    monkeypatch.setattr(C, "NetBuilder", lambda net: seeds.append(net.output_dim)
+                        or NetBuilder(net))
+    trees, order = _forest(roots)
+    net = C._emit_trees(2, rows[order], trees, signs)
+    assert seeds == [3]
     # The distinct nodes: max(a, b) 3; c carried to level 1, 2; min 3 and its
     # carry to the top, 2; relu 1 and its carry, 2; a carried to level 2
     # for the top max, 4; the top max 3.  As trees the roots cost 37.
-    assert sum(r.size + 2 * (3 - r.depth) for r in roots) == 37
+    depth, size = C._tree_sizes(trees)
+    assert int((size + 2 * (3 - depth)).sum()) == 37
     assert (net.hidden_layer_count, net.size) == (3, 20)
     assert np.max(np.abs(eval_network(net, X) - want)) < 1e-12
     assert check_structured(net, QuantGrid(0, 2)).passed
@@ -527,6 +592,100 @@ def test_deep_rejects_nonconvex_star():
         compile_fem_deep(mesh, unit(mesh, 0))
 
 
+def _two_l_shapes():
+    """Two L-shaped three-quadrant patches side by side; only their corner
+    vertices 0 and 5 have non-convex stars."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    simp = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
+    return build_mesh(np.vstack([verts, verts + [5.0, 0.0]]), np.vstack([simp, simp + 5]))
+
+
+@pytest.mark.parametrize("compile_fn", [compile_fem_deep, compile_fem_shallow])
+def test_fem_compiles_name_the_first_nonconvex_used_vertex(compile_fn):
+    mesh = _two_l_shapes()
+    for used, first in (([0, 5], 0), ([1, 5], 5), ([5, 6, 0], 0)):
+        coeffs = np.zeros(mesh.num_vertices)
+        coeffs[used] = 1.0
+        with pytest.raises(NotLocallyConvex, match=f"^the star of vertex {first} is not convex"):
+            compile_fn(mesh, coeffs)
+
+
+@pytest.mark.parametrize("compile_fn", [compile_fem_deep, compile_fem_shallow])
+def test_fem_compiles_name_a_corrupted_hat_row(compile_fn):
+    """A hat row of ``bary_inverse`` that misses its nodal values raises
+    SingularSystem naming its element and the star's vertex, before any
+    emission; a corrupted row of an unused vertex is never read."""
+    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    k, j = 5, 1
+    v = int(mesh.simplices[k, j])
+    mesh.bary_inverse[k, j, -1] += 1e-6
+    coeffs = np.random.default_rng(0).normal(size=mesh.num_vertices)
+    with pytest.raises(SingularSystem, match=f"^interpolation residual 1.000e-06 on element {k} "
+                                             f"at vertex {v}$"):
+        compile_fn(mesh, coeffs)
+    coeffs[v] = 0.0
+    compile_fn(mesh, coeffs)
+
+
+@pytest.mark.parametrize("compile_fn", [compile_fem_deep, compile_fem_shallow])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fem_compiles_reject_non_finite_coefficients(compile_fn, bad, monkeypatch):
+    """Checked next to the shape, before the stars are read."""
+    monkeypatch.setattr(C, "vertex_stars", None)
+    mesh = crisscross_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    coeffs = np.ones(mesh.num_vertices)
+    coeffs[[3, 7]] = bad
+    with pytest.raises(ValueError, match=f"^the coefficient of vertex 3 is {bad}; "
+                                         "FE coefficients must be finite$"):
+        compile_fn(mesh, coeffs)
+    with pytest.raises(ValueError, match="one coefficient per mesh vertex"):
+        compile_fn(mesh, coeffs[:-1])
+
+
+def test_deep_size_limit_is_typed(monkeypatch):
+    """The size bound ``(5 kh - 4) N`` is checked against ``MAX_NEURONS_DEEP``
+    before any star is read; the 256 x 256 grid fits the default and
+    512 x 512 does not."""
+    mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
+    coeffs = np.random.default_rng(0).normal(size=mesh.num_vertices)
+    bound = (5 * compute_kh(mesh) - 4) * mesh.num_vertices
+    stars = C.vertex_stars
+    monkeypatch.setattr(C, "vertex_stars", None)
+    monkeypatch.setattr(C, "MAX_NEURONS_DEEP", bound - 1)
+    limit = f"exceeds the limit MAX_NEURONS_DEEP = {bound - 1}$"
+    with pytest.raises(ExpansionOverflow, match=rf"\(5 kh - 4\) N = {bound} \(kh = 6, N = 16\) {limit}"):
+        compile_fem_deep(mesh, coeffs)
+    monkeypatch.setattr(C, "vertex_stars", stars)
+    monkeypatch.setattr(C, "MAX_NEURONS_DEEP", bound)
+    assert compile_fem_deep(mesh, coeffs)[1].predicted_size_bound == bound
+    monkeypatch.undo()
+    assert (5 * 6 - 4) * 256**2 <= C.MAX_NEURONS_DEEP < (5 * 6 - 4) * 512**2
+
+
+def test_fem_compiles_read_every_star_in_one_pass(mesh_corpus, monkeypatch, rng):
+    """No per-vertex star or convexity call: one ``vertex_stars`` pass per
+    compile, and one ``apply_level`` per hidden layer."""
+    import cpwlrelu.mesh as M
+
+    calls = {"stars": 0, "levels": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("vertex_star", "is_locally_convex"):
+        monkeypatch.setattr(M, name, None)
+    monkeypatch.setattr(C, "vertex_stars", counted("stars", C.vertex_stars))
+    monkeypatch.setattr(NetBuilder, "apply_level", counted("levels", NetBuilder.apply_level))
+    for name, mesh in mesh_corpus:
+        for compile_fn in (compile_fem_deep, compile_fem_shallow):
+            calls.update(stars=0, levels=0)
+            net, _ = compile_fn(mesh, rng.normal(size=mesh.num_vertices))
+            assert calls == {"stars": 1, "levels": net.hidden_layer_count}, (name, compile_fn)
+
+
 def test_deep_depth_overflow_is_bound_violated(monkeypatch):
     """Valence 1 predicts one hidden layer; the 3x3 grid's min trees over up
     to six star affines need more."""
@@ -726,14 +885,14 @@ def test_fem_shallow_small_mesh(rng):
 
 
 def test_fem_compiles_hand_the_builder_no_zero_leaf(mesh_corpus, monkeypatch, rng):
-    """Both FE pathways write ``max(0, .)`` as one ``relu`` neuron: no tree
-    holds ``_ZERO`` and no level-0 leaf is the constant zero, whose gadget
-    neurons ``relu(+-0)`` would be dead on arrival."""
+    """Both FE pathways write ``max(0, .)`` as one ``relu`` neuron: no
+    level-0 leaf is the constant zero, whose gadget neurons ``relu(+-0)``
+    would be dead on arrival, and every deep hat is a ``relu`` root."""
     seen = []
 
-    def emit(dim, leaves, roots, signs):
-        seen.append((_leaf_rows(leaves), [k for r in roots for k in _kinds(r)]))
-        return emit_trees(dim, leaves, roots, signs)
+    def emit(dim, rows, trees, signs):
+        seen.append((rows, trees))
+        return emit_trees(dim, rows, trees, signs)
 
     emit_trees = C._emit_trees
     monkeypatch.setattr(C, "_emit_trees", emit)
@@ -742,9 +901,11 @@ def test_fem_compiles_hand_the_builder_no_zero_leaf(mesh_corpus, monkeypatch, rn
         for compile_fn in (compile_fem_deep, compile_fem_shallow):
             seen.clear()
             compile_fn(mesh, coeffs)
-            ((leaves, kinds),) = seen
+            ((leaves, trees),) = seen
             assert all(row.any() for row in leaves), (name, compile_fn.__name__)
-            assert "zero" not in kinds and "relu" in kinds, (name, compile_fn.__name__)
+            assert "relu" in _kinds(trees), (name, compile_fn.__name__)
+            if compile_fn is compile_fem_deep:
+                assert trees.code[trees.roots].tolist() == [C.RELU] * mesh.num_vertices, name
 
 
 def test_merged_weights_that_cancel_leave_no_term(rng):

@@ -33,6 +33,7 @@ from cpwlrelu.mesh import (
     sample_points,
     shape_regularity,
     vertex_star,
+    vertex_stars,
 )
 
 
@@ -460,6 +461,59 @@ def test_hat_equals_min_identity_on_convex_stars(mesh_corpus, rng):
             R = star.affine_rows
             expr = np.maximum(0.0, np.min(X @ R[:, :-1].T + R[:, -1], axis=1))
             assert np.max(np.abs(hat - expr)) < 1e-10, (name, i)
+
+
+def _star_oracle(mesh, i, tol=BARY_TOL):
+    """Vertex ``i``'s incident elements, hat rows and convexity, one star at
+    a time: the rows solve each element's nodal system, and a boundary
+    facet of the star (opposite ``i``, or without neighbour) supports it
+    iff every star vertex is on its inner side."""
+    incident = [k for k in range(mesh.num_simplices) if i in mesh.simplices[k]]
+    rows, convex = [], True
+    star = np.unique(mesh.simplices[incident])
+    for k in incident:
+        S = mesh.simplices[k]
+        A = np.hstack([mesh.vertices[S], np.ones((len(S), 1))])
+        rows.append(np.linalg.solve(A, (S == i).astype(float)))
+        for j in range(len(S)):
+            if S[j] == i or mesh.neighbors[k, j] < 0:
+                lam = mesh.barycentric(k, mesh.vertices[star])[:, j]
+                convex &= bool(np.all(lam >= -tol))
+    return incident, np.array(rows), convex
+
+
+def test_vertex_stars_match_per_vertex_oracle(mesh_corpus):
+    """One pass over any list of vertices (repeats and any order) gives each
+    star's elements, hat rows and convexity as the per-star oracle does,
+    also on stars that are not convex."""
+    darts = [
+        (f"dart-{depth:g}", build_mesh(
+            np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.5 - depth], [-1.0, 0.5], [0.0, -1.0]]),
+            np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [1, 2, 3]]),
+        ))
+        for depth in (0.3, 1e-6)  # the notch at vertex 2, below the chord
+    ]
+    ell = build_mesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4]]),
+    )
+    rng = np.random.default_rng(0)
+    flags = []
+    for name, mesh in [*mesh_corpus, *darts, ("ell", ell)]:
+        centers = rng.permutation(np.r_[np.arange(mesh.num_vertices), [0, 0]])
+        stars = vertex_stars(mesh, centers)
+        assert np.array_equal(stars.centers, centers)
+        assert stars.residual.max() < 1e-12, name
+        for u, i in enumerate(centers):
+            incident, rows, convex = _star_oracle(mesh, i)
+            part = slice(stars.starts[u], stars.starts[u + 1])
+            assert stars.incident[part].tolist() == incident, (name, i)
+            assert np.allclose(stars.affine_rows[part], rows, rtol=0, atol=1e-9), (name, i)
+            assert stars.convex[u] == convex, (name, i)
+            flags.append(convex)
+    assert not all(flags)
+    empty = vertex_stars(ell, [])
+    assert empty.starts.tolist() == [0] and empty.affine_rows.shape == (0, 3)
 
 
 def test_locally_convex_negative_case():

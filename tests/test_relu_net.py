@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import cpwlrelu.relu_net as R
 from cpwlrelu.errors import DimensionMismatch, EmptyList, PairwiseDependent
 from cpwlrelu.relu_net import (
-    ChannelRef,
+    OPS,
     NetBuilder,
     ReluNetwork,
     affine_network,
@@ -136,11 +136,10 @@ def test_builder_continues_a_seed_network(rng):
     a = _random_net(rng, widths=(3,))
     b = _random_net(rng, widths=(4,))
     nb = NetBuilder(parallel([a, b]))
-    ca, cb = ChannelRef(1, 0), ChannelRef(1, 1)
-    assert nb.level == 1
-    (m,) = nb.apply_level([("max", ca, cb)])
-    (m2,) = nb.apply_level([("id", m)])
-    net = nb.finish([[(1.0, m2)]])
+    assert (nb.level, nb.width) == (1, 2)
+    _level(nb, ("max", 0, 1))
+    _level(nb, ("id", 0))
+    net = nb.finish([([1.0], [0])])
     X = rng.normal(size=(200, 2))
     ref = np.maximum(eval_network(a, X), eval_network(b, X))
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-10
@@ -167,7 +166,15 @@ def _seed(G, offsets):
     and its level-0 channels, one per row of ``G``."""
     G = np.array(G, dtype=float)
     nb = NetBuilder(ReluNetwork(G.shape[1], [(G, np.array(offsets, dtype=float))]))
-    return nb, [ChannelRef(0, r) for r in range(G.shape[0])]
+    return nb, list(range(G.shape[0]))
+
+
+def _level(nb, *ops):
+    """``nb.apply_level`` on operations written ``(kind, a)`` or
+    ``(kind, a, b)`` over current-level channels; a missing operand is -1."""
+    codes = [OPS.index(kind) for kind, *_ in ops]
+    args = [(list(args) + [-1, -1])[:2] for _, *args in ops]
+    nb.apply_level(codes, [a for a, _ in args], [b for _, b in args])
 
 
 def test_builder_min_max_gadgets(rng):
@@ -176,8 +183,8 @@ def test_builder_min_max_gadgets(rng):
     b_vec, b_off = np.array([-0.5, 0.7]), -0.1
     for kind, oracle in (("min", np.minimum), ("max", np.maximum)):
         nb, (ca, cb) = _seed([a_vec, b_vec], [a_off, b_off])
-        (out,) = nb.apply_level([(kind, ca, cb)])
-        net = nb.finish([[(1.0, out)]])
+        _level(nb, (kind, ca, cb))
+        net = nb.finish([([1.0], [0])])
         X = rng.uniform(-3, 3, size=(500, d))
         ref = oracle(X @ a_vec + a_off, X @ b_vec + b_off)
         # affine channels are merged into the first layer, so equality is
@@ -192,9 +199,9 @@ def test_builder_id_carry(rng):
     """Two levels of carry of ``x`` and one of the gadget ``max(x, x) = x``:
     each level of carry is two neurons and leaves the value unchanged."""
     nb, (c,) = _seed([[1.0]], [0.0])
-    c1, m = nb.apply_level([("id", c), ("max", c, c)])
-    (m2, c2) = nb.apply_level([("id", m), ("id", c1)])
-    net = nb.finish([[(1.0, m2)], [(1.0, c2)]])
+    _level(nb, ("id", c), ("max", c, c))  # channels c1 = 0, m = 1
+    _level(nb, ("id", 1), ("id", 0))  # m2 = 0, c2 = 1
+    net = nb.finish([([1.0], [0]), ([1.0], [1])])
     X = np.linspace(-2, 2, 101)[:, None]
     assert np.array_equal(eval_network(net, X), np.hstack([X, X]))
     assert net.hidden_widths == [2 + 3, 2 + 2]
@@ -205,17 +212,17 @@ def test_builder_relu_is_one_exact_neuron(rng):
     1, on a seed channel and on a gadget's channel; bit-exact on [-1, 1]
     (see the scalar gadget test in the compiler suite)."""
     nb, (c,) = _seed([[1.0]], [0.0])
-    (r,) = nb.apply_level([("relu", c)])
-    net = nb.finish([[(1.0, r)]])
+    _level(nb, ("relu", c))
+    net = nb.finish([([1.0], [0])])
     assert net.size == 1
     assert [W.toarray().tolist() for W, _ in net.layers] == [[[1.0]], [[1.0]]]
     X = np.linspace(-2, 2, 101)[:, None]
     assert np.array_equal(eval_network(net, X), np.maximum(X[:, 0], 0.0))
 
     nb, (a, b) = _seed(np.eye(2), [0.0, 0.0])
-    (m,) = nb.apply_level([("min", a, b)])
-    (r,) = nb.apply_level([("relu", m)])
-    net = nb.finish([[(1.0, r)]])
+    _level(nb, ("min", a, b))
+    _level(nb, ("relu", 0))
+    net = nb.finish([([1.0], [0])])
     assert net.hidden_widths == [3, 1]
     assert np.all(net.layers[1][1] == 0.0)
     X = rng.uniform(-1.0, 1.0, size=(2000, 2))
@@ -224,19 +231,21 @@ def test_builder_relu_is_one_exact_neuron(rng):
 
 def test_builder_rejects_wrong_operand_counts():
     """Each operation takes exactly its gadget's operands: ``("min", a)``
-    is an error, not ``min(a, 0)``."""
+    is an error, not ``min(a, 0)``; so is an operation code outside ``OPS``."""
     nb, (a, b) = _seed([[1.0], [2.0]], [0.0, 0.0])
-    for op in [("min", a), ("max", a, b, a), ("id", a, b), ("relu", a, b), ("relu",)]:
+    for op in [("min", a), ("max", -1, b), ("id", a, b), ("relu", a, b), ("relu",)]:
         with pytest.raises(ValueError, match="operands"):
-            nb.apply_level([op])
+            _level(nb, op)
+    with pytest.raises(ValueError, match="unknown builder operation"):
+        nb.apply_level([len(OPS)], [a], [b])
     assert nb.level == 0 and not nb.layers
 
 
 def test_builder_levels_have_zero_bias(rng):
     nb, (a, b) = _seed([[1.0, 1.0], [1.0, -1.0]], [0.5, -0.2])
-    (m,) = nb.apply_level([("min", a, b)])
-    (r,) = nb.apply_level([("relu", m)])
-    net = nb.finish([[(0.5, r)]])
+    _level(nb, ("min", a, b))
+    _level(nb, ("relu", 0))
+    net = nb.finish([([0.5], [0])])
     assert net.hidden_layer_count == 2
     for W, bias in net.layers[1:]:
         assert np.all(np.asarray(bias) == 0.0)
@@ -249,8 +258,8 @@ def test_builder_gadget_reading_one_channel_twice(rng, kind):
     and a neuron with ``sa + sb = 0`` stores no weight."""
     a_vec, a_off = np.array([1.5, -2.0]), 0.25
     nb, (a,) = _seed([a_vec], [a_off])
-    (out,) = nb.apply_level([(kind, a, a)])
-    net = nb.finish([[(1.0, out)]])
+    _level(nb, (kind, a, a))
+    net = nb.finish([([1.0], [0])])
     W, b = net.layers[0]
     twice = np.array([sa + sb for sa, sb in R.GADGETS[kind][0]])
     assert np.array_equal(W.toarray(), np.outer(twice, a_vec))
@@ -266,7 +275,7 @@ def test_builder_finish_at_level_0_sums_shared_columns(rng):
     rows = [np.array([1e16, 1.0]), np.array([1.0, 0.0]), np.array([-1e16, 2.0])]
     offs = [1e16, 1.0, -1e16]
     nb, (*chans, x0) = _seed([*rows, [1.0, 0.0]], [*offs, 0.0])  # x0: the input x_0
-    net = nb.finish([list(zip([1.0, 1.0, 1.0], chans)), [(1.0, x0), (-1.0, x0)]])
+    net = nb.finish([([1.0, 1.0, 1.0], chans), ([1.0, -1.0], [x0, x0])])
     W, b = net.layers[0]
     expected_row, expected_bias = np.zeros(2), 0.0
     for r, o in zip(rows, offs):
@@ -280,12 +289,19 @@ def test_builder_finish_at_level_0_sums_shared_columns(rng):
 
 
 def test_builder_rejects_misplaced_channels():
+    """A channel is a row of the current level: a row past the level's
+    width, or a negative one, is refused before any layer is written."""
     with pytest.raises(DimensionMismatch):  # a 1-wide row on a 2-d input
         NetBuilder(ReluNetwork(2, [(np.array([[1.0]]), np.array([0.0]))]))
-    nb, (x,) = _seed([[1.0]], [0.0])
-    (m,) = nb.apply_level([("id", x)])
-    with pytest.raises(ValueError, match="level 0 used at level 1"):
-        nb.apply_level([("max", m, x)])
+    nb, (x, y) = _seed([[1.0], [2.0]], [0.0, 0.0])
+    _level(nb, ("id", x))  # level 1 has one channel
+    with pytest.raises(ValueError, match="channel 1 is not one of the 1 channels of level 1"):
+        _level(nb, ("max", 0, y))
+    with pytest.raises(ValueError, match="channel 2 is not one of the 1 channels of level 1"):
+        nb.finish([([1.0], [2])])
+    with pytest.raises(ValueError, match="channel -2 is not one of"):
+        nb.finish([([1.0], [-2])])
+    assert nb.level == 1 and len(nb.layers) == 1
 
 
 # ---------------------------------------------------------------------------
