@@ -16,10 +16,14 @@ Two constructive pathways, both exact (no approximation):
   are rewritten — using exact max-algebra identities, numerically verified
   at every step — into terms of at most ``d + 1`` arguments, so the final
   network has hidden depth ``ceil(log2(d + 1))`` regardless of the input's
-  complexity.  A term's weight ``w`` (the expansion's integer, times
-  ``c_i`` for a hat) is folded into its first layer
-  (``|w| max(S) = max(|w| S)``), leaving only its sign to the output.
-  A term ``max(0, S)`` takes its zero as a ``relu`` neuron on ``max(S)``.
+  complexity.  The piece-list and FE compiles share one term pipeline,
+  :func:`_shallow_net`: it rewrites each term, merges the pure terms that
+  read the same leaf block (a nonzero constant is the leaf ``[0, ..., 0,
+  c0]``, a zero one a ``relu`` neuron) by summing their weights, and emits
+  one max tree per merged term, so no two output entries read one root.
+  A term's weight ``w`` (the expansion's integer, times ``c_i`` for a hat)
+  is folded into its first layer (``|w| max(S) = max(|w| S)``), leaving
+  only its sign to the output.
 
 Both pathways hold their gadget trees as arrays (:class:`_Forest`: one
 entry per node, in post-order), built from one index template per
@@ -48,7 +52,6 @@ asserted against the actual network (`BoundViolated` otherwise).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -287,7 +290,6 @@ def _leaves(n: int) -> _Forest:
     return _Forest(np.full(n, LEAF), np.full((n, 2), -1), np.arange(n), np.ones(n, dtype=np.int64))
 
 
-@functools.lru_cache(maxsize=None)
 def _template(code: int, width: int, zero_led: bool) -> tuple[NDArray, NDArray, NDArray]:
     """The balanced ``OPS[code]`` tree over ``width`` arguments, after a
     constant 0 if ``zero_led``, in post-order: per node its code (``LEAF``
@@ -314,10 +316,7 @@ def _template(code: int, width: int, zero_led: bool) -> tuple[NDArray, NDArray, 
 
     build(0, width, zero_led)
     codes, items, left, right = np.array(nodes).T
-    template = codes, items, np.stack([left, right], axis=1)
-    for a in template:
-        a.flags.writeable = False  # shared by every caller of the cache
-    return template
+    return codes, items, np.stack([left, right], axis=1)
 
 
 def _gadget_trees(code: int, widths, items: _Forest, zero_led=False) -> _Forest:
@@ -868,34 +867,31 @@ def _find_dependency(
 
 
 def reduce_term_width(
-    sign: int,
-    c0: float | None,
-    rows: NDArray[np.float64],
-    max_args: int,
-    pts: NDArray[np.float64],
+    c0: float | None, rows: NDArray[np.float64], pts: NDArray[np.float64]
 ) -> list[_Term]:
-    """Rewrites one max term into terms with at most ``max_args`` arguments.
+    """Rewrites the max term ``max({c0} U rows)`` into terms with at most
+    ``d + 1`` arguments, for the ``(w, d + 1)`` block ``rows``.
 
-    The term is ``sign * max({c0} U rows)`` (see :class:`_Term`); ``rows``
-    is read, never written.  The constant (when present) counts as an
-    argument.  Each elimination step removes one affine argument by expressing it through at most ``d``
-    others plus a constant, then resolving the resulting dependent argument
-    exactly.  The rewritten sum is numerically re-verified against the
-    original at ``pts``.
+    ``c0 = None`` means no constant argument (see :class:`_Term`); a
+    constant counts as an argument, and ``rows`` is read, never written.
+    Each elimination step removes one affine argument by expressing it
+    through at most ``d`` others plus a constant, then resolving the
+    resulting dependent argument exactly.  The rewritten sum is numerically
+    re-verified against the original at ``pts``.
 
     Returns:
         Pure terms (no dependents) whose signed sum equals the input term.
     """
     d = rows.shape[1] - 1
-    first = _Term(sign, c0, rows)
-    if first.width <= max_args:
+    first = _Term(1, c0, rows)
+    if first.width <= d + 1:
         return [first]
     # Each queued term travels with its value at ``pts``, computed once.
     queue = [(first, _term_value(first, pts))]
     done: list[_Term] = []
     while queue:
         t, value = queue.pop()
-        if t.width <= max_args:
+        if t.width <= d + 1:
             done.append(t)
             continue
         tgt, alphas, a0 = _find_dependency(t.rows, d)
@@ -915,47 +911,45 @@ def reduce_term_width(
 # --- pure terms to networks ------------------------------------------------
 
 
-def _merge_pure_terms(
-    weighted: list[tuple[float, _Term]]
-) -> list[tuple[float, float | None, NDArray[np.float64]]]:
-    """Merges identical pure terms, returning (net weight, c0, rows) triples.
-    A net weight is the correctly rounded sum (``math.fsum``), so weights
-    that cancel exactly leave no roundoff term behind, in any order."""
-    acc: dict[tuple, list] = {}
-    for w, t in weighted:
-        key = (
-            None if t.c0 is None else round(t.c0, 12),
-            tuple(sorted(map(tuple, np.round(t.rows, 12)))),
-        )
-        acc.setdefault(key, [[], t.c0, t.rows])[0].append(w * t.sign)
-    merged = [(math.fsum(ws), c0, rows) for ws, c0, rows in acc.values()]
-    return [(w, c0, rows) for w, c0, rows in merged if w != 0]
+def _shallow_net(
+    terms: list[tuple[float, float | None, NDArray[np.float64]]],
+    d: int,
+    pts: NDArray[np.float64],
+) -> tuple[ReluNetwork, int]:
+    """One network for ``sum w * max({c0} U rows)`` over the ``(w, c0,
+    rows)`` terms, and the number of max trees it holds.
 
-
-def _terms_net(
-    merged: list[tuple[float, float | None, NDArray[np.float64]]], dim: int
-) -> ReluNetwork:
-    """One network for ``sum w * max({c0} U rows)`` over the merged terms.
-
-    Each term is one balanced max tree in a shared builder.  Its weight
-    folds into the first layer (``k max(S) = max(k S)`` for
-    ``k > 0``), so only the sign reaches the output combination and every
-    output entry lies in ``{+-1}``.  A constant ``c0 = 0`` leads its max
-    list and becomes a ``relu`` neuron; any other constant is the leaf
-    ``[0, c0]`` in front of the rows.
+    Each term is rewritten to at most ``d + 1`` arguments
+    (:func:`reduce_term_width`, audited at ``pts``), and each pure term is
+    keyed by the leaf block its tree reads: a nonzero constant is the leaf
+    ``[0, ..., 0, c0]`` in front of the rows, and ``c0 = 0`` is a flag: its
+    tree takes the zero as a ``relu`` neuron.  Rows are rounded to 12 decimals
+    and taken in any order.  The weights of one key are summed correctly
+    rounded (``math.fsum``), so weights that cancel exactly leave no term,
+    in any order.  Each merged term is one balanced max tree over its first
+    block, in a shared builder (:func:`_emit_trees`); its weight folds into
+    the first layer (``k max(S) = max(k S)`` for ``k > 0``), so only its
+    sign reaches the output combination and every output entry is ``+-1``.
     """
-    blocks = []
-    for w, c0, rows in merged:
-        if c0 is not None and c0 != 0.0:
-            rows = np.vstack([np.append(np.zeros(dim), c0), rows])
-        blocks.append(abs(w) * rows)
-    trees = _gadget_trees(
-        MAX, [len(b) for b in blocks], _leaves(sum(len(b) for b in blocks)),
-        zero_led=[c0 == 0.0 for _, c0, _ in merged],
-    )
-    rows = np.concatenate(blocks) if blocks else np.zeros((0, dim + 1))
-    signs = np.array([1.0 if w > 0 else -1.0 for w, _, _ in merged])
-    return _emit_trees(dim, rows, trees, signs)
+    pure = [(w * t.sign, t) for w, c0, rows in terms for t in reduce_term_width(c0, rows, pts)]
+    consts = np.round([t.c0 or 0.0 for _, t in pure], 12)  # one call, as leaf entries
+    acc: dict[tuple, tuple] = {}
+    for (w, t), c in zip(pure, consts):
+        leaves = list(map(tuple, np.round(t.rows, 12)))
+        if t.c0:
+            leaves.append((0.0,) * d + (c,))
+        acc.setdefault((t.c0 == 0, tuple(sorted(leaves))), ([], t))[0].append(w)
+    merged = [(math.fsum(ws), t) for ws, t in acc.values()]
+    merged = [(w, t) for w, t in merged if w != 0]
+    blocks = [np.vstack([np.append(np.zeros(d), t.c0), t.rows]) if t.c0 else t.rows
+              for _, t in merged]
+    widths = [len(block) for block in blocks]
+    trees = _gadget_trees(MAX, widths, _leaves(sum(widths)),
+                          zero_led=[t.c0 == 0 for _, t in merged])
+    rows = np.concatenate([abs(w) * block for (w, _), block in zip(merged, blocks)]
+                          or [np.zeros((0, d + 1))])
+    signs = np.sign([w for w, _ in merged])
+    return _emit_trees(d, rows, trees, signs), len(merged)
 
 
 # --- shallow compile entry points ------------------------------------------
@@ -1018,9 +1012,9 @@ def compile_cpwl_shallow(
     Builds a max-of-mins form (via the unique-order partition for d <= 2,
     or via the convex piece regions otherwise), expands it into a signed
     sum of plain max terms, rewrites every term to at most ``d + 1``
-    arguments, and emits one balanced max tree per term into a shared
-    builder.  Hidden depth is
-    at most ``ceil(log2(d+1))`` — independent of the number of pieces.
+    arguments, and emits one balanced max tree per merged term into a
+    shared builder (:func:`_shallow_net`).  Hidden depth is at most
+    ``ceil(log2(d+1))`` — independent of the number of pieces.
     Size bound (checked): at most ``(2^m - 1)^M (2^(d+1) - 1)^max(m-d-1, 0)``
     terms, each a tree of at most ``5 d + 2 ceil(log2(d+1))`` neurons
     (:func:`_term_size_bound`).
@@ -1065,12 +1059,9 @@ def compile_cpwl_shallow(
     for S, w in state.items():
         acc += w * piece_vals[:, sorted(S)].max(axis=1)
     _check_rewrite(eval_lattice(lat, pts), acc, "internal error: lattice expansion")
-    weighted: list[tuple[int, _Term]] = []
-    for S, w in sorted(state.items(), key=lambda kv: sorted(kv[0])):
-        pures = reduce_term_width(1, None, P[sorted(S)], d + 1, pts)
-        weighted.extend((w, t) for t in pures)
-    merged = _merge_pure_terms(weighted)
-    net = _terms_net(merged, d)
+    terms = [(w, None, P[sorted(S)])
+             for S, w in sorted(state.items(), key=lambda kv: sorted(kv[0]))]
+    net, _ = _shallow_net(terms, d, pts)
     _self_check(net, lambda P: np.asarray(f(P)), pts, "shallow CPWL compile")
     predicted_size = (
         _term_size_bound(d + 1, d)
@@ -1142,36 +1133,32 @@ def compile_fem_shallow(
     rng = rng or np.random.default_rng(12345)
     coeffs = _checked_coeffs(mesh, coeffs)
     used = np.flatnonzero(coeffs)
-    for i in used:
-        n = len(mesh.vertex_to_simplices[i])
-        if n > MAX_PIECES_SHALLOW:
-            raise ExpansionOverflow(
-                f"vertex {i} has valence {n}: its hat's {n} star pieces exceed "
-                f"the expansion cap {MAX_PIECES_SHALLOW}"
-            )
-    kh = compute_kh(mesh)
+    valence = np.bincount(mesh.simplices.ravel(), minlength=mesh.num_vertices)[used]
+    over = np.flatnonzero(valence > MAX_PIECES_SHALLOW)
+    if over.size:
+        i, n = used[over[0]], valence[over[0]]
+        raise ExpansionOverflow(
+            f"vertex {i} has valence {n}: its hat's {n} star pieces exceed "
+            f"the expansion cap {MAX_PIECES_SHALLOW}"
+        )
     d = mesh.dim
     stars = _hat_stars(mesh, used)
     pts = sample_points(mesh, 128, rng)
-    weighted: list[tuple[float, _Term]] = []
+    terms = []
     for u, i in enumerate(used):
         gs = stars.affine_rows[stars.starts[u] : stars.starts[u + 1]]
         for T, w in _expand_lattice_terms([tuple(range(len(gs)))]).items():
-            pures = reduce_term_width(1, 0.0, gs[sorted(T)], d + 1, pts)
-            weighted.extend((coeffs[i] * w, t) for t in pures)
-    merged = _merge_pure_terms(weighted)
-    net = _terms_net(merged, d)
+            terms.append((coeffs[i] * w, 0.0, gs[sorted(T)]))
+    net, M = _shallow_net(terms, d, pts)
     _self_check(net, lambda P: interpolate(mesh, coeffs, P), pts, "shallow FE function")
-    bound = sum(
-        _basis_shallow_size_bound(len(mesh.vertex_to_simplices[i]), d) for i in used
-    )
+    bound = sum(_basis_shallow_size_bound(int(n), d) for n in valence)
     return net, _bound_report(
         net,
         pathway="shallow",
         predicted_depth=ceil_log2(d + 1),
         predicted_size_bound=bound,
         d=d,
-        kh=kh,
+        kh=compute_kh(mesh),
         m=len(used),
-        M=len(merged),
+        M=M,
     )

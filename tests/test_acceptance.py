@@ -333,7 +333,7 @@ def test_criterion_05_identity_suite():
         m = int(rng.integers(d + 2, 7))
         affs = [AffineFunc(rng.normal(size=d), float(rng.normal())) for _ in range(m)]
         pts = rng.uniform(-2, 2, size=(400, d))
-        terms = comp.reduce_term_width(1, None, comp._piece_rows(affs), d + 1, pts)
+        terms = comp.reduce_term_width(None, comp._piece_rows(affs), pts)
         got = np.zeros(pts.shape[0])
         for t in terms:
             assert t.alphas is None and len(t.rows) + (t.c0 is not None) <= d + 1

@@ -559,8 +559,8 @@ def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):
     from helpers import random_max_affine, random_zigzag
 
     expected = {
-        "maxaffine-d2m5": "553934dddf460f8830a37d33a3da8fdc30d06282ecba92ce99e23bbd33457dfe",
-        "zigzag-m6": "f8ced4a9b599fbdc75a2b8ca764b36beb0563baf50943da117973d48c8f0b441",
+        "maxaffine-d2m5": "9cacdc9e49265fe34b87ecc920900ad72fac3149c35abe5b716e2c0db5b6b6b9",
+        "zigzag-m6": "aa1690398b9dc1f0ae518897a41bb7ce5ff9293c03fd8b04262b389e8e47ea72",
     }
     for name, f in (("maxaffine-d2m5", random_max_affine(2, 5, np.random.default_rng(5))),
                     ("zigzag-m6", random_zigzag(6, np.random.default_rng(5)))):

@@ -22,7 +22,7 @@ from helpers import (
     square_two_triangles,
     unit,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cpwlrelu.compiler as C
@@ -369,7 +369,7 @@ def test_reduce_term_width_postconditions(rng):
         c0 = float(rng.normal()) if rng.random() < 0.5 else None
         pts = rng.uniform(-3, 3, size=(250, d))
         before = C.REWRITE_CHECKS_PASSED
-        out = reduce_term_width(1, c0, C._piece_rows(affs), d + 1, pts)
+        out = reduce_term_width(c0, C._piece_rows(affs), pts)
         assert C.REWRITE_CHECKS_PASSED > before  # every step was audited
         for t in out:
             assert t.alphas is None  # pure terms only
@@ -386,7 +386,7 @@ def test_reduce_width_noop_when_narrow(rng):
     d = 2
     affs = [AffineFunc(rng.normal(size=d), 0.0) for _ in range(2)]
     pts = rng.uniform(-1, 1, size=(50, d))
-    out = reduce_term_width(1, None, C._piece_rows(affs), d + 1, pts)
+    out = reduce_term_width(None, C._piece_rows(affs), pts)
     assert len(out) == 1 and out[0].alphas is None
 
 
@@ -417,7 +417,7 @@ def test_reduce_term_width_audit_count_is_pinned(monkeypatch):
     pts = rng.uniform(-3, 3, size=(200, 2))
     seen = _record_audits(monkeypatch)
     before = C.REWRITE_CHECKS_PASSED
-    out = reduce_term_width(1, 0.25, C._piece_rows(affs), 3, pts)
+    out = reduce_term_width(0.25, C._piece_rows(affs), pts)
     assert C.REWRITE_CHECKS_PASSED - before == len(seen) == 164
     assert len(out) == 133
     kinds = [kind for kind, _ in seen]
@@ -485,7 +485,7 @@ def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
     g = rng.normal(size=(4, 3))
     rows = np.vstack([g[:3], g[0] + [0, 0, 0.5], g[0] + g[1] - [0, 0, 0.3]])
     before = rows.tobytes()
-    reduce_term_width(1, 0.25, rows, 3, pts)
+    reduce_term_width(0.25, rows, pts)
     assert rows.tobytes() == before
     assert kinds == {"constant-merge", "domination", "re-rooting", "three-term"}
     assert all(t.rows.tobytes() == b for t, b in snapshots)
@@ -541,7 +541,7 @@ def test_ambiguous_dependency_is_a_hard_error(rng):
     ]
     pts = np.random.default_rng(0).uniform(-1, 1, size=(50, 2))
     with pytest.raises(NumericalDependenceAmbiguous):
-        reduce_term_width(1, 0.5, C._piece_rows(affs), 3, pts)
+        reduce_term_width(0.5, C._piece_rows(affs), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -763,13 +763,13 @@ def test_shallow_zigzag_depth_one(rng):
 # the networks of both lattice routes on piece lists shaped like the
 # benchmark's (same kinds, sizes and seeds, drawn by the test generators).
 _PINNED_CPWL_NETS = {
-    ("maxaffine-d1m5", 11): "8cee4135e9f3f1d6c2d11602a4f5ea935aaca55ae4a547042bc5c17a7f23fb0b",
-    ("maxaffine-d2m5", 12): "ef008b7bf2a4bb88876c48fe46741aea34754a3aa947e7c0c42f8177fab8f837",
-    ("maxaffine-d2m6", 13): "78c7a7ab673f1fac1bbd0efcb518076a74d44d69770757cbd0656c27a7713f0f",
+    ("maxaffine-d1m5", 11): "605edd7663ea64aa8635abd02cdd2809a6c5e942e2274136af3b7cde9d736eac",
+    ("maxaffine-d2m5", 12): "9cae2c441916acce087355137a1a7917505be847e66638d54cf6802e8e8fba73",
+    ("maxaffine-d2m6", 13): "d3486f379974e71513a8efddcfccee69c7768a30eef9e0f7d399188615e14361",
     ("fan-m5", 21): "d1f38e38efa5210bf2594eb6498f9f56d329946c4fcd8a5896b2a27790ef89b4",
     ("fan-m6", 22): "d75ca3c0880d15637d49f0c5ef63e4506a30d74e9fa140bc3d92aaf1875fea3c",
-    ("zigzag-m6", 31): "19df32a23debb0f3aec03c9a9b07c630f0c6082616d4660eaecb5f7d9397e4c0",
-    ("zigzag-m7", 33): "4952f472e5d530f92c8b43fabde440dac5179de668bd519df7b159ac3a19883d",
+    ("zigzag-m6", 31): "b6a558393757b6e8e43a7a006baba6e6ce4c146960c2d6393934758b15f05c79",
+    ("zigzag-m7", 33): "ab5928d1a70bcc80d5bd9ae90b55f990ff0bb7b615670a3ea13264da332d7a06",
     ("maxaffine-d3m5", 14): "ada465edc7778ed5b4bf97a03b8d973136acb36e2fc655a649c75d88412747eb",
 }
 
@@ -846,6 +846,9 @@ def test_fem_shallow_valence_cap(monkeypatch):
         match=rf"^vertex 4 has valence 12: .* the expansion cap {C.MAX_PIECES_SHALLOW}$",
     ):
         compile_fem_shallow(mesh, coeffs)
+    coeffs[:13] = 0.0  # the first used vertex over the cap is now the centre
+    with pytest.raises(ExpansionOverflow, match=r"^vertex 13 has valence 24: "):
+        compile_fem_shallow(mesh, coeffs)
     monkeypatch.undo()
     # The cap reads only the used vertices: vertex 0 (valence 6) alone compiles.
     net, _ = compile_fem_shallow(mesh, unit(mesh, 0))
@@ -884,47 +887,79 @@ def test_fem_shallow_small_mesh(rng):
     assert net.hidden_layer_count <= 2
 
 
+def _capture_emits(monkeypatch) -> list:
+    """Wraps the tree emitter; returns the list of (rows, trees, signs) it sees."""
+    seen = []
+    emit_trees = C._emit_trees
+
+    def emit(dim, rows, trees, signs):
+        seen.append((rows, trees, signs))
+        return emit_trees(dim, rows, trees, signs)
+
+    monkeypatch.setattr(C, "_emit_trees", emit)
+    return seen
+
+
 def test_fem_compiles_hand_the_builder_no_zero_leaf(mesh_corpus, monkeypatch, rng):
     """Both FE pathways write ``max(0, .)`` as one ``relu`` neuron: no
     level-0 leaf is the constant zero, whose gadget neurons ``relu(+-0)``
     would be dead on arrival, and every deep hat is a ``relu`` root."""
-    seen = []
-
-    def emit(dim, rows, trees, signs):
-        seen.append((rows, trees))
-        return emit_trees(dim, rows, trees, signs)
-
-    emit_trees = C._emit_trees
-    monkeypatch.setattr(C, "_emit_trees", emit)
+    seen = _capture_emits(monkeypatch)
     for name, mesh in mesh_corpus:
         coeffs = rng.normal(size=mesh.num_vertices)
         for compile_fn in (compile_fem_deep, compile_fem_shallow):
             seen.clear()
             compile_fn(mesh, coeffs)
-            ((leaves, trees),) = seen
+            ((leaves, trees, _),) = seen
             assert all(row.any() for row in leaves), (name, compile_fn.__name__)
             assert "relu" in _kinds(trees), (name, compile_fn.__name__)
             if compile_fn is compile_fem_deep:
                 assert trees.code[trees.roots].tolist() == [C.RELU] * mesh.num_vertices, name
 
 
-def test_merged_weights_that_cancel_leave_no_term(rng):
+def test_merged_weights_that_cancel_leave_no_term(rng, monkeypatch):
     """Hat coefficients that cancel exactly drop their term in any order;
     a running float sum would leave ``0.1 + 0.2 - 0.1 - 0.2 = 2.8e-17``."""
     rows = rng.normal(size=(2, 3))
-    t, u = C._Term(1, 0.0, rows), C._Term(-1, 0.0, rows[::-1].copy())
-    assert C._merge_pure_terms([(0.1, t), (0.2, t), (0.1, u), (0.2, u)]) == []
-    ((w, c0, kept),) = C._merge_pure_terms([(0.1, t), (0.2, t), (0.1, u)])
-    assert (w, c0) == (0.2, 0.0) and kept is rows
+    pts = rng.uniform(-2, 2, size=(50, 2))
+    t, u = (0.0, rows), (0.0, rows[::-1].copy())
+    _, M = C._shallow_net([(0.1, *t), (0.2, *t), (-0.1, *u), (-0.2, *u)], 2, pts)
+    assert M == 0
+    seen = _capture_emits(monkeypatch)
+    _, M = C._shallow_net([(0.1, *t), (0.2, *t), (-0.1, *u)], 2, pts)
+    ((leaves, trees, signs),) = seen
+    assert M == 1 and signs.tolist() == [1.0]
+    assert sorted(_kinds(trees)) == ["max", "relu"]  # c0 = 0 is a relu, not a leaf
+    assert np.array_equal(leaves, 0.2 * rows)  # weight 0.2, the first block's rows
+
+
+def test_shallow_net_merges_terms_by_the_leaf_block_they_emit(rng):
+    """``max(x, R)`` and ``max([0, 0, x] U R)`` read the same leaves, so they
+    are one tree: equal weights add up in its first layer, and opposite
+    weights leave no term, instead of two output entries on one root."""
+    R = rng.normal(size=(2, 3))
+    x = float(rng.normal())
+    pts = rng.uniform(-2, 2, size=(200, 2))
+    lead = np.vstack([[0.0, 0.0, x], R])
+    for w in (1.0, -0.7):
+        net, M = C._shallow_net([(w, x, R), (w, None, lead)], 2, pts)
+        assert M == 1
+        out = net.layers[-1][0].toarray()
+        assert set(out[out != 0].tolist()) <= {1.0, -1.0}
+        ref = 2 * w * np.maximum(x, (pts @ R[:, :-1].T + R[:, -1]).max(axis=1))
+        assert np.max(np.abs(eval_network(net, pts) - ref)) < 1e-12
+        assert check_structured(net).passed
+        _, M = C._shallow_net([(w, x, R), (-w, None, lead[::-1].copy())], 2, pts)
+        assert M == 0
 
 
 def test_weighted_term_folds_into_one_subnetwork(rng):
     """Weight 3 scales the term's affines instead of copying its network."""
     affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(3)]
-    net = C._terms_net([(3, None, C._piece_rows(affs))], 2)
-    assert net.hidden_layer_count == 2
-    assert net.size == 8  # two gadgets and one carry, not two copies (16)
     X = rng.uniform(-2, 2, size=(2000, 2))
+    net, M = C._shallow_net([(3, None, C._piece_rows(affs))], 2, X)
+    assert M == 1 and net.hidden_layer_count == 2
+    assert net.size == 8  # two gadgets and one carry, not two copies (16)
     ref = 3 * np.max(np.stack([a(X) for a in affs]), axis=0)
     assert np.max(np.abs(eval_network(net, X) - ref)) < 1e-12
     out = net.layers[-1][0].toarray()
@@ -1019,6 +1054,7 @@ def test_equivalence_report_multi_output_worst_point():
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 5000), m=st.integers(2, 5))
+@example(seed=585, m=5)  # equal terms with and without a constant: one tree, not two roots
 def test_property_zigzag_compiles_exactly(seed, m):
     rng = np.random.default_rng(seed)
     f = random_zigzag(m, rng)
