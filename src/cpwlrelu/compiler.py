@@ -13,14 +13,15 @@ Two constructive pathways, both exact (no approximation):
 * **Shallow pathway** (`compile_lattice_shallow`, `compile_cpwl_shallow`,
   `compile_fem_shallow`): a max-of-mins lattice form is expanded into a
   signed sum of plain max terms; terms with more than ``d + 1`` arguments
-  are rewritten — using exact max-algebra identities, numerically verified
-  at every step — into terms of at most ``d + 1`` arguments, so the final
-  network has hidden depth ``ceil(log2(d + 1))`` regardless of the input's
-  complexity.  The piece-list and FE compiles share one term pipeline,
-  :func:`_shallow_net`: it rewrites each term, merges the pure terms that
-  read the same leaf block (a nonzero constant is the leaf ``[0, ..., 0,
-  c0]``, a zero one a ``relu`` neuron) by summing their weights, and emits
-  one max tree per merged term, so no two output entries read one root.
+  are rewritten — using exact max-algebra identities, each step recorded
+  and then numerically verified in batches — into terms of at most
+  ``d + 1`` arguments, so the final network has hidden depth
+  ``ceil(log2(d + 1))`` regardless of the input's complexity.  The
+  piece-list and FE compiles share one term pipeline, :func:`_shallow_net`:
+  it rewrites each term, merges the pure terms that read the same leaf
+  block (a nonzero constant is the leaf ``[0, ..., 0, c0]``, a zero one a
+  ``relu`` neuron) by summing their weights, and emits one max tree per
+  merged term, so no two output entries read one root.
   A term's weight ``w`` (the expansion's integer, times ``c_i`` for a hat)
   is folded into its first layer (``|w| max(S) = max(|w| S)``), leaving
   only its sign to the output.
@@ -56,6 +57,7 @@ import itertools
 import logging
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -114,7 +116,7 @@ MAX_NEURONS_DEEP = 2**21
 #: Dependency-fit acceptance and ambiguity thresholds (relative).
 DEP_ACCEPT = 1e-8
 DEP_AMBIGUOUS = 1e-4
-#: Tolerance for the per-rewrite numerical identity checks.
+#: Tolerance for the per-step numerical identity checks of the rewrites.
 REWRITE_TOL = 1e-10
 # Running count of rewrite steps that passed their numerical re-check;
 # tests read (and may reset) this to confirm every recursion step is audited.
@@ -688,63 +690,102 @@ class _Term:
         return len(self.rows) + (self.c0 is not None)
 
 
-def _term_value(t: _Term, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``t`` at every row of ``X``.
+def _term_values(terms: list[_Term], X: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The ``(k, n)`` values of the ``k`` terms at the ``n`` rows of ``X``.
 
-    One product ``G @ X.T + offsets`` fills the affine rows of one matrix,
-    one row per argument; the dependent and constant rows follow.  The max
-    runs down the columns, which is faster than along short rows.
+    Terms of one shape (row count, dependent or not, constant or not) are
+    evaluated together: one product ``(k, L, d) @ X.T`` plus offsets fills
+    their affine arguments, one ``einsum`` their dependent ones, and one max
+    runs over the arguments.
     """
     X = np.atleast_2d(X)
-    L = len(t.rows)
-    V = np.empty((L + (t.alphas is not None) + (t.c0 is not None), X.shape[0]))
-    np.matmul(t.rows[:, :-1], X.T, out=V[:L])
-    V[:L] += t.rows[:, -1:]
-    if t.alphas is not None:
-        V[L] = t.alphas @ V[:L] + t.alpha0
-    if t.c0 is not None:
-        V[-1] = t.c0
-    return t.sign * V.max(axis=0)
+    out = np.empty((len(terms), X.shape[0]))
+    groups: dict[tuple, list[int]] = {}
+    for i, t in enumerate(terms):
+        groups.setdefault((len(t.rows), t.alphas is not None, t.c0 is not None), []).append(i)
+    for (_, dep, const), idx in groups.items():
+        group = [terms[i] for i in idx]
+        R = np.stack([t.rows for t in group])
+        V = R[:, :, :-1] @ X.T
+        V += R[:, :, -1:]
+        best = V.max(axis=1, initial=-np.inf)
+        if dep:
+            alphas = np.array([t.alphas for t in group])
+            alpha0 = np.array([t.alpha0 for t in group])
+            np.maximum(best, np.einsum("kl,kln->kn", alphas, V) + alpha0[:, None], out=best)
+        if const:
+            np.maximum(best, np.array([t.c0 for t in group])[:, None], out=best)
+        out[idx] = np.array([t.sign for t in group])[:, None] * best
+    return out
+
+
+def _deviates(before: NDArray, after: NDArray) -> NDArray[np.bool_]:
+    """Per row, whether ``|after - before| <= REWRITE_TOL * max(1,
+    max|before|)`` fails at some point; a NaN on either side fails."""
+    scale = np.maximum(1.0, np.abs(before).max(axis=-1))
+    return ~(np.abs(before - after).max(axis=-1) <= REWRITE_TOL * scale)
 
 
 def _check_rewrite(before: NDArray, after: NDArray, what: str) -> None:
     """Raises RewriteCheckFailed unless ``|after - before| <= REWRITE_TOL *
-    max(1, max|before|)`` at every point."""
-    scale = max(1.0, float(np.max(np.abs(before))))
-    if np.max(np.abs(before - after)) > REWRITE_TOL * scale:
+    max(1, max|before|)`` at every point (a NaN on either side fails)."""
+    if _deviates(before, after):
         raise RewriteCheckFailed(f"{what} failed numerical check")
 
 
-def _audit_rewrite(
-    before: NDArray, parts: list[_Term], pts: NDArray, what: str
-) -> list[NDArray]:
-    """Numerically re-checks one rewrite step (and counts it).
+#: Recorded rewrite steps audited per batch, to bound the audit's memory.
+AUDIT_CHUNK = 128
 
-    ``before`` is the rewritten term's value at ``pts``.  Each part is
-    evaluated from its own arguments, never derived from ``before``.
+#: One recorded rewrite step: a term, the parts whose signed sum replaces
+#: it, and the kind of rewrite.
+_Step = tuple[_Term, list[_Term], str]
 
-    Returns:
-        The parts' values at ``pts``, for reuse when they are rewritten in
-        turn.
+
+def _audit_batch(steps: list[_Step], pts: NDArray) -> None:
+    """Numerically re-checks the steps at ``pts`` (and counts them).
+
+    Every distinct term of the steps is evaluated once, from its own
+    arguments (:func:`_term_values`); each step's parent is compared with
+    the sum of its parts' values.  The ``"elimination step"`` entries are
+    checked but not counted.
+
+    Raises:
+        RewriteCheckFailed: Naming the kind of the first failing step.
     """
     global REWRITE_CHECKS_PASSED
-    vals = [_term_value(p, pts) for p in parts]
-    _check_rewrite(before, sum(vals), f"{what} rewrite")
-    REWRITE_CHECKS_PASSED += 1
-    return vals
+    index: dict[int, int] = {}
+    terms: list[_Term] = []
+    for parent, parts, _ in steps:
+        for t in (parent, *parts):
+            if id(t) not in index:
+                index[id(t)] = len(terms)
+                terms.append(t)
+    values = _term_values(terms, pts)
+    part_rows = [index[id(t)] for _, ps, _ in steps for t in ps]
+    counts = [len(ps) for _, ps, _ in steps]
+    after = np.add.reduceat(values[part_rows], np.cumsum(counts) - counts, axis=0)
+    bad = _deviates(values[[index[id(parent)] for parent, _, _ in steps]], after)
+    if bad.any():
+        raise RewriteCheckFailed(f"{steps[int(np.argmax(bad))][2]} failed numerical check")
+    REWRITE_CHECKS_PASSED += sum(kind != "elimination step" for _, _, kind in steps)
 
 
-def _resolve_dependent(
-    t: _Term, value: NDArray, pts: NDArray, out: list[tuple[_Term, NDArray]]
-) -> None:
+def _audit_steps(steps: Iterable[_Step], pts: NDArray) -> None:
+    """Audits the recorded steps in order, ``AUDIT_CHUNK`` at a time, so
+    that only one batch of steps and their values is held at once."""
+    steps = iter(steps)
+    while batch := list(itertools.islice(steps, AUDIT_CHUNK)):
+        _audit_batch(batch, pts)
+
+
+def _resolve_dependent(t: _Term, out: list[_Term], steps: list[_Step]) -> None:
     """Eliminates the dependent argument of ``t``, appending pure terms.
 
-    Implements the exact rewriting recursion; every rewrite is re-verified
-    numerically on ``pts`` and any mismatch aborts (it would mean a bug, not
-    an input problem).  Branching is at most ``2^(k+1) - 1`` for dependent
-    support size ``k``.  ``value`` is ``t`` at ``pts``; each appended term
-    comes with its own value there, computed once by the audit that
-    produced it.
+    Implements the exact rewriting recursion symbolically: each rewrite is
+    recorded in ``steps`` as ``(parent, parts, kind)`` for
+    :func:`_audit_steps` to re-verify numerically (a mismatch would mean a
+    bug, not an input problem).  Branching is at most ``2^(k+1) - 1`` for
+    dependent support size ``k``.
     """
     alphas, a0 = t.alphas, t.alpha0
     assert alphas is not None
@@ -753,8 +794,8 @@ def _resolve_dependent(
     if not J:
         c0 = a0 if t.c0 is None else max(t.c0, a0)
         result = _Term(t.sign, c0, rows)
-        (rv,) = _audit_rewrite(value, [result], pts, "constant-merge")
-        out.append((result, rv))
+        steps.append((t, [result], "constant-merge"))
+        out.append(result)
         return
     ones = [j for j in J if abs(alphas[j] - 1.0) <= 1e-12]
     if len(J) == 1 and len(ones) == 1:
@@ -765,8 +806,8 @@ def _resolve_dependent(
             result = _Term(t.sign, t.c0, shifted)
         else:
             result = _Term(t.sign, t.c0, rows)
-        (rv,) = _audit_rewrite(value, [result], pts, "domination")
-        out.append((result, rv))
+        steps.append((t, [result], "domination"))
+        out.append(result)
         return
     zero = np.zeros(rows.shape[1])
     if len(ones) == len(J):
@@ -781,8 +822,8 @@ def _resolve_dependent(
         alphas2[J[:-1]] = -1.0
         alphas2[eta] = 1.0
         t2 = _Term(t.sign, t.c0, rerooted, alphas2, -a0)
-        (v2,) = _audit_rewrite(value, [t2], pts, "re-rooting")
-        _resolve_dependent(t2, v2, pts, out)
+        steps.append((t, [t2], "re-rooting"))
+        _resolve_dependent(t2, out, steps)
         return
     # General pivot: largest index with coefficient outside {0, 1}.
     eta = max(j for j in J if abs(alphas[j] - 1.0) > 1e-12)
@@ -810,12 +851,10 @@ def _resolve_dependent(
     branch_a = _Term(t.sign * signs[0], t.c0, rows, alphas_h.copy(), const_h)
     branch_b = _Term(t.sign * signs[1], t.c0, rows_b, alphas_h.copy(), const_h)
     branch_c = _Term(t.sign * signs[2], t.c0, rows_c)
-    va, vb, vc = _audit_rewrite(
-        value, [branch_a, branch_b, branch_c], pts, f"three-term (alpha={alpha:.6g})"
-    )
-    _resolve_dependent(branch_a, va, pts, out)
-    _resolve_dependent(branch_b, vb, pts, out)
-    out.append((branch_c, vc))
+    steps.append((t, [branch_a, branch_b, branch_c], f"three-term (alpha={alpha:.6g})"))
+    _resolve_dependent(branch_a, out, steps)
+    _resolve_dependent(branch_b, out, steps)
+    out.append(branch_c)
 
 
 def _find_dependency(
@@ -866,6 +905,36 @@ def _find_dependency(
     )
 
 
+def _rewrite_steps(
+    c0: float | None, rows: NDArray[np.float64], done: list[_Term]
+) -> Iterator[_Step]:
+    """The symbolic half of :func:`reduce_term_width`: appends to ``done``
+    the pure terms of width at most ``d + 1`` whose signed sum is ``max({c0}
+    U rows)``, and yields every rewrite step taken, in order, each
+    elimination as ``(term, pieces, "elimination step")`` after the steps
+    that produced its pieces.  Nothing is evaluated."""
+    d = rows.shape[1] - 1
+    queue = [_Term(1, c0, rows)]
+    while queue:
+        t = queue.pop()
+        if t.width <= d + 1:
+            done.append(t)
+            continue
+        tgt, alphas, a0 = _find_dependency(t.rows, d)
+        twd = _Term(t.sign, t.c0, np.delete(t.rows, tgt, axis=0), alphas, a0)
+        pieces: list[_Term] = []
+        steps: list[_Step] = []
+        _resolve_dependent(twd, pieces, steps)
+        if len(pieces) > 2 ** (d + 1) - 1:
+            raise AssertionError(
+                f"elimination produced {len(pieces)} terms, above the "
+                f"guaranteed 2^(d+1)-1 = {2 ** (d + 1) - 1}"
+            )
+        yield from steps
+        yield t, pieces, "elimination step"
+        queue.extend(pieces)
+
+
 def reduce_term_width(
     c0: float | None, rows: NDArray[np.float64], pts: NDArray[np.float64]
 ) -> list[_Term]:
@@ -876,39 +945,35 @@ def reduce_term_width(
     constant counts as an argument, and ``rows`` is read, never written.
     Each elimination step removes one affine argument by expressing it
     through at most ``d`` others plus a constant, then resolving the
-    resulting dependent argument exactly.  The rewritten sum is numerically
-    re-verified against the original at ``pts``.
+    resulting dependent argument exactly.  The rewrite runs symbolically
+    (:func:`_rewrite_steps`), and every recorded step, each elimination
+    included, is re-verified numerically at ``pts`` in batches as the steps
+    come (:func:`_audit_steps`).
 
     Returns:
         Pure terms (no dependents) whose signed sum equals the input term.
     """
-    d = rows.shape[1] - 1
-    first = _Term(1, c0, rows)
-    if first.width <= d + 1:
-        return [first]
-    # Each queued term travels with its value at ``pts``, computed once.
-    queue = [(first, _term_value(first, pts))]
     done: list[_Term] = []
-    while queue:
-        t, value = queue.pop()
-        if t.width <= d + 1:
-            done.append(t)
-            continue
-        tgt, alphas, a0 = _find_dependency(t.rows, d)
-        twd = _Term(t.sign, t.c0, np.delete(t.rows, tgt, axis=0), alphas, a0)
-        pieces: list[tuple[_Term, NDArray]] = []
-        _resolve_dependent(twd, _term_value(twd, pts), pts, pieces)
-        if len(pieces) > 2 ** (d + 1) - 1:
-            raise AssertionError(
-                f"elimination produced {len(pieces)} terms, above the "
-                f"guaranteed 2^(d+1)-1 = {2 ** (d + 1) - 1}"
-            )
-        _check_rewrite(value, sum(v for _, v in pieces), "elimination step")
-        queue.extend(pieces)
+    _audit_steps(_rewrite_steps(c0, rows, done), pts)
     return done
 
 
 # --- pure terms to networks ------------------------------------------------
+
+
+def _merge_keys(pure: list[_Term], d: int) -> Iterator[tuple]:
+    """Each pure term's merge key, in turn: whether its constant is 0, and
+    its leaf block as a sorted tuple of rows rounded to 12 decimals (a
+    nonzero constant is the leaf ``[0, ..., 0, c0]``).  All rows, and all
+    constants, are rounded in one call each."""
+    consts = np.round([t.c0 or 0.0 for t in pure], 12).tolist()
+    ends = np.cumsum([len(t.rows) for t in pure]).tolist()
+    rounded = np.round(np.concatenate([t.rows for t in pure] or [np.zeros((0, d + 1))]), 12)
+    for t, c, lo, hi in zip(pure, consts, [0] + ends, ends):
+        leaves = list(map(tuple, rounded[lo:hi].tolist()))
+        if t.c0:
+            leaves.append((0.0,) * d + (c,))
+        yield t.c0 == 0, tuple(sorted(leaves))
 
 
 def _shallow_net(
@@ -932,13 +997,9 @@ def _shallow_net(
     sign reaches the output combination and every output entry is ``+-1``.
     """
     pure = [(w * t.sign, t) for w, c0, rows in terms for t in reduce_term_width(c0, rows, pts)]
-    consts = np.round([t.c0 or 0.0 for _, t in pure], 12)  # one call, as leaf entries
     acc: dict[tuple, tuple] = {}
-    for (w, t), c in zip(pure, consts):
-        leaves = list(map(tuple, np.round(t.rows, 12)))
-        if t.c0:
-            leaves.append((0.0,) * d + (c,))
-        acc.setdefault((t.c0 == 0, tuple(sorted(leaves))), ([], t))[0].append(w)
+    for (w, t), key in zip(pure, _merge_keys([t for _, t in pure], d)):
+        acc.setdefault(key, ([], t))[0].append(w)
     merged = [(math.fsum(ws), t) for ws, t in acc.values()]
     merged = [(w, t) for w, t in merged if w != 0]
     blocks = [np.vstack([np.append(np.zeros(d), t.c0), t.rows]) if t.c0 else t.rows

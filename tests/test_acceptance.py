@@ -334,10 +334,9 @@ def test_criterion_05_identity_suite():
         affs = [AffineFunc(rng.normal(size=d), float(rng.normal())) for _ in range(m)]
         pts = rng.uniform(-2, 2, size=(400, d))
         terms = comp.reduce_term_width(None, comp._piece_rows(affs), pts)
-        got = np.zeros(pts.shape[0])
         for t in terms:
             assert t.alphas is None and len(t.rows) + (t.c0 is not None) <= d + 1
-            got += comp._term_value(t, pts)
+        got = comp._term_values(terms, pts).sum(axis=0)
         ref = np.max(np.stack([a(pts) for a in affs], axis=1), axis=1)
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(got - ref)) < 1e-9 * scale

@@ -44,6 +44,7 @@ from cpwlrelu.errors import (
     ExpansionOverflow,
     NotLocallyConvex,
     NumericalDependenceAmbiguous,
+    RewriteCheckFailed,
     SelfCheckFailed,
     SingularSystem,
 )
@@ -377,7 +378,7 @@ def test_reduce_term_width_postconditions(rng):
             assert width <= d + 1
         stacked = [a(pts) for a in affs] + ([] if c0 is None else [np.full(len(pts), c0)])
         ref = np.max(np.stack(stacked), axis=0)
-        got = sum(C._term_value(t, pts) for t in out)
+        got = C._term_values(out, pts).sum(axis=0)
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) < 1e-9 * scale
 
@@ -390,61 +391,57 @@ def test_reduce_width_noop_when_narrow(rng):
     assert len(out) == 1 and out[0].alphas is None
 
 
-def _record_audits(monkeypatch) -> list:
-    """Wraps the rewrite audit; returns the list of (kind, parts) it sees."""
-    seen = []
-    audit = C._audit_rewrite
-
-    def recording(v, parts, p, what):
-        seen.append((what.split()[0], parts))
-        return audit(v, parts, p, what)
-
-    monkeypatch.setattr(C, "_audit_rewrite", recording)
-    return seen
+def _kind_counts(steps) -> dict:
+    """How many recorded rewrite steps of each kind, eliminations aside."""
+    kinds = [kind.split()[0] for _, _, kind in steps if kind != "elimination step"]
+    return {k: kinds.count(k) for k in set(kinds)}
 
 
-def test_reduce_term_width_audit_count_is_pinned(monkeypatch):
-    # Three random arguments, one parallel to the first and one equal to the
-    # sum of the first two plus a constant, so that every rewrite kind runs.
-    # 164 audited steps and 133 pure terms were recorded for this input
-    # before term values were memoised; every step must still be audited.
-    rng = np.random.default_rng(31)
+def _pinned_rows(rng):
+    """Three random arguments, one parallel to the first and one equal to
+    the sum of the first two plus a constant, so that every rewrite kind
+    runs."""
     g = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(4)]
-    affs = g[:3] + [
+    return C._piece_rows(g[:3] + [
         AffineFunc(g[0].gradient, g[0].offset + 0.5),
         AffineFunc(g[0].gradient + g[1].gradient, g[0].offset + g[1].offset - 0.3),
-    ]
+    ])
+
+
+def test_reduce_term_width_audit_count_is_pinned():
+    # 164 audited steps and 133 pure terms were recorded for this input
+    # when each step was audited as it happened; every step must still be
+    # audited.
+    rng = np.random.default_rng(31)
+    rows = _pinned_rows(rng)
     pts = rng.uniform(-3, 3, size=(200, 2))
-    seen = _record_audits(monkeypatch)
+    done = []
+    steps = list(C._rewrite_steps(0.25, rows, done))
     before = C.REWRITE_CHECKS_PASSED
-    out = reduce_term_width(0.25, C._piece_rows(affs), pts)
-    assert C.REWRITE_CHECKS_PASSED - before == len(seen) == 164
-    assert len(out) == 133
-    kinds = [kind for kind, _ in seen]
-    assert {k: kinds.count(k) for k in set(kinds)} == {
+    out = reduce_term_width(0.25, rows, pts)
+    assert C.REWRITE_CHECKS_PASSED - before == sum(_kind_counts(steps).values()) == 164
+    assert len(out) == len(done) == 133
+    assert _kind_counts(steps) == {
         "constant-merge": 90, "domination": 7, "re-rooting": 1, "three-term": 66
     }
 
 
-def test_audit_rejects_a_wrong_rewrite(rng, monkeypatch):
+def test_audit_rejects_a_wrong_rewrite(rng):
     # A dependent argument 2.5 a0 + 0.7 a1 - 0.1 takes the three-term pivot;
-    # capture that rewrite's branches, then corrupt them.
+    # take that rewrite's recorded branches, then corrupt them.
     affs = [AffineFunc(rng.normal(size=2), float(rng.normal())) for _ in range(2)]
     t = C._Term(1, 0.3, C._piece_rows(affs), np.array([2.5, 0.7]), -0.1)
     pts = rng.uniform(-3, 3, size=(200, 2))
-    value = C._term_value(t, pts)
-    seen = _record_audits(monkeypatch)
-    C._resolve_dependent(t, value, pts, [])
-    monkeypatch.undo()
-    kind, branches = seen[0]
-    assert kind == "three-term" and len(branches) == 3
-    audit = C._audit_rewrite
-    audit(value, branches, pts, "three-term")  # the true rewrite passes
+    steps = []
+    C._resolve_dependent(t, [], steps)
+    parent, branches, kind = steps[0]
+    assert parent is t and kind.split()[0] == "three-term" and len(branches) == 3
+    C._audit_steps([(t, branches, "three-term")], pts)  # the true rewrite passes
 
     a, b, c = branches
     flipped = C._Term(-a.sign, a.c0, a.rows, a.alphas, a.alpha0)
-    with pytest.raises(AssertionError):
-        audit(value, [flipped, b, c], pts, "sign-flipped")
+    with pytest.raises(AssertionError, match="sign-flipped"):
+        C._audit_steps([(t, [flipped, b, c], "sign-flipped")], pts)
 
     # Move the offset of the argument of the pure branch that is its max
     # most often, so the move shows at the audit points.
@@ -453,25 +450,86 @@ def test_audit_rejects_a_wrong_rewrite(rng, monkeypatch):
     moved_rows = c.rows.copy()
     moved_rows[j, -1] += 1e-6
     moved = C._Term(c.sign, c.c0, moved_rows)
-    assert np.any(C._term_value(moved, pts) != C._term_value(c, pts))
-    with pytest.raises(AssertionError):
-        audit(value, [a, b, moved], pts, "offset-moved")
+    moved_value, c_value = C._term_values([moved, c], pts)
+    assert np.any(moved_value != c_value)
+    with pytest.raises(AssertionError, match="offset-moved"):
+        C._audit_steps([(t, [a, b, moved], "offset-moved")], pts)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_audit_fails_closed_on_nan(side):
+    """A NaN on either side of a check is a failure, not a pass: the
+    comparison is ``dev <= tol * scale``, which NaN never satisfies."""
+    before, after = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    (before, after)[side][0] = np.nan
+    with pytest.raises(RewriteCheckFailed):
+        C._check_rewrite(before, after, "x")
+    # The batched audit: a NaN in a part's offset, then in the parent's.
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    t = C._Term(1, 0.0, rows)
+    bad = rows.copy()
+    bad[0, -1] = np.nan
+    pair = [t, C._Term(1, 0.0, bad)]
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
+    with pytest.raises(RewriteCheckFailed, match="nan-step"):
+        C._audit_steps([(pair[side], [pair[1 - side]], "nan-step")], pts)
+
+
+def test_audit_chunks_catch_a_late_corrupted_step():
+    """A wrong step after the first chunk is still caught, named by its
+    kind, and no audit batch holds more than ``AUDIT_CHUNK`` steps."""
+    rng = np.random.default_rng(31)
+    rows = _pinned_rows(rng)
+    steps = list(C._rewrite_steps(0.25, rows, []))
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    steps = steps * (2 * C.AUDIT_CHUNK // len(steps) + 1)
+    assert len(steps) > 2 * C.AUDIT_CHUNK
+    at = C.AUDIT_CHUNK + 7
+    parent, parts, _ = steps[at]
+    a = parts[0]
+    flipped = C._Term(-a.sign, a.c0, a.rows, a.alphas, a.alpha0)
+    steps[at] = (parent, [flipped, *parts[1:]], "corrupted")
+    batches = []
+    audit = C._audit_batch
+
+    def recording(batch, p):
+        batches.append(len(batch))
+        return audit(batch, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_audit_batch", recording)
+        before = C.REWRITE_CHECKS_PASSED
+        with pytest.raises(RewriteCheckFailed, match="corrupted"):
+            C._audit_steps(steps, pts)
+        # The first chunk passed and was counted; the failing one was not.
+        first = steps[: C.AUDIT_CHUNK]
+        assert C.REWRITE_CHECKS_PASSED - before == sum(_kind_counts(first).values())
+        assert batches == [C.AUDIT_CHUNK, C.AUDIT_CHUNK]
+        batches.clear()
+        steps[at] = (parent, parts, "restored")
+        C._audit_steps(steps, pts)
+        assert max(batches) <= C.AUDIT_CHUNK and sum(batches) == len(steps)
+        assert len(batches) == -(-len(steps) // C.AUDIT_CHUNK)
+        batches.clear()
+        reduce_term_width(0.25, rows, pts)  # more steps than one chunk
+    assert len(batches) > 1 and max(batches) <= C.AUDIT_CHUNK
 
 
 def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
     """Terms share row blocks, so a rewrite may change rows only in a copy:
-    the caller's block, each parent term's rows and every audited part's
+    the caller's block, each parent term's rows and every recorded part's
     rows keep their bits to the end, and a compile leaves
     ``mesh.bary_inverse`` as it was."""
     snapshots, kinds = [], set()
-    audit = C._audit_rewrite
+    audit = C._audit_steps
 
-    def snapshot(v, parts, p, what):
-        snapshots.extend((t, t.rows.tobytes()) for t in parts)
-        kinds.add(what.split()[0])
-        return audit(v, parts, p, what)
+    def snapshot(steps, p):
+        for parent, parts, kind in steps:
+            snapshots.extend((t, t.rows.tobytes()) for t in (parent, *parts))
+            kinds.add(kind.split()[0])
+        return audit(steps, p)
 
-    monkeypatch.setattr(C, "_audit_rewrite", snapshot)
+    monkeypatch.setattr(C, "_audit_steps", snapshot)
     pts = rng.uniform(-3, 3, size=(200, 2))
     # three-term pivots with 0 < alpha < 1, alpha > 1 and alpha < 0,
     # re-rooting, domination with a shifted offset, constant merge
@@ -480,14 +538,16 @@ def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
         rows = rng.normal(size=(2, 3))
         t = C._Term(1, 0.3, rows, np.array(alphas), a0)
         before = rows.tobytes()
-        C._resolve_dependent(t, C._term_value(t, pts), pts, [])
+        steps = []
+        C._resolve_dependent(t, [], steps)
+        C._audit_steps(steps, pts)
         assert t.rows is rows and rows.tobytes() == before, alphas
     g = rng.normal(size=(4, 3))
     rows = np.vstack([g[:3], g[0] + [0, 0, 0.5], g[0] + g[1] - [0, 0, 0.3]])
     before = rows.tobytes()
     reduce_term_width(0.25, rows, pts)
     assert rows.tobytes() == before
-    assert kinds == {"constant-merge", "domination", "re-rooting", "three-term"}
+    assert kinds == {"constant-merge", "domination", "re-rooting", "three-term", "elimination"}
     assert all(t.rows.tobytes() == b for t, b in snapshots)
 
     mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
@@ -509,8 +569,30 @@ def test_term_value_matches_per_argument_evaluation(rng):
             want = np.column_stack([want, cols @ alphas + a0])
         if c0 is not None:
             want = np.column_stack([want, np.full(len(X), c0)])
-        got = C._term_value(C._Term(-1, c0, C._piece_rows(affs), alphas, a0), X)
+        (got,) = C._term_values([C._Term(-1, c0, C._piece_rows(affs), alphas, a0)], X)
         assert np.allclose(got, -want.max(axis=1), rtol=0, atol=1e-12)
+
+    # A mixed batch: terms of different row counts, with and without a
+    # dependent or a constant argument, interleaved, each against its own
+    # per-argument evaluation.
+    terms, wants = [], []
+    for k in range(24):
+        L = int(rng.integers(1, 5))
+        rows = rng.normal(size=(L, 4))
+        alphas = rng.normal(size=L) if k % 3 == 0 else None
+        c0 = float(rng.normal()) if k % 2 else None
+        sign = int(rng.choice([-1, 1]))
+        args = [X @ r[:-1] + r[-1] for r in rows]
+        if alphas is not None:
+            args.append(sum(a * v for a, v in zip(alphas, args)) + 0.7)
+        if c0 is not None:
+            args.append(np.full(len(X), c0))
+        terms.append(C._Term(sign, c0, rows, alphas, 0.7))
+        wants.append(sign * np.max(args, axis=0))
+    assert len({(len(t.rows), t.alphas is None, t.c0 is None) for t in terms}) > 4
+    got = C._term_values(terms, X)
+    assert got.shape == (len(terms), len(X))
+    assert np.allclose(got, np.array(wants), rtol=0, atol=1e-12)
 
 
 def test_shallow_compiles_repeat_exactly(rng):
