@@ -762,8 +762,11 @@ def _audit_batch(steps: list[_Step], pts: NDArray) -> None:
                 terms.append(t)
     values = _term_values(terms, pts)
     part_rows = [index[id(t)] for _, ps, _ in steps for t in ps]
-    counts = [len(ps) for _, ps, _ in steps]
-    after = np.add.reduceat(values[part_rows], np.cumsum(counts) - counts, axis=0)
+    # Offsets summed in Python: np.cumsum here left small long-lived blocks
+    # among each batch's garbage, which kept about 10 MB of freed memory
+    # from the system in an 8x8 shallow compile.
+    starts = list(itertools.accumulate([len(ps) for _, ps, _ in steps[:-1]], initial=0))
+    after = np.add.reduceat(values[part_rows], starts, axis=0)
     bad = _deviates(values[[index[id(parent)] for parent, _, _ in steps]], after)
     if bad.any():
         raise RewriteCheckFailed(f"{steps[int(np.argmax(bad))][2]} failed numerical check")
@@ -772,9 +775,26 @@ def _audit_batch(steps: list[_Step], pts: NDArray) -> None:
 
 def _audit_steps(steps: Iterable[_Step], pts: NDArray) -> None:
     """Audits the recorded steps in order, ``AUDIT_CHUNK`` at a time, so
-    that only one batch of steps and their values is held at once."""
+    that only one batch of steps and their values is held at once.
+
+    If taking the next step raises, the steps already taken are audited
+    first, so that a wrong step is reported as RewriteCheckFailed rather
+    than as a later error it may have caused.
+    """
     steps = iter(steps)
-    while batch := list(itertools.islice(steps, AUDIT_CHUNK)):
+    while True:
+        batch: list[_Step] = []
+        try:
+            for step in steps:
+                batch.append(step)
+                if len(batch) == AUDIT_CHUNK:
+                    break
+        except Exception:
+            if batch:
+                _audit_batch(batch, pts)
+            raise
+        if not batch:
+            return
         _audit_batch(batch, pts)
 
 
@@ -912,7 +932,8 @@ def _rewrite_steps(
     the pure terms of width at most ``d + 1`` whose signed sum is ``max({c0}
     U rows)``, and yields every rewrite step taken, in order, each
     elimination as ``(term, pieces, "elimination step")`` after the steps
-    that produced its pieces.  Nothing is evaluated."""
+    that produced its pieces (and before its piece count is checked).
+    Nothing is evaluated."""
     d = rows.shape[1] - 1
     queue = [_Term(1, c0, rows)]
     while queue:
@@ -925,12 +946,12 @@ def _rewrite_steps(
         pieces: list[_Term] = []
         steps: list[_Step] = []
         _resolve_dependent(twd, pieces, steps)
+        yield from steps
         if len(pieces) > 2 ** (d + 1) - 1:
             raise AssertionError(
                 f"elimination produced {len(pieces)} terms, above the "
                 f"guaranteed 2^(d+1)-1 = {2 ** (d + 1) - 1}"
             )
-        yield from steps
         yield t, pieces, "elimination step"
         queue.extend(pieces)
 
@@ -961,21 +982,6 @@ def reduce_term_width(
 # --- pure terms to networks ------------------------------------------------
 
 
-def _merge_keys(pure: list[_Term], d: int) -> Iterator[tuple]:
-    """Each pure term's merge key, in turn: whether its constant is 0, and
-    its leaf block as a sorted tuple of rows rounded to 12 decimals (a
-    nonzero constant is the leaf ``[0, ..., 0, c0]``).  All rows, and all
-    constants, are rounded in one call each."""
-    consts = np.round([t.c0 or 0.0 for t in pure], 12).tolist()
-    ends = np.cumsum([len(t.rows) for t in pure]).tolist()
-    rounded = np.round(np.concatenate([t.rows for t in pure] or [np.zeros((0, d + 1))]), 12)
-    for t, c, lo, hi in zip(pure, consts, [0] + ends, ends):
-        leaves = list(map(tuple, rounded[lo:hi].tolist()))
-        if t.c0:
-            leaves.append((0.0,) * d + (c,))
-        yield t.c0 == 0, tuple(sorted(leaves))
-
-
 def _shallow_net(
     terms: list[tuple[float, float | None, NDArray[np.float64]]],
     d: int,
@@ -997,9 +1003,16 @@ def _shallow_net(
     sign reaches the output combination and every output entry is ``+-1``.
     """
     pure = [(w * t.sign, t) for w, c0, rows in terms for t in reduce_term_width(c0, rows, pts)]
+    # One np.round over all constants, and one over all rows, as leaf entries.
+    consts = np.round([t.c0 or 0.0 for _, t in pure], 12)
+    leaf_rows = np.round(np.vstack([np.zeros((0, d + 1))] + [t.rows for _, t in pure]), 12)
+    ends = itertools.accumulate(len(t.rows) for _, t in pure)
     acc: dict[tuple, tuple] = {}
-    for (w, t), key in zip(pure, _merge_keys([t for _, t in pure], d)):
-        acc.setdefault(key, ([], t))[0].append(w)
+    for (w, t), c, end in zip(pure, consts, ends):
+        leaves = list(map(tuple, leaf_rows[end - len(t.rows) : end].tolist()))
+        if t.c0:
+            leaves.append((0.0,) * d + (c,))
+        acc.setdefault((t.c0 == 0, tuple(sorted(leaves))), ([], t))[0].append(w)
     merged = [(math.fsum(ws), t) for ws, t in acc.values()]
     merged = [(w, t) for w, t in merged if w != 0]
     blocks = [np.vstack([np.append(np.zeros(d), t.c0), t.rows]) if t.c0 else t.rows

@@ -515,21 +515,76 @@ def test_audit_chunks_catch_a_late_corrupted_step():
     assert len(batches) > 1 and max(batches) <= C.AUDIT_CHUNK
 
 
+@pytest.mark.parametrize("then", ["dependency fit fails", "too many pieces"])
+def test_audit_reports_a_wrong_step_before_a_later_error(monkeypatch, then):
+    """A wrong step followed by an error in the symbolic phase is reported
+    as RewriteCheckFailed: the steps taken before the error are audited
+    first, also when fewer than ``AUDIT_CHUNK`` of them wait."""
+    rng = np.random.default_rng(31)
+    rows = _pinned_rows(rng)
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    resolve, find = C._resolve_dependent, C._find_dependency
+    calls = []
+
+    def corrupting(t, out, steps):
+        top = not calls
+        calls.append(t)
+        resolve(t, out, steps)
+        if top:  # the first elimination's dependent term, after its steps
+            steps.append((t, [C._Term(-t.sign, t.c0, t.rows, t.alphas, t.alpha0)], "corrupted"))
+            if then == "too many pieces":
+                out.extend(out[:1] * 2 ** 3)
+
+    def failing_second(rows, d):
+        if len(calls) > 1:
+            raise NumericalDependenceAmbiguous("stand-in for a later failure")
+        return find(rows, d)
+
+    monkeypatch.setattr(C, "_resolve_dependent", corrupting)
+    monkeypatch.setattr(C, "_find_dependency", failing_second)
+    with pytest.raises(RewriteCheckFailed, match="corrupted") as info:
+        reduce_term_width(0.25, rows, pts)
+    later = NumericalDependenceAmbiguous if then == "dependency fit fails" else AssertionError
+    assert isinstance(info.value.__context__, later)
+    assert "corrupted" not in str(info.value.__context__)
+
+
 def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
     """Terms share row blocks, so a rewrite may change rows only in a copy:
     the caller's block, each parent term's rows and every recorded part's
-    rows keep their bits to the end, and a compile leaves
-    ``mesh.bary_inverse`` as it was."""
-    snapshots, kinds = [], set()
-    audit = C._audit_steps
+    rows keep, to the end, the bits they had when first seen, and a compile
+    leaves ``mesh.bary_inverse`` as it was.
+
+    A term is first seen when the recursion enters it (before any deeper
+    step) or, at the latest, when the step recording it enters the next
+    call or reaches the audit, which still runs on every step."""
+    first_seen, kinds, recorded = {}, set(), []
+    audit, resolve = C._audit_steps, C._resolve_dependent
+
+    def remember(t):
+        first_seen.setdefault(id(t), (t, t.rows.tobytes()))
+
+    def resolving(t, out, steps):
+        remember(t)
+        for parent, parts, _ in steps:
+            for u in (parent, *parts):
+                remember(u)
+        return resolve(t, out, steps)
+
+    def passing(steps):
+        for step in steps:
+            for u in (step[0], *step[1]):
+                remember(u)
+            kinds.add(step[2].split()[0])
+            recorded.append(step)
+            yield step
 
     def snapshot(steps, p):
-        for parent, parts, kind in steps:
-            snapshots.extend((t, t.rows.tobytes()) for t in (parent, *parts))
-            kinds.add(kind.split()[0])
-        return audit(steps, p)
+        return audit(passing(steps), p)
 
+    monkeypatch.setattr(C, "_resolve_dependent", resolving)
     monkeypatch.setattr(C, "_audit_steps", snapshot)
+    audited = C.REWRITE_CHECKS_PASSED
     pts = rng.uniform(-3, 3, size=(200, 2))
     # three-term pivots with 0 < alpha < 1, alpha > 1 and alpha < 0,
     # re-rooting, domination with a shifted offset, constant merge
@@ -548,7 +603,9 @@ def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
     reduce_term_width(0.25, rows, pts)
     assert rows.tobytes() == before
     assert kinds == {"constant-merge", "domination", "re-rooting", "three-term", "elimination"}
-    assert all(t.rows.tobytes() == b for t, b in snapshots)
+    assert all(t.rows.tobytes() == b for t, b in first_seen.values())
+    # The audit counted every step the wrapper passed on.
+    assert C.REWRITE_CHECKS_PASSED - audited == sum(_kind_counts(recorded).values()) > 0
 
     mesh = crisscross_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
     bary = mesh.bary_inverse.tobytes()
