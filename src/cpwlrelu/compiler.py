@@ -13,15 +13,17 @@ Two constructive pathways, both exact (no approximation):
 * **Shallow pathway** (`compile_lattice_shallow`, `compile_cpwl_shallow`,
   `compile_fem_shallow`): a max-of-mins lattice form is expanded into a
   signed sum of plain max terms; terms with more than ``d + 1`` arguments
-  are rewritten — using exact max-algebra identities, each step recorded
-  and then numerically verified in batches — into terms of at most
-  ``d + 1`` arguments, so the final network has hidden depth
-  ``ceil(log2(d + 1))`` regardless of the input's complexity.  The
-  piece-list and FE compiles share one term pipeline, :func:`_shallow_net`:
-  it rewrites each term, merges the pure terms that read the same leaf
-  block (a nonzero constant is the leaf ``[0, ..., 0, c0]``, a zero one a
-  ``relu`` neuron) by summing their weights, and emits one max tree per
-  merged term, so no two output entries read one root.
+  are rewritten — using exact max-algebra identities — into terms of at
+  most ``d + 1`` arguments, so the final network has hidden depth
+  ``ceil(log2(d + 1))`` regardless of the input's complexity.  One loop
+  (:func:`reduce_term_width`) rewrites all terms of a compile, recording
+  each step and numerically verifying the recorded steps in batches that
+  may span terms.  The piece-list and FE compiles share one term
+  pipeline, :func:`_shallow_net`: it rewrites the terms, merges the pure
+  terms that read the same leaf block (a nonzero constant is the leaf
+  ``[0, ..., 0, c0]``, a zero one a ``relu`` neuron) by summing their
+  weights, and emits one max tree per merged term, so no two output
+  entries read one root.
   A term's weight ``w`` (the expansion's integer, times ``c_i`` for a hat)
   is folded into its first layer (``|w| max(S) = max(|w| S)``), leaving
   only its sign to the output.
@@ -57,7 +59,6 @@ import itertools
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -226,9 +227,14 @@ def equivalence_report(
 
     For a multi-output network a point's deviation is its worst output's.
     :func:`eval_network` bounds the activation memory itself.
+
+    Raises:
+        ValueError: If ``X`` holds no points.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
+    if n == 0:
+        raise ValueError("no points were given to compare the network at")
     got = np.asarray(eval_network(net, X), dtype=float).reshape(n, -1)
     want = np.asarray(reference(X), dtype=float).reshape(n, -1)
     diffs = np.abs(got - want).max(axis=1)
@@ -726,14 +732,8 @@ def _deviates(before: NDArray, after: NDArray) -> NDArray[np.bool_]:
     return ~(np.abs(before - after).max(axis=-1) <= REWRITE_TOL * scale)
 
 
-def _check_rewrite(before: NDArray, after: NDArray, what: str) -> None:
-    """Raises RewriteCheckFailed unless ``|after - before| <= REWRITE_TOL *
-    max(1, max|before|)`` at every point (a NaN on either side fails)."""
-    if _deviates(before, after):
-        raise RewriteCheckFailed(f"{what} failed numerical check")
-
-
-#: Recorded rewrite steps audited per batch, to bound the audit's memory.
+#: Recorded rewrite steps that, once waiting, are audited as one batch;
+#: bounds the audit's memory.
 AUDIT_CHUNK = 128
 
 #: One recorded rewrite step: a term, the parts whose signed sum replaces
@@ -773,37 +773,12 @@ def _audit_batch(steps: list[_Step], pts: NDArray) -> None:
     REWRITE_CHECKS_PASSED += sum(kind != "elimination step" for _, _, kind in steps)
 
 
-def _audit_steps(steps: Iterable[_Step], pts: NDArray) -> None:
-    """Audits the recorded steps in order, ``AUDIT_CHUNK`` at a time, so
-    that only one batch of steps and their values is held at once.
-
-    If taking the next step raises, the steps already taken are audited
-    first, so that a wrong step is reported as RewriteCheckFailed rather
-    than as a later error it may have caused.
-    """
-    steps = iter(steps)
-    while True:
-        batch: list[_Step] = []
-        try:
-            for step in steps:
-                batch.append(step)
-                if len(batch) == AUDIT_CHUNK:
-                    break
-        except Exception:
-            if batch:
-                _audit_batch(batch, pts)
-            raise
-        if not batch:
-            return
-        _audit_batch(batch, pts)
-
-
 def _resolve_dependent(t: _Term, out: list[_Term], steps: list[_Step]) -> None:
     """Eliminates the dependent argument of ``t``, appending pure terms.
 
     Implements the exact rewriting recursion symbolically: each rewrite is
     recorded in ``steps`` as ``(parent, parts, kind)`` for
-    :func:`_audit_steps` to re-verify numerically (a mismatch would mean a
+    :func:`_audit_batch` to re-verify numerically (a mismatch would mean a
     bug, not an input problem).  Branching is at most ``2^(k+1) - 1`` for
     dependent support size ``k``.
     """
@@ -925,58 +900,62 @@ def _find_dependency(
     )
 
 
-def _rewrite_steps(
-    c0: float | None, rows: NDArray[np.float64], done: list[_Term]
-) -> Iterator[_Step]:
-    """The symbolic half of :func:`reduce_term_width`: appends to ``done``
-    the pure terms of width at most ``d + 1`` whose signed sum is ``max({c0}
-    U rows)``, and yields every rewrite step taken, in order, each
-    elimination as ``(term, pieces, "elimination step")`` after the steps
-    that produced its pieces (and before its piece count is checked).
-    Nothing is evaluated."""
-    d = rows.shape[1] - 1
-    queue = [_Term(1, c0, rows)]
-    while queue:
-        t = queue.pop()
-        if t.width <= d + 1:
-            done.append(t)
-            continue
-        tgt, alphas, a0 = _find_dependency(t.rows, d)
-        twd = _Term(t.sign, t.c0, np.delete(t.rows, tgt, axis=0), alphas, a0)
-        pieces: list[_Term] = []
-        steps: list[_Step] = []
-        _resolve_dependent(twd, pieces, steps)
-        yield from steps
-        if len(pieces) > 2 ** (d + 1) - 1:
-            raise AssertionError(
-                f"elimination produced {len(pieces)} terms, above the "
-                f"guaranteed 2^(d+1)-1 = {2 ** (d + 1) - 1}"
-            )
-        yield t, pieces, "elimination step"
-        queue.extend(pieces)
-
-
 def reduce_term_width(
-    c0: float | None, rows: NDArray[np.float64], pts: NDArray[np.float64]
-) -> list[_Term]:
-    """Rewrites the max term ``max({c0} U rows)`` into terms with at most
-    ``d + 1`` arguments, for the ``(w, d + 1)`` block ``rows``.
+    terms: list[tuple[float, float | None, NDArray[np.float64]]],
+    pts: NDArray[np.float64],
+) -> list[tuple[float, _Term]]:
+    """Rewrites each weighted max term ``w * max({c0} U rows)`` into pure
+    terms with at most ``d + 1`` arguments, for ``(w, c0, rows)`` terms
+    whose ``rows`` are ``(k, d + 1)`` blocks.
 
     ``c0 = None`` means no constant argument (see :class:`_Term`); a
     constant counts as an argument, and ``rows`` is read, never written.
     Each elimination step removes one affine argument by expressing it
-    through at most ``d`` others plus a constant, then resolving the
-    resulting dependent argument exactly.  The rewrite runs symbolically
-    (:func:`_rewrite_steps`), and every recorded step, each elimination
-    included, is re-verified numerically at ``pts`` in batches as the steps
-    come (:func:`_audit_steps`).
+    through at most ``d`` others plus a constant
+    (:func:`_find_dependency`), then resolves the resulting dependent
+    argument exactly (:func:`_resolve_dependent`).  The rewrite runs
+    symbolically; every recorded step, each elimination included, is
+    re-verified numerically at ``pts`` by :func:`_audit_batch`, once at
+    least ``AUDIT_CHUNK`` steps wait (so a batch may span terms, and holds
+    fewer than ``AUDIT_CHUNK`` plus one elimination's steps) and at the
+    end.  If the rewrite raises, the waiting steps are audited first, so
+    a wrong step is reported as RewriteCheckFailed rather than as a later
+    error it may have caused.
 
     Returns:
-        Pure terms (no dependents) whose signed sum equals the input term.
+        ``(w * sign, term)`` for each pure term, term after term, whose
+        weighted sum equals that of the input terms.
     """
-    done: list[_Term] = []
-    _audit_steps(_rewrite_steps(c0, rows, done), pts)
-    return done
+    out: list[tuple[float, _Term]] = []
+    steps: list[_Step] = []
+    try:
+        for w, c0, rows in terms:
+            d = rows.shape[1] - 1
+            queue = [_Term(1, c0, rows)]
+            while queue:
+                t = queue.pop()
+                if t.width <= d + 1:
+                    out.append((w * t.sign, t))
+                    continue
+                tgt, alphas, a0 = _find_dependency(t.rows, d)
+                twd = _Term(t.sign, t.c0, np.delete(t.rows, tgt, axis=0), alphas, a0)
+                pieces: list[_Term] = []
+                _resolve_dependent(twd, pieces, steps)
+                if len(pieces) > 2 ** (d + 1) - 1:
+                    raise AssertionError(
+                        f"elimination produced {len(pieces)} terms, above the "
+                        f"guaranteed 2^(d+1)-1 = {2 ** (d + 1) - 1}"
+                    )
+                steps.append((t, pieces, "elimination step"))
+                queue.extend(pieces)
+                if len(steps) >= AUDIT_CHUNK:
+                    # Rebound first, so a failing batch is not audited again.
+                    batch, steps = steps, []
+                    _audit_batch(batch, pts)
+    finally:
+        if steps:
+            _audit_batch(steps, pts)
+    return out
 
 
 # --- pure terms to networks ------------------------------------------------
@@ -1002,7 +981,7 @@ def _shallow_net(
     the first layer (``k max(S) = max(k S)`` for ``k > 0``), so only its
     sign reaches the output combination and every output entry is ``+-1``.
     """
-    pure = [(w * t.sign, t) for w, c0, rows in terms for t in reduce_term_width(c0, rows, pts)]
+    pure = reduce_term_width(terms, pts)
     # One np.round over all constants, and one over all rows, as leaf entries.
     consts = np.round([t.c0 or 0.0 for _, t in pure], 12)
     leaf_rows = np.round(np.vstack([np.zeros((0, d + 1))] + [t.rows for _, t in pure]), 12)
@@ -1126,15 +1105,14 @@ def compile_cpwl_shallow(
         )
     pts = f.sample_domain(64, rng)
     state = _expand_lattice_terms(lat.clauses)
-    # Sanity: the expansion must reproduce the lattice form exactly.
     P = _piece_rows(lat.pieces)
-    piece_vals = pts @ P[:, :-1].T + P[:, -1]
-    acc = np.zeros(pts.shape[0])
-    for S, w in state.items():
-        acc += w * piece_vals[:, sorted(S)].max(axis=1)
-    _check_rewrite(eval_lattice(lat, pts), acc, "internal error: lattice expansion")
     terms = [(w, None, P[sorted(S)])
              for S, w in sorted(state.items(), key=lambda kv: sorted(kv[0]))]
+    # Sanity: the expansion must reproduce the lattice form exactly.
+    expansion = np.array([w for w, _, _ in terms]) @ _term_values(
+        [_Term(1, None, rows) for _, _, rows in terms], pts)
+    if _deviates(eval_lattice(lat, pts), expansion):
+        raise RewriteCheckFailed("internal error: lattice expansion failed numerical check")
     net, _ = _shallow_net(terms, d, pts)
     _self_check(net, lambda P: np.asarray(f(P)), pts, "shallow CPWL compile")
     predicted_size = (

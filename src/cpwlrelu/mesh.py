@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -92,8 +92,6 @@ class SimplicialMesh:
         neighbors: The element across the facet opposite local vertex ``j``
             of element ``k``, or -1 where that facet is on the boundary,
             shape ``(m, d+1)``.  Derived by :func:`build_mesh`.
-        vertex_to_simplices: For each vertex, the sorted indices of elements
-            containing it.
     """
 
     dim: int
@@ -103,7 +101,6 @@ class SimplicialMesh:
     bary_inverse: NDArray[np.float64]
     volumes: NDArray[np.float64]
     neighbors: NDArray[np.int64]
-    vertex_to_simplices: list[tuple[int, ...]] = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -309,8 +306,6 @@ def build_mesh(
     valence = np.bincount(simplices.ravel(), minlength=n)
     if np.any(valence == 0):
         raise NonConforming("mesh has an unused vertex")
-    by_vertex = np.argsort(simplices.ravel(), kind="stable") // (d + 1)
-    splits = np.split(by_vertex, np.cumsum(valence)[:-1])
 
     mesh = SimplicialMesh(
         dim=d,
@@ -320,7 +315,6 @@ def build_mesh(
         bary_inverse=bary_inverse,
         volumes=volumes,
         neighbors=neighbors.reshape(m, d + 1),
-        vertex_to_simplices=[tuple(s.tolist()) for s in splits],
     )
 
     if validate:
@@ -453,7 +447,7 @@ def is_locally_convex(mesh: SimplicialMesh, i: int, tol: float = BARY_TOL) -> bo
 
 def compute_kh(mesh: SimplicialMesh) -> int:
     """Maximum number of elements meeting at a single vertex."""
-    return max(len(s) for s in mesh.vertex_to_simplices)
+    return int(np.bincount(mesh.simplices.ravel()).max())
 
 
 def shape_regularity(mesh: SimplicialMesh) -> float:

@@ -193,20 +193,20 @@ def pad_network(net: ReluNetwork, target_hidden: int) -> ReluNetwork:
     """Deepens a single-output network to ``target_hidden`` hidden layers.
 
     Each added level carries the scalar output through the identity
-    ``t = relu(t) - relu(-t)`` at a cost of two neurons, leaving the
-    computed function unchanged.
+    ``t = relu(t) - relu(-t)`` at a cost of two neurons (the ``"id"``
+    operation of :class:`NetBuilder`), leaving the computed function
+    unchanged.
     """
     if net.output_dim != 1:
         raise DimensionMismatch("padding is defined for single-output networks")
     if net.hidden_layer_count > target_hidden:
         raise ValueError("network is already deeper than the padding target")
-    layers = list(net.layers)
-    while len(layers) - 1 < target_hidden:
-        W, b = layers[-1]
-        W_id = sp.vstack([W, -W], format="csr")
-        W_out = sp.csr_matrix(np.array([[1.0, -1.0]]))
-        layers = layers[:-1] + [(W_id, np.concatenate([b, -b])), (W_out, np.zeros(1))]
-    return ReluNetwork(net.input_dim, layers)
+    if net.hidden_layer_count == target_hidden:
+        return ReluNetwork(net.input_dim, list(net.layers))
+    builder = NetBuilder(net)
+    while builder.level < target_hidden:
+        builder.apply_level([OPS.index("id")], [0], [-1])
+    return builder.finish([(np.ones(1), np.zeros(1, dtype=np.int64))])
 
 
 def prune_dead_channels(net: ReluNetwork, tol: float = 1e-12) -> ReluNetwork:

@@ -8,6 +8,7 @@ CPWL instances in piece-list form.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -302,3 +303,12 @@ def net_per_compile_path(rng: np.random.Generator) -> dict[str, ReluNetwork]:
             [affine_network(rng.normal(size=2), 0.0) for _ in range(3)]
         )[0],
     }
+
+
+def network_digest(net: ReluNetwork) -> str:
+    """SHA-256 over every layer's CSR indptr, indices, data and bias."""
+    h = hashlib.sha256()
+    for W, b in net.layers:
+        for a in (W.indptr, W.indices, W.data, b):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()

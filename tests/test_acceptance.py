@@ -333,7 +333,7 @@ def test_criterion_05_identity_suite():
         m = int(rng.integers(d + 2, 7))
         affs = [AffineFunc(rng.normal(size=d), float(rng.normal())) for _ in range(m)]
         pts = rng.uniform(-2, 2, size=(400, d))
-        terms = comp.reduce_term_width(None, comp._piece_rows(affs), pts)
+        terms = [t for _, t in comp.reduce_term_width([(1.0, None, comp._piece_rows(affs))], pts)]
         for t in terms:
             assert t.alphas is None and len(t.rows) + (t.c0 is not None) <= d + 1
         got = comp._term_values(terms, pts).sum(axis=0)

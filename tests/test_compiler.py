@@ -5,7 +5,6 @@ gadget, the three-way rewrite identity evaluated from its own sign table,
 brute-force max/min evaluation, and combinatorial size-bound formulas.
 """
 
-import hashlib
 import json
 import math
 
@@ -16,6 +15,7 @@ from helpers import (
     crisscross_mesh,
     kuhn_cube_mesh,
     net_per_compile_path,
+    network_digest,
     random_fan,
     random_max_affine,
     random_zigzag,
@@ -370,15 +370,16 @@ def test_reduce_term_width_postconditions(rng):
         c0 = float(rng.normal()) if rng.random() < 0.5 else None
         pts = rng.uniform(-3, 3, size=(250, d))
         before = C.REWRITE_CHECKS_PASSED
-        out = reduce_term_width(c0, C._piece_rows(affs), pts)
+        out = reduce_term_width([(1.0, c0, C._piece_rows(affs))], pts)
         assert C.REWRITE_CHECKS_PASSED > before  # every step was audited
-        for t in out:
+        for w, t in out:
             assert t.alphas is None  # pure terms only
+            assert w == t.sign
             width = len(t.rows) + (1 if t.c0 is not None else 0)
             assert width <= d + 1
         stacked = [a(pts) for a in affs] + ([] if c0 is None else [np.full(len(pts), c0)])
         ref = np.max(np.stack(stacked), axis=0)
-        got = C._term_values(out, pts).sum(axis=0)
+        got = C._term_values([t for _, t in out], pts).sum(axis=0)
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) < 1e-9 * scale
 
@@ -387,8 +388,8 @@ def test_reduce_width_noop_when_narrow(rng):
     d = 2
     affs = [AffineFunc(rng.normal(size=d), 0.0) for _ in range(2)]
     pts = rng.uniform(-1, 1, size=(50, d))
-    out = reduce_term_width(None, C._piece_rows(affs), pts)
-    assert len(out) == 1 and out[0].alphas is None
+    out = reduce_term_width([(-2.5, None, C._piece_rows(affs))], pts)
+    assert len(out) == 1 and out[0][0] == -2.5 and out[0][1].alphas is None
 
 
 def _kind_counts(steps) -> dict:
@@ -408,19 +409,33 @@ def _pinned_rows(rng):
     ])
 
 
-def test_reduce_term_width_audit_count_is_pinned():
+def _record_batches(monkeypatch) -> list:
+    """Wraps ``_audit_batch``; returns the list of batches it is handed,
+    each a copy of its steps taken before the real audit runs on them."""
+    batches = []
+    audit = C._audit_batch
+
+    def recording(steps, p):
+        batches.append(list(steps))
+        return audit(steps, p)
+
+    monkeypatch.setattr(C, "_audit_batch", recording)
+    return batches
+
+
+def test_reduce_term_width_audit_count_is_pinned(monkeypatch):
     # 164 audited steps and 133 pure terms were recorded for this input
     # when each step was audited as it happened; every step must still be
     # audited.
     rng = np.random.default_rng(31)
     rows = _pinned_rows(rng)
     pts = rng.uniform(-3, 3, size=(200, 2))
-    done = []
-    steps = list(C._rewrite_steps(0.25, rows, done))
+    batches = _record_batches(monkeypatch)
     before = C.REWRITE_CHECKS_PASSED
-    out = reduce_term_width(0.25, rows, pts)
+    out = reduce_term_width([(1.0, 0.25, rows)], pts)
+    steps = [step for batch in batches for step in batch]
     assert C.REWRITE_CHECKS_PASSED - before == sum(_kind_counts(steps).values()) == 164
-    assert len(out) == len(done) == 133
+    assert len(out) == 133
     assert _kind_counts(steps) == {
         "constant-merge": 90, "domination": 7, "re-rooting": 1, "three-term": 66
     }
@@ -436,12 +451,12 @@ def test_audit_rejects_a_wrong_rewrite(rng):
     C._resolve_dependent(t, [], steps)
     parent, branches, kind = steps[0]
     assert parent is t and kind.split()[0] == "three-term" and len(branches) == 3
-    C._audit_steps([(t, branches, "three-term")], pts)  # the true rewrite passes
+    C._audit_batch([(t, branches, "three-term")], pts)  # the true rewrite passes
 
     a, b, c = branches
     flipped = C._Term(-a.sign, a.c0, a.rows, a.alphas, a.alpha0)
     with pytest.raises(AssertionError, match="sign-flipped"):
-        C._audit_steps([(t, [flipped, b, c], "sign-flipped")], pts)
+        C._audit_batch([(t, [flipped, b, c], "sign-flipped")], pts)
 
     # Move the offset of the argument of the pure branch that is its max
     # most often, so the move shows at the audit points.
@@ -453,7 +468,7 @@ def test_audit_rejects_a_wrong_rewrite(rng):
     moved_value, c_value = C._term_values([moved, c], pts)
     assert np.any(moved_value != c_value)
     with pytest.raises(AssertionError, match="offset-moved"):
-        C._audit_steps([(t, [a, b, moved], "offset-moved")], pts)
+        C._audit_batch([(t, [a, b, moved], "offset-moved")], pts)
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -462,8 +477,9 @@ def test_audit_fails_closed_on_nan(side):
     comparison is ``dev <= tol * scale``, which NaN never satisfies."""
     before, after = np.array([0.0, 1.0]), np.array([0.0, 1.0])
     (before, after)[side][0] = np.nan
-    with pytest.raises(RewriteCheckFailed):
-        C._check_rewrite(before, after, "x")
+    assert C._deviates(before, after)
+    assert C._deviates(np.stack([after, before]), np.stack([before, after])).tolist() == [
+        True, True]
     # The batched audit: a NaN in a part's offset, then in the parent's.
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     t = C._Term(1, 0.0, rows)
@@ -472,47 +488,91 @@ def test_audit_fails_closed_on_nan(side):
     pair = [t, C._Term(1, 0.0, bad)]
     pts = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
     with pytest.raises(RewriteCheckFailed, match="nan-step"):
-        C._audit_steps([(pair[side], [pair[1 - side]], "nan-step")], pts)
+        C._audit_batch([(pair[side], [pair[1 - side]], "nan-step")], pts)
 
 
-def test_audit_chunks_catch_a_late_corrupted_step():
-    """A wrong step after the first chunk is still caught, named by its
-    kind, and no audit batch holds more than ``AUDIT_CHUNK`` steps."""
+def _max_affine_oracle(terms, pts):
+    """``sum w * max({c0} U rows)`` over the ``(w, c0, rows)`` terms."""
+    total = np.zeros(len(pts))
+    for w, c0, rows in terms:
+        args = pts @ rows[:, :-1].T + rows[:, -1]
+        if c0 is not None:
+            args = np.column_stack([args, np.full(len(pts), c0)])
+        total += w * args.max(axis=1)
+    return total
+
+
+def test_audit_batches_span_terms_and_hold_every_step(monkeypatch):
+    """Every step goes through exactly one audit batch, in order.  A batch
+    is flushed once ``AUDIT_CHUNK`` steps wait, after the elimination that
+    reached it, so it holds fewer than ``AUDIT_CHUNK`` steps plus one
+    elimination's (the last batch fewer than ``AUDIT_CHUNK``), and batches
+    run across term boundaries.  The pure terms come term after term, as
+    one call per term gives them, each weighted by its input term's weight
+    times its sign."""
     rng = np.random.default_rng(31)
     rows = _pinned_rows(rng)
-    steps = list(C._rewrite_steps(0.25, rows, []))
     pts = rng.uniform(-3, 3, size=(200, 2))
-    steps = steps * (2 * C.AUDIT_CHUNK // len(steps) + 1)
-    assert len(steps) > 2 * C.AUDIT_CHUNK
-    at = C.AUDIT_CHUNK + 7
-    parent, parts, _ = steps[at]
-    a = parts[0]
-    flipped = C._Term(-a.sign, a.c0, a.rows, a.alphas, a.alpha0)
-    steps[at] = (parent, [flipped, *parts[1:]], "corrupted")
-    batches = []
-    audit = C._audit_batch
+    terms = [(1.0, 0.25, rows), (-2.0, None, rows[::-1].copy()), (0.5, 0.25, rows)]
+    batches = _record_batches(monkeypatch)
+    find, eliminations = C._find_dependency, []
 
-    def recording(batch, p):
-        batches.append(len(batch))
-        return audit(batch, p)
+    def counting(r, d):
+        eliminations.append(len(r))
+        return find(r, d)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_audit_batch", recording)
-        before = C.REWRITE_CHECKS_PASSED
-        with pytest.raises(RewriteCheckFailed, match="corrupted"):
-            C._audit_steps(steps, pts)
-        # The first chunk passed and was counted; the failing one was not.
-        first = steps[: C.AUDIT_CHUNK]
-        assert C.REWRITE_CHECKS_PASSED - before == sum(_kind_counts(first).values())
-        assert batches == [C.AUDIT_CHUNK, C.AUDIT_CHUNK]
-        batches.clear()
-        steps[at] = (parent, parts, "restored")
-        C._audit_steps(steps, pts)
-        assert max(batches) <= C.AUDIT_CHUNK and sum(batches) == len(steps)
-        assert len(batches) == -(-len(steps) // C.AUDIT_CHUNK)
-        batches.clear()
-        reduce_term_width(0.25, rows, pts)  # more steps than one chunk
-    assert len(batches) > 1 and max(batches) <= C.AUDIT_CHUNK
+    monkeypatch.setattr(C, "_find_dependency", counting)
+    before = C.REWRITE_CHECKS_PASSED
+    out = reduce_term_width(terms, pts)
+    audited = C.REWRITE_CHECKS_PASSED - before
+    # Two copies of the pinned term (164 steps each) and one reversed copy.
+    assert audited > 2 * 164
+    assert sum(map(len, batches)) == audited + len(eliminations)
+    mid_batch_starts = 0
+    for k, batch in enumerate(batches):
+        marks = [i for i, (_, _, kind) in enumerate(batch) if kind == "elimination step"]
+        if k < len(batches) - 1:
+            assert marks[-1] == len(batch) - 1 and len(batch) >= C.AUDIT_CHUNK
+            waiting = marks[-2] + 1 if len(marks) > 1 else 0
+            assert waiting < C.AUDIT_CHUNK  # before the last elimination
+        else:
+            assert len(batch) < C.AUDIT_CHUNK
+        # Only a term's first elimination has the caller's block as its rows.
+        mid_batch_starts += sum(any(batch[i][0].rows is block for _, _, block in terms)
+                                for i in marks[1:])
+    assert mid_batch_starts > 0
+    got = np.array([w * t.sign for w, t in out]) @ C._term_values([t for _, t in out], pts)
+    want = _max_affine_oracle(terms, pts)
+    assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
+    alone = [pair for term in terms for pair in reduce_term_width([term], pts)]
+    assert [w for w, _ in out] == [w for w, _ in alone]
+    assert all(t.rows.tobytes() == u.rows.tobytes() and t.c0 == u.c0
+               for (_, t), (_, u) in zip(out, alone))
+
+
+def test_audit_chunks_catch_a_late_corrupted_step(monkeypatch):
+    """A wrong step after the first batch is still caught, named by its
+    kind; the batches before it passed and were counted, the failing one
+    was not, and no later batch runs."""
+    rng = np.random.default_rng(31)
+    rows = _pinned_rows(rng)
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    batches = _record_batches(monkeypatch)
+    resolve, corrupted = C._resolve_dependent, []
+
+    def corrupting(t, out, steps):
+        resolve(t, out, steps)
+        if batches and not corrupted:  # the first step after the first batch
+            corrupted.append(t)
+            steps.append((t, [C._Term(-t.sign, t.c0, t.rows, t.alphas, t.alpha0)],
+                          "corrupted"))
+
+    monkeypatch.setattr(C, "_resolve_dependent", corrupting)
+    before = C.REWRITE_CHECKS_PASSED
+    with pytest.raises(RewriteCheckFailed, match="corrupted"):
+        reduce_term_width([(1.0, 0.25, rows)] * 3, pts)
+    assert len(batches) == 2 and any(kind == "corrupted" for _, _, kind in batches[1])
+    assert C.REWRITE_CHECKS_PASSED - before == sum(_kind_counts(batches[0]).values())
 
 
 @pytest.mark.parametrize("then", ["dependency fit fails", "too many pieces"])
@@ -543,10 +603,44 @@ def test_audit_reports_a_wrong_step_before_a_later_error(monkeypatch, then):
     monkeypatch.setattr(C, "_resolve_dependent", corrupting)
     monkeypatch.setattr(C, "_find_dependency", failing_second)
     with pytest.raises(RewriteCheckFailed, match="corrupted") as info:
-        reduce_term_width(0.25, rows, pts)
+        reduce_term_width([(1.0, 0.25, rows)], pts)
     later = NumericalDependenceAmbiguous if then == "dependency fit fails" else AssertionError
     assert isinstance(info.value.__context__, later)
     assert "corrupted" not in str(info.value.__context__)
+
+
+def test_audit_reports_a_wrong_step_before_a_later_terms_error(monkeypatch):
+    """Audit batches span terms: a wrong step in one term, still waiting
+    for its batch, is reported as RewriteCheckFailed when the next term's
+    dependency fit raises."""
+    rng = np.random.default_rng(31)
+    first = rng.normal(size=(4, 3))  # one elimination, fewer than AUDIT_CHUNK steps
+    second = _pinned_rows(rng)
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    resolve, find = C._resolve_dependent, C._find_dependency
+    corrupted, raised = [], []
+
+    def corrupting(t, out, steps):
+        top = not corrupted
+        corrupted.append(t)
+        resolve(t, out, steps)
+        if top:
+            steps.append((t, [C._Term(-t.sign, t.c0, t.rows, t.alphas, t.alpha0)], "corrupted"))
+
+    def failing_on_second(rows, d):
+        if rows is second:
+            raised.append(rows)
+            raise NumericalDependenceAmbiguous("stand-in for a later term's failure")
+        return find(rows, d)
+
+    batches = _record_batches(monkeypatch)
+    monkeypatch.setattr(C, "_resolve_dependent", corrupting)
+    monkeypatch.setattr(C, "_find_dependency", failing_on_second)
+    with pytest.raises(RewriteCheckFailed, match="corrupted") as info:
+        reduce_term_width([(1.0, 0.25, first), (1.0, 0.25, second)], pts)
+    assert raised and len(batches) == 1 and len(batches[0]) < C.AUDIT_CHUNK
+    assert isinstance(info.value.__context__, NumericalDependenceAmbiguous)
+    assert "later term" in str(info.value.__context__)
 
 
 def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
@@ -559,7 +653,7 @@ def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
     step) or, at the latest, when the step recording it enters the next
     call or reaches the audit, which still runs on every step."""
     first_seen, kinds, recorded = {}, set(), []
-    audit, resolve = C._audit_steps, C._resolve_dependent
+    audit, resolve = C._audit_batch, C._resolve_dependent
 
     def remember(t):
         first_seen.setdefault(id(t), (t, t.rows.tobytes()))
@@ -571,19 +665,16 @@ def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
                 remember(u)
         return resolve(t, out, steps)
 
-    def passing(steps):
+    def snapshot(steps, p):
         for step in steps:
             for u in (step[0], *step[1]):
                 remember(u)
             kinds.add(step[2].split()[0])
             recorded.append(step)
-            yield step
-
-    def snapshot(steps, p):
-        return audit(passing(steps), p)
+        return audit(steps, p)
 
     monkeypatch.setattr(C, "_resolve_dependent", resolving)
-    monkeypatch.setattr(C, "_audit_steps", snapshot)
+    monkeypatch.setattr(C, "_audit_batch", snapshot)
     audited = C.REWRITE_CHECKS_PASSED
     pts = rng.uniform(-3, 3, size=(200, 2))
     # three-term pivots with 0 < alpha < 1, alpha > 1 and alpha < 0,
@@ -595,12 +686,12 @@ def test_rewrites_leave_shared_rows_unchanged(rng, monkeypatch):
         before = rows.tobytes()
         steps = []
         C._resolve_dependent(t, [], steps)
-        C._audit_steps(steps, pts)
+        C._audit_batch(steps, pts)
         assert t.rows is rows and rows.tobytes() == before, alphas
     g = rng.normal(size=(4, 3))
     rows = np.vstack([g[:3], g[0] + [0, 0, 0.5], g[0] + g[1] - [0, 0, 0.3]])
     before = rows.tobytes()
-    reduce_term_width(0.25, rows, pts)
+    reduce_term_width([(1.0, 0.25, rows), (-1.0, None, rows)], pts)
     assert rows.tobytes() == before
     assert kinds == {"constant-merge", "domination", "re-rooting", "three-term", "elimination"}
     assert all(t.rows.tobytes() == b for t, b in first_seen.values())
@@ -680,7 +771,7 @@ def test_ambiguous_dependency_is_a_hard_error(rng):
     ]
     pts = np.random.default_rng(0).uniform(-1, 1, size=(50, 2))
     with pytest.raises(NumericalDependenceAmbiguous):
-        reduce_term_width(0.5, C._piece_rows(affs), pts)
+        reduce_term_width([(1.0, 0.5, C._piece_rows(affs))], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +956,7 @@ def test_shallow_basis_hat_exact(rng):
         diff = np.abs(eval_network(net, X) - interpolate(mesh, coeffs, X))
         assert np.max(diff) < 1e-9, vertex
         assert net.hidden_layer_count <= ceil_log2(3) + 1  # ceil(log2(d+1)) with d=2
-        n = len(mesh.vertex_to_simplices[vertex])
+        n = int(np.count_nonzero(mesh.simplices == vertex))
         assert network_stats(net).size <= _shallow_basis_bound(n, 2)
         assert check_structured(net).passed
 
@@ -913,14 +1004,6 @@ _PINNED_CPWL_NETS = {
 }
 
 
-def _network_digest(net):
-    h = hashlib.sha256()
-    for W, b in net.layers:
-        for a in (W.indptr, W.indices, W.data, b):
-            h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("name, seed", list(_PINNED_CPWL_NETS))
 def test_shallow_cpwl_networks_pinned(name, seed):
     kind, size = name.rsplit("-", 1)
@@ -932,7 +1015,7 @@ def test_shallow_cpwl_networks_pinned(name, seed):
     routes = ("regions",) if f.dim == 3 else ("order", "regions")
     for route in routes:
         net, _ = compile_cpwl_shallow(f, np.random.default_rng(0), route=route)
-        assert _network_digest(net) == _PINNED_CPWL_NETS[name, seed], route
+        assert network_digest(net) == _PINNED_CPWL_NETS[name, seed], route
 
 
 # The same digest for one network of every compile path (each goes through
@@ -958,7 +1041,7 @@ def test_builder_networks_pinned():
     ]:
         coeffs = np.random.default_rng(0).normal(size=mesh.num_vertices)
         nets[name] = compile_fem_deep(mesh, coeffs)[0]
-    digests = {name: _network_digest(net) for name, net in nets.items()}
+    digests = {name: network_digest(net) for name, net in nets.items()}
     assert digests == _PINNED_BUILDER_NETS
 
 
@@ -1168,6 +1251,14 @@ def test_equivalence_report_flags_mismatch(rng):
     assert not bad.passed
     assert bad.max_abs_diff == pytest.approx(1e-6)
     assert bad.worst_point.shape == (1,)
+
+
+def test_equivalence_report_needs_points():
+    """Zero points compare nothing: a ValueError that says so, not a
+    reshape error from deep inside."""
+    net = affine_network(np.array([1.0, 2.0]), 0.0)
+    with pytest.raises(ValueError, match="^no points were given"):
+        equivalence_report(net, lambda P: P[:, 0], np.zeros((0, 2)))
 
 
 def test_equivalence_report_multi_output_worst_point():

@@ -8,7 +8,8 @@ nothing there.  Likewise the audited rewrite steps of one pass over the
 bench's shallow workloads, which a traced run reports as
 ``compiler.rewrite_audits``, are pinned here by importing
 ``bench/workloads.py``, and so are the shallow FE merged term counts of its
-items under a scale of their coefficients.
+items under a scale of their coefficients and the bytes of its shallow FE
+networks.
 """
 
 import importlib.util
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import network_digest
 
 from cpwlrelu import compiler, cpwl, galerkin1d, mesh, quantize, relu_net
 
@@ -98,3 +100,22 @@ def test_fem_shallow_bench_terms_do_not_move_with_coefficient_scale(monkeypatch)
         m, c = item.setup(np.random.default_rng(0))
         Ms = {s: compiler.compile_fem_shallow(m, s * c)[1].M for s in (1.0, 2.0**10, 2.0**-10)}
         assert set(Ms.values()) == {pinned[item.name]}, (item.name, Ms)
+
+
+#: ``network_digest`` of each fem-shallow bench item's network, as the
+#: workload compiles it (coefficient seed 2, the library's default
+#: self-check points).
+_PINNED_FEM_SHALLOW_NETS = {
+    "crisscross-3x3": "3217e2c3d49b841f342bc86b3f41bb86f03956d8a9e75fbf09d0f1345e196e6f",
+    "crisscross-4x4": "532a9a124e3923300651ac6bc44dcf1a142ab05c4bf65bd07a2ab70304db8951",
+    "delaunay-rim-9": "1b8b11783d9577c6f17ae3078e29c44eb3f36d7fe171e8e281b42b083ecda3d9",
+}
+
+
+def test_fem_shallow_bench_networks_are_pinned(monkeypatch):
+    """Every fem-shallow bench network keeps its bytes: a change to the
+    rewrite, the merge or the emission that moves one shows here."""
+    workloads = _bench_module("workloads", monkeypatch)
+    digests = {item.name: network_digest(item.compile(item.setup(np.random.default_rng(0))).net)
+               for item in workloads.WORKLOADS["fem-shallow"]().items}
+    assert digests == _PINNED_FEM_SHALLOW_NETS
