@@ -16,7 +16,7 @@ SCHEMA_VERSIONS = {
     "mesh": "1",
     "cpwl": "1",
     "lattice": "1",
-    "network": "2",
+    "network": "3",
 }
 
 __all__ = ["CpwlReluError", "SCHEMA_VERSIONS", "__version__"]

@@ -18,8 +18,10 @@ in ``{0, +-1}``, which is what the low-bit structure checker later verifies.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -491,62 +493,150 @@ class NetBuilder:
 # ---------------------------------------------------------------------------
 
 
+#: Each CSR array of a schema-"3" layer and the little-endian dtype of its
+#: base64 buffer; schema "2" lists are read into the same dtypes.
+ARRAY_DTYPES = {
+    "indptr": np.dtype("<i8"),
+    "indices": np.dtype("<i4"),
+    "data": np.dtype("<f8"),
+    "b": np.dtype("<f8"),
+}
+
+
+def _layer_to_dict(W: sp.csr_matrix, b: NDArray[np.float64]) -> dict:
+    """Schema "3": ``shape`` plus the base64 of each array's buffer."""
+    if W.indices.size and W.indices.max() > np.iinfo(np.int32).max:
+        raise ValueError(f"column index {W.indices.max()} does not fit a 32-bit integer")
+    arrays = {"indptr": W.indptr, "indices": W.indices, "data": W.data, "b": b}
+    layer = {"shape": list(W.shape)}
+    for field, dtype in ARRAY_DTYPES.items():
+        buffer = np.ascontiguousarray(arrays[field], dtype=dtype)
+        layer[field] = base64.b64encode(buffer).decode("ascii")
+    return layer
+
+
+def _envelope(net: ReluNetwork, layers: list) -> dict:
+    return {"schema": SCHEMA_VERSIONS["network"], "input_dim": net.input_dim, "layers": layers}
+
+
 def network_to_dict(net: ReluNetwork) -> dict:
-    """Schema "2": each layer's CSR arrays and bias, as exact JSON floats."""
-    layers = [
-        {
-            "shape": list(W.shape),
-            "indptr": W.indptr.tolist(),
-            "indices": W.indices.tolist(),
-            "data": W.data.tolist(),
-            "b": np.asarray(b).tolist(),
-        }
-        for W, b in net.layers
-    ]
-    return {
-        "schema": SCHEMA_VERSIONS["network"],
-        "input_dim": net.input_dim,
-        "layers": layers,
-    }
+    """Schema "3": each layer's CSR arrays and bias as base64 buffers."""
+    return _envelope(net, [_layer_to_dict(W, b) for W, b in net.layers])
 
 
-def _layer_from_dict(layer: dict, schema: str) -> tuple[object, NDArray[np.float64]]:
-    """One layer's ``(W, b)``; raises ValueError if a schema-2 layer's arrays
-    are not a valid CSR matrix of the stated shape."""
-    b = np.array(layer["b"], dtype=float)
-    if schema == "1":
-        return np.array(layer["W"], dtype=float), b
-    indptr, indices = np.asarray(layer["indptr"]), np.asarray(layer["indices"])
-    if any(a.size and a.dtype.kind != "i" for a in (indptr, indices)):
-        raise ValueError("indptr and indices must hold integers")
-    data = np.asarray(layer["data"], dtype=float)
-    W = sp.csr_matrix((data, indices, indptr), shape=tuple(layer["shape"]))
+def _from_buffer(text, field: str) -> NDArray:
+    """A schema-"3" array: the base64 ``text`` of a ``ARRAY_DTYPES[field]``
+    buffer, decoded into a new, writeable array of native byte order."""
+    if not isinstance(text, str):
+        raise ValueError(f"{field} must be a base64 string, not {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise ValueError(f"{field} is not base64: {exc}") from None
+    dtype = ARRAY_DTYPES[field]
+    if len(raw) % dtype.itemsize:
+        raise ValueError(
+            f"{field} holds {len(raw)} bytes, not a multiple of {dtype.itemsize} ({dtype.str})"
+        )
+    return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="))
+
+
+def _from_list(values, field: str, dtype: np.dtype | None = None) -> NDArray:
+    """A schema-"2" (or "1") array: a JSON list of integers for an integer
+    dtype, of numbers otherwise; bools and strings are refused."""
+    dtype = ARRAY_DTYPES[field] if dtype is None else dtype
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a list, not {type(values).__name__}")
+    want, kind = (numbers.Integral, "integers") if dtype.kind == "i" else (numbers.Real, "numbers")
+    for t in set(map(type, values)):
+        if issubclass(t, bool) or not issubclass(t, want):
+            raise ValueError(f"{field} must hold {kind}, not {t.__name__}")
+    return np.array(values, dtype=dtype.newbyteorder("="))
+
+
+def _checked_layer(shape: tuple[int, int], indptr: NDArray, indices: NDArray, data: NDArray,
+                   b: NDArray, weights: str = "data") -> tuple[sp.csr_matrix, NDArray[np.float64]]:
+    """The one validator of every schema's layer: ``(W, b)``, or ValueError
+    naming the field if the arrays are not a finite CSR matrix of ``shape``
+    (the shape chain and bias length are :class:`ReluNetwork`'s checks).
+    ``weights`` names the field the file holds ``data`` in."""
+    if indptr.size != shape[0] + 1:
+        raise ValueError(
+            f"indptr: index pointer size {indptr.size} is not rows + 1 = {shape[0] + 1}"
+        )
+    if indices.size != data.size:
+        raise ValueError(f"indices has {indices.size} entries and data {data.size}")
+    for field, values in ((weights, data), ("b", b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{field} holds a non-finite value")
+    W = sp.csr_matrix((data, indices, indptr), shape=shape)
     W.check_format(full_check=True)  # the constructor skips index bounds
     if W.nnz != data.size:  # the constructor drops entries past indptr[-1]
         raise ValueError(f"indptr covers {W.nnz} of {data.size} stored entries")
     return W, b
 
 
+def _layer_from_dict(layer: dict, schema: str) -> tuple[sp.csr_matrix, NDArray[np.float64]]:
+    """One layer of any schema, read into arrays and through :func:`_checked_layer`."""
+    if schema == "1":
+        rows = layer["W"]
+        if not isinstance(rows, list) or not rows:
+            raise ValueError("W must be a non-empty list of rows")
+        rows = [_from_list(row, "W", ARRAY_DTYPES["data"]) for row in rows]
+        if len({row.size for row in rows}) != 1:
+            raise ValueError("W rows differ in length")
+        W, b = sp.csr_matrix(np.stack(rows)), _from_list(layer["b"], "b")
+        return _checked_layer(W.shape, W.indptr, W.indices, W.data, b, weights="W")
+    shape = layer["shape"]
+    if not isinstance(shape, list) or len(shape) != 2:
+        raise ValueError(f"shape must be [rows, cols], not {shape!r}")
+    read = _from_buffer if schema == "3" else _from_list
+    return _checked_layer(
+        tuple(as_int(n, "shape") for n in shape), *(read(layer[f], f) for f in ARRAY_DTYPES)
+    )
+
+
 def network_from_dict(d: dict) -> ReluNetwork:
-    """Reads schema "2" or the older dense schema "1" into CSR layers; a
-    malformed dict raises ValueError (DimensionMismatch if shapes do not chain).
-    Repeated column indices in a row are summed, as a product would."""
+    """Reads schema "3", "2" or the older dense "1" into CSR layers.
+
+    A malformed dict raises ValueError, naming the layer and field when one
+    layer is at fault (DimensionMismatch if shapes do not chain).  Repeated
+    column indices in a row are summed, as a product would.
+    """
     if not isinstance(d, dict):
         raise ValueError(f"a network must be a JSON object, not {type(d).__name__}")
     schema = d.get("schema", "1")
-    if schema not in ("1", SCHEMA_VERSIONS["network"]):
+    if schema not in ("1", "2", SCHEMA_VERSIONS["network"]):
         raise ValueError(f"unsupported network schema {schema!r}")
     try:
-        layers = [_layer_from_dict(layer, schema) for layer in d["layers"]]
+        layer_dicts = list(d["layers"])
         input_dim = as_int(d["input_dim"], "input_dim")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed network dict: {exc!r}") from exc
+    layers = []
+    for idx, layer in enumerate(layer_dicts):
+        try:
+            layers.append(_layer_from_dict(layer, schema))
+        except KeyError as exc:
+            raise ValueError(f"malformed network layer {idx}: no field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed network layer {idx}: {exc}") from exc
     return ReluNetwork(input_dim, layers)
 
 
 def save_network(net: ReluNetwork, path: str) -> None:
+    """Writes ``json.dumps(network_to_dict(net))`` one layer at a time, and
+    each layer one field at a time (the encoder's chunks, not one joined
+    string), so the text of only one layer is held at once."""
+    head, tail = json.dumps(_envelope(net, [])).rsplit("[]", 1)
+    encode = json.JSONEncoder().iterencode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(network_to_dict(net)))
+        fh.write(head + "[")
+        for idx, (W, b) in enumerate(net.layers):
+            if idx:
+                fh.write(", ")
+            fh.writelines(encode(_layer_to_dict(W, b)))
+        fh.write("]" + tail)
 
 
 def load_network(path: str) -> ReluNetwork:

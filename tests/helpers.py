@@ -8,6 +8,7 @@ CPWL instances in piece-list form.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 
@@ -23,7 +24,7 @@ from cpwlrelu.compiler import (
 )
 from cpwlrelu.cpwl import AffineFunc, CpwlPieces, LatticeForm
 from cpwlrelu.mesh import SimplicialMesh, build_mesh, is_locally_convex
-from cpwlrelu.relu_net import ReluNetwork, affine_network
+from cpwlrelu.relu_net import ARRAY_DTYPES, ReluNetwork, affine_network
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +313,14 @@ def network_digest(net: ReluNetwork) -> str:
         for a in (W.indptr, W.indices, W.data, b):
             h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def b64_array(field: str, values) -> str:
+    """``values`` as a schema-"3" buffer of the layer array ``field``."""
+    raw = np.asarray(values, dtype=ARRAY_DTYPES[field]).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def layer_array(layer: dict, field: str) -> np.ndarray:
+    """The array ``field`` of a schema-"3" layer dict, decoded on a copy."""
+    return np.frombuffer(base64.b64decode(layer[field]), ARRAY_DTYPES[field]).copy()

@@ -44,7 +44,14 @@ from cpwlrelu.relu_net import (
     save_network,
 )
 
-from helpers import crisscross_mesh, kuhn_cube_mesh, random_max_affine, square_two_triangles
+from helpers import (
+    b64_array,
+    crisscross_mesh,
+    kuhn_cube_mesh,
+    layer_array,
+    random_max_affine,
+    square_two_triangles,
+)
 
 
 @pytest.fixture()
@@ -104,7 +111,10 @@ def test_compile_then_verify_ok(tmp_path, mesh_file, coeff_file):
 def test_verify_detects_corruption(tmp_path, mesh_file, coeff_file):
     out = _compile(tmp_path, mesh_file, coeff_file)
     payload = json.loads(out.read_text())
-    payload["layers"][1]["data"][0] += 0.25  # first stored weight of layer 1
+    layer = payload["layers"][1]
+    data = layer_array(layer, "data")
+    data[0] += 0.25  # first stored weight of layer 1
+    layer["data"] = b64_array("data", data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     rc = main(
@@ -123,7 +133,9 @@ def test_verify_rejects_malformed_network_file(tmp_path, mesh_file, coeff_file):
     out = _compile(tmp_path, mesh_file, coeff_file)
     payload = json.loads(out.read_text())
     layer = payload["layers"][1]
-    layer["indices"][0] = layer["shape"][1]  # one past the last column
+    indices = layer_array(layer, "indices")
+    indices[0] = layer["shape"][1]  # one past the last column
+    layer["indices"] = b64_array("indices", indices)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     rc = main(
@@ -378,7 +390,9 @@ def test_check_structured_sums_duplicate_indices(tmp_path):
                         (np.array([[1.0, 0.0]]), np.zeros(1))])
     )
     # column 0 stored twice in the output row: 1.0 + 1.0 = 2.0 is off the grid
-    net_dict["layers"][1].update(indptr=[0, 2], indices=[0, 0], data=[1.0, 1.0])
+    net_dict["layers"][1].update(indptr=b64_array("indptr", [0, 2]),
+                                 indices=b64_array("indices", [0, 0]),
+                                 data=b64_array("data", [1.0, 1.0]))
     path = tmp_path / "net.json"
     path.write_text(json.dumps(net_dict))
     assert main(["check-structured", "--net", str(path)]) == 2
@@ -559,8 +573,8 @@ def test_compile_cpwl_network_bytes_pinned(tmp_path, capsys):
     from helpers import random_max_affine, random_zigzag
 
     expected = {
-        "maxaffine-d2m5": "9cacdc9e49265fe34b87ecc920900ad72fac3149c35abe5b716e2c0db5b6b6b9",
-        "zigzag-m6": "aa1690398b9dc1f0ae518897a41bb7ce5ff9293c03fd8b04262b389e8e47ea72",
+        "maxaffine-d2m5": "e9e0953b1149fb89e032cf49f36aab3274185cb8e0e4d8882c52446f05fc59f7",
+        "zigzag-m6": "2944cd4600d50c3710653aaf35ab55493ad9c1a7ad93410763d5dc097f0bde13",
     }
     for name, f in (("maxaffine-d2m5", random_max_affine(2, 5, np.random.default_rng(5))),
                     ("zigzag-m6", random_zigzag(6, np.random.default_rng(5)))):

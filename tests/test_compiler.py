@@ -57,9 +57,11 @@ from cpwlrelu.relu_net import (
     ReluNetwork,
     affine_network,
     eval_network,
+    load_network,
     network_from_dict,
     network_stats,
     network_to_dict,
+    save_network,
 )
 
 
@@ -1032,7 +1034,7 @@ _PINNED_BUILDER_NETS = {
 }
 
 
-def test_builder_networks_pinned():
+def test_builder_networks_pinned(tmp_path):
     nets = net_per_compile_path(np.random.default_rng(0))
     g = np.linspace(0, 1, 8)
     for name, mesh in [
@@ -1043,6 +1045,10 @@ def test_builder_networks_pinned():
         nets[name] = compile_fem_deep(mesh, coeffs)[0]
     digests = {name: network_digest(net) for name, net in nets.items()}
     assert digests == _PINNED_BUILDER_NETS
+    path = str(tmp_path / "net.json")
+    for name, net in nets.items():  # a file keeps every bit, -0.0 biases too
+        save_network(net, path)
+        assert network_digest(load_network(path)) == digests[name], name
 
 
 def test_shallow_piece_cap(rng):

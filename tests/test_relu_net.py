@@ -5,12 +5,14 @@ before it chunked, np.minimum/np.maximum for gadget outputs, and numpy
 matrix rank for the independence check.
 """
 
+import base64
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import net_per_compile_path
+from helpers import b64_array, net_per_compile_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -357,7 +359,7 @@ def test_roundtrip_dense_and_sparse(rng, tmp_path):
 
 def test_dict_schema_version(rng):
     d = network_to_dict(_random_net(rng))
-    assert d["schema"] == "2"
+    assert d["schema"] == "3"
     network_from_dict(d)
 
 
@@ -395,6 +397,12 @@ def test_schema_1_dict_loads_as_csr(rng):
     assert np.array_equal(eval_network(net, X), ref[:, 0])
 
 
+def _schema_2_one_row():
+    """``ReluNetwork(2, [([[1.0, 0.0]], [0.0])])`` as schema "2" writes it."""
+    return {"schema": "2", "input_dim": 2, "layers": [
+        {"shape": [1, 2], "indptr": [0, 1], "indices": [0], "data": [1.0], "b": [0.0]}]}
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -404,16 +412,122 @@ def test_schema_1_dict_loads_as_csr(rng):
         ("indptr", [0, 0], "covers 0 of 1"),  # the stored entry left out
         ("shape", [1, 2.5], "malformed"),
         ("b", None, "malformed"),  # missing field
+        ("shape", [True, 2], "shape must be an integer, not True"),
+        ("data", ["1.0"], "data must hold numbers, not str"),
+        ("b", ["0.5"], "b must hold numbers, not str"),
+        ("data", [True], "data must hold numbers, not bool"),
+        ("indices", [True], "indices must hold integers, not bool"),
+        ("data", [float("nan")], "data holds a non-finite value"),  # the NaN token
+        ("b", [float("inf")], "b holds a non-finite value"),  # the Infinity token
+        ("indptr", "AAAAAAAAAAABAAAAAAAAAA==", "indptr must be a list, not str"),
     ],
 )
 def test_loader_rejects_malformed_layer(field, value, message):
-    d = network_to_dict(ReluNetwork(2, [(np.array([[1.0, 0.0]]), np.zeros(1))]))
+    """Schema-"2" lists, read through JSON text as a file would be."""
+    d = _schema_2_one_row()
     if value is None:
         del d["layers"][0][field]
     else:
         d["layers"][0][field] = value
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
+        network_from_dict(json.loads(json.dumps(d)))
+    assert str(info.value).startswith("malformed network layer 0: ")
+    assert field in str(info.value)
+
+
+def _two_layers():
+    return ReluNetwork(2, [(np.eye(2), np.zeros(2)), (np.array([[1.0, 0.0]]), np.zeros(1))])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("indices", "AAAA!AAA", "indices is not base64"),
+        ("data", "AAAAAAAA\u00e9AA=", "data is not base64: .*ASCII"),
+        ("data", "AAAAAAAAAAA", "data is not base64: .*padding"),
+        ("indptr", base64.b64encode(bytes(7)).decode(), "indptr holds 7 bytes, not a multiple"),
+        ("indices", base64.b64encode(bytes(6)).decode(), "indices holds 6 bytes, not a multiple"),
+        ("indptr", b64_array("indptr", [0]), "indptr: index pointer size 1 is not rows \\+ 1 = 2"),
+        ("data", b64_array("data", [1.0, 2.0]), "indices has 1 entries and data 2"),
+        ("b", [0.0], "b must be a base64 string, not list"),
+        ("indices", b64_array("indices", [5]), "indices must be < 2"),
+        ("indices", b64_array("indices", [-1]), "indices must be >= 0"),
+        ("data", b64_array("data", [np.nan]), "data holds a non-finite value"),
+        ("b", b64_array("b", [-np.inf]), "b holds a non-finite value"),
+    ],
+)
+def test_loader_rejects_malformed_buffer(tmp_path, field, value, message):
+    """Each fault of a schema-"3" layer names the layer and the field, and the
+    CLI refuses the file with exit code 1."""
+    from cpwlrelu.cli import main
+
+    d = network_to_dict(_two_layers())
+    d["layers"][1][field] = value
+    with pytest.raises(ValueError, match=message) as info:
         network_from_dict(d)
+    assert str(info.value).startswith("malformed network layer 1: ")
+    assert field in str(info.value)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(d))
+    assert main(["check-structured", "--net", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "W, b, message",
+    [
+        ([[1.0, float("nan")]], [0.0], "W holds a non-finite value"),
+        ([[1.0, 0.0]], [float("-inf")], "b holds a non-finite value"),
+        ([[1.0, "0"]], [0.0], "W must hold numbers, not str"),
+        ([[1.0, 0.0], [1.0]], [0.0, 0.0], "W rows differ in length"),
+    ],
+)
+def test_schema_1_loader_rejects_malformed_layer(W, b, message):
+    d = {"schema": "1", "input_dim": 2, "layers": [{"W": W, "b": b}]}
+    with pytest.raises(ValueError, match=f"malformed network layer 0: {message}"):
+        network_from_dict(json.loads(json.dumps(d)))
+
+
+def test_schema_2_dict_loads_as_schema_3_roundtrip():
+    """A literal schema-"2" dict, as schema-"2" writers wrote it, loads to the
+    arrays of the schema-"3" round trip, sign bits of ``-0.0`` included."""
+    old = network_from_dict(json.loads(json.dumps({"schema": "2", "input_dim": 2, "layers": [
+        {"shape": [3, 2], "indptr": [0, 2, 3, 4], "indices": [0, 1, 1, 0],
+         "data": [1.0, -2.0, 0.5, 0.25], "b": [0.25, -0.0, 0.0]},
+        {"shape": [1, 3], "indptr": [0, 3], "indices": [0, 1, 2],
+         "data": [0.5, -1.0, 2.0], "b": [-0.0]},
+    ]})))
+    net = ReluNetwork(2, [
+        (np.array([[1.0, -2.0], [0.0, 0.5], [0.25, 0.0]]), np.array([0.25, -0.0, 0.0])),
+        (np.array([[0.5, -1.0, 2.0]]), np.array([-0.0])),
+    ])
+    new = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+    for (W, b), (W2, b2) in zip(old.layers, new.layers):
+        for arr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(W, arr), getattr(W2, arr)), arr
+        assert np.array_equal(b, b2) and np.array_equal(np.signbit(b), np.signbit(b2))
+    assert np.signbit(new.layers[1][1][0]) and np.signbit(new.layers[0][1][1])
+
+
+def test_loaded_arrays_are_writeable(tmp_path):
+    """Decoded buffers are copied out of the immutable ``bytes``, so the
+    loaded network can be changed in place like any other."""
+    path = tmp_path / "net.json"
+    save_network(_two_layers(), str(path))
+    net = load_network(str(path))
+    for W, b in net.layers:
+        assert all(a.flags.writeable for a in (W.indptr, W.indices, W.data, b))
+    net.layers[0][0].data *= 2.0
+    net.layers[0][1][:] = 1.0
+    assert np.array_equal(eval_network(net, np.array([1.0, 0.0])), 3.0)
+
+
+def test_writer_refuses_columns_past_32_bits():
+    W = sp.csr_matrix(
+        (np.ones(1), np.array([2**31], dtype=np.int64), np.array([0, 1])), shape=(1, 2**31 + 1)
+    )
+    net = ReluNetwork(2**31 + 1, [(W, np.zeros(1))])
+    with pytest.raises(ValueError, match="column index 2147483648 does not fit"):
+        network_to_dict(net)
 
 
 @pytest.mark.parametrize(
@@ -452,8 +566,7 @@ def test_duplicate_indices_are_summed_on_construction():
 def test_loader_sums_duplicate_indices():
     d = network_to_dict(ReluNetwork(2, [(np.eye(2), np.zeros(2))]))
     W = _duplicate_csr()
-    d["layers"][0].update(indptr=W.indptr.tolist(), indices=W.indices.tolist(),
-                          data=W.data.tolist())
+    d["layers"][0].update({f: b64_array(f, getattr(W, f)) for f in ("indptr", "indices", "data")})
     W2 = network_from_dict(d).layers[0][0]
     assert np.array_equal(W2.toarray(), [[2.0, 0.0], [0.0, 0.5]])
     assert W2.nnz == 2
