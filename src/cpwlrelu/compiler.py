@@ -913,7 +913,11 @@ def reduce_term_width(
     Each elimination step removes one affine argument by expressing it
     through at most ``d`` others plus a constant
     (:func:`_find_dependency`), then resolves the resulting dependent
-    argument exactly (:func:`_resolve_dependent`).  The rewrite runs
+    argument exactly (:func:`_resolve_dependent`).  The dependency is a
+    function of the argument block alone, so it is searched once per call
+    for each distinct block (same shape and bytes); a repeated block reuses
+    the reduced rows and coefficients found first, shared read-only, and
+    its steps are still recorded and audited.  The rewrite runs
     symbolically; every recorded step, each elimination included, is
     re-verified numerically at ``pts`` by :func:`_audit_batch`, once at
     least ``AUDIT_CHUNK`` steps wait (so a batch may span terms, and holds
@@ -928,6 +932,7 @@ def reduce_term_width(
     """
     out: list[tuple[float, _Term]] = []
     steps: list[_Step] = []
+    found: dict[tuple, tuple] = {}
     try:
         for w, c0, rows in terms:
             d = rows.shape[1] - 1
@@ -937,8 +942,14 @@ def reduce_term_width(
                 if t.width <= d + 1:
                     out.append((w * t.sign, t))
                     continue
-                tgt, alphas, a0 = _find_dependency(t.rows, d)
-                twd = _Term(t.sign, t.c0, np.delete(t.rows, tgt, axis=0), alphas, a0)
+                key = (t.rows.shape, t.rows.tobytes())
+                if key not in found:
+                    tgt, alphas, a0 = _find_dependency(t.rows, d)
+                    rest = np.delete(t.rows, tgt, axis=0)
+                    rest.flags.writeable = alphas.flags.writeable = False
+                    found[key] = rest, alphas, a0
+                rest, alphas, a0 = found[key]
+                twd = _Term(t.sign, t.c0, rest, alphas, a0)
                 pieces: list[_Term] = []
                 _resolve_dependent(twd, pieces, steps)
                 if len(pieces) > 2 ** (d + 1) - 1:

@@ -48,8 +48,10 @@ def relu(x: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _canonical_csr(W) -> sp.csr_matrix:
     """``W`` as float CSR with repeated entries of a row summed (on a copy), so
-    entrywise code sees the weights a product computes with."""
-    W = sp.csr_matrix(W, dtype=float)
+    entrywise code sees the weights a product computes with.  A float CSR
+    matrix in canonical format is returned as it is, not validated again."""
+    if not (isinstance(W, sp.csr_matrix) and W.dtype == np.float64):
+        W = sp.csr_matrix(W, dtype=float)
     return W if W.has_canonical_format else W.tocoo().tocsr()
 
 

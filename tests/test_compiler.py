@@ -443,6 +443,45 @@ def test_reduce_term_width_audit_count_is_pinned(monkeypatch):
     }
 
 
+def test_dependency_searches_are_shared_within_one_call_only(monkeypatch):
+    """A repeated argument block reuses its dependency within one call, read
+    only: every call searches the same blocks again, and no dependency of
+    one call is handed to the next."""
+    rng = np.random.default_rng(31)
+    rows = _pinned_rows(rng)
+    pts = rng.uniform(-3, 3, size=(200, 2))
+    find, resolve = C._find_dependency, C._resolve_dependent
+    searched, dependents = [], []
+
+    def counting(r, d):
+        searched.append(r)
+        return find(r, d)
+
+    def resolving(t, out, steps):
+        dependents.append(t)
+        return resolve(t, out, steps)
+
+    monkeypatch.setattr(C, "_find_dependency", counting)
+    monkeypatch.setattr(C, "_resolve_dependent", resolving)
+    counts, shared = [], []
+    for _ in range(2):
+        searched.clear()
+        dependents.clear()
+        reduce_term_width([(1.0, 0.25, rows)], pts)
+        counts.append(len(searched))
+        # Each elimination's dependent term holds the shared read-only arrays.
+        shared.append([t for t in dependents if not t.alphas.flags.writeable])
+    assert counts[0] == counts[1] > 0
+    first, second = ({id(t.alphas) for t in call} for call in shared)
+    assert len(first) == len(second) == counts[0] and not first & second
+    uses = [t.alphas for t in shared[1]]
+    hit = next(t for t in shared[1] if sum(a is t.alphas for a in uses) > 1)
+    with pytest.raises(ValueError, match="read-only"):
+        hit.alphas[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        hit.rows[0, 0] = 1.0
+
+
 def test_audit_rejects_a_wrong_rewrite(rng):
     # A dependent argument 2.5 a0 + 0.7 a1 - 0.1 takes the three-term pivot;
     # take that rewrite's recorded branches, then corrupt them.
@@ -517,10 +556,10 @@ def test_audit_batches_span_terms_and_hold_every_step(monkeypatch):
     pts = rng.uniform(-3, 3, size=(200, 2))
     terms = [(1.0, 0.25, rows), (-2.0, None, rows[::-1].copy()), (0.5, 0.25, rows)]
     batches = _record_batches(monkeypatch)
-    find, eliminations = C._find_dependency, []
+    find, searched = C._find_dependency, []
 
     def counting(r, d):
-        eliminations.append(len(r))
+        searched.append((r.shape, r.tobytes()))
         return find(r, d)
 
     monkeypatch.setattr(C, "_find_dependency", counting)
@@ -529,7 +568,13 @@ def test_audit_batches_span_terms_and_hold_every_step(monkeypatch):
     audited = C.REWRITE_CHECKS_PASSED - before
     # Two copies of the pinned term (164 steps each) and one reversed copy.
     assert audited > 2 * 164
-    assert sum(map(len, batches)) == audited + len(eliminations)
+    eliminated = [t for batch in batches for t, _, kind in batch if kind == "elimination step"]
+    assert sum(map(len, batches)) == audited + len(eliminated)
+    # One dependency search per distinct argument block eliminated from; the
+    # second copy of the pinned term repeats the first one's blocks.
+    blocks = {(t.rows.shape, t.rows.tobytes()) for t in eliminated}
+    assert len(searched) == len(set(searched)) == len(blocks) < len(eliminated)
+    assert set(searched) == blocks
     mid_batch_starts = 0
     for k, batch in enumerate(batches):
         marks = [i for i, (_, _, kind) in enumerate(batch) if kind == "elimination step"]

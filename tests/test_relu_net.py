@@ -561,6 +561,9 @@ def test_duplicate_indices_are_summed_on_construction():
     assert np.array_equal(W.indices, [0, 0, 1])  # the caller's matrix is untouched
     X = np.array([[1.0, 2.0], [-3.0, 0.5]])
     assert np.array_equal(eval_network(net, X), X @ np.array([[2.0, 0.0], [0.0, 0.5]]).T)
+    # A canonical float CSR layer is kept as it is, not wrapped and checked again.
+    assert R._canonical_csr(W2) is W2
+    assert ReluNetwork(2, [(W2, np.zeros(2))]).layers[0][0] is W2
 
 
 def test_loader_sums_duplicate_indices():

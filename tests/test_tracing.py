@@ -6,10 +6,10 @@ by name, so deleting or renaming one of them (``NetBuilder.apply_level``,
 catches that in the main suite; it imports ``bench/spans.py`` and changes
 nothing there.  Likewise the audited rewrite steps of one pass over the
 bench's shallow workloads, which a traced run reports as
-``compiler.rewrite_audits``, are pinned here by importing
-``bench/workloads.py``, and so are the shallow FE merged term counts of its
-items under a scale of their coefficients and the bytes of its shallow FE
-networks.
+``compiler.rewrite_audits``, and its dependency searches are pinned here by
+importing ``bench/workloads.py``, and so are the shallow FE merged term
+counts of its items under a scale of their coefficients and the bytes of its
+shallow FE networks.
 """
 
 import importlib.util
@@ -87,6 +87,24 @@ def test_bench_pass_rewrite_audit_count_is_pinned(monkeypatch, workload, audits)
     for item in workloads.WORKLOADS[workload]().items:
         item.compile(item.setup(np.random.default_rng(0)))
     assert compiler.REWRITE_CHECKS_PASSED - before == audits
+
+
+@pytest.mark.parametrize("workload, searches", [("fem-shallow", 951), ("pieces", 1131)])
+def test_bench_pass_dependency_search_count_is_pinned(monkeypatch, workload, searches):
+    """One pass over the workload searches ``searches`` argument blocks for
+    their affine dependency: each distinct block once per compile, where
+    one search per elimination made 1 799 (fem-shallow) and 2 503 (pieces)."""
+    workloads = _bench_module("workloads", monkeypatch)
+    find, calls = compiler._find_dependency, []
+
+    def counting(rows, d):
+        calls.append(len(rows))
+        return find(rows, d)
+
+    monkeypatch.setattr(compiler, "_find_dependency", counting)
+    for item in workloads.WORKLOADS[workload]().items:
+        item.compile(item.setup(np.random.default_rng(0)))
+    assert len(calls) == searches
 
 
 def test_fem_shallow_bench_terms_do_not_move_with_coefficient_scale(monkeypatch):
