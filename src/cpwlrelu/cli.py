@@ -301,20 +301,16 @@ def _cmd_demo_region_plot(args) -> tuple[int, dict]:
         X = np.stack([g0.ravel(), g1.ravel()], axis=1)
     patterns = [act > 0 for act in layer_outputs(net, X.T)][:-1]
     codes = np.vstack(patterns).T if patterns else np.zeros((X.shape[0], 1), dtype=bool)
-    labels = {}
-    out_labels = np.empty(X.shape[0], dtype=int)
-    for i in range(X.shape[0]):
-        key = codes[i].tobytes()
-        if key not in labels:
-            labels[key] = len(labels)
-        out_labels[i] = labels[key]
+    # Patterns are numbered in the order of their first point.
+    _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    out_labels = np.argsort(np.argsort(first))[inverse.reshape(-1)]
     lines = [
         ",".join(repr(float(v)) for v in X[i]) + f",{out_labels[i]}"
         for i in range(X.shape[0])
     ]
     _write_or_print(lines, args.output)
-    print(f"# distinct activation patterns: {len(labels)}", file=sys.stderr)
-    return 0, {"patterns": len(labels)}
+    print(f"# distinct activation patterns: {len(first)}", file=sys.stderr)
+    return 0, {"patterns": len(first)}
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -167,17 +167,7 @@ class BoundReport:
     M: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "pathway": self.pathway,
-            "predicted_depth": self.predicted_depth,
-            "actual_depth": self.actual_depth,
-            "predicted_size_bound": str(self.predicted_size_bound),
-            "actual_size": self.actual_size,
-            "d": self.d,
-            "kh": self.kh,
-            "m": self.m,
-            "M": self.M,
-        }
+        return {**asdict(self), "predicted_size_bound": str(self.predicted_size_bound)}
 
 
 def _bound_report(net: ReluNetwork, **fields) -> BoundReport:

@@ -58,6 +58,8 @@ GEOM_TOL = 1e-10
 #: less than this, and polygon cells below this area are dropped.
 DISTINCT_TOL = 1e-12
 AREA_TOL = 1e-12
+#: Uniform domain points drawn by :meth:`CpwlPieces.validate`.
+VALIDATE_SAMPLES = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +105,14 @@ def _piece_values(pieces: list[AffineFunc], X: NDArray[np.float64]) -> NDArray[n
     return X @ G.T + b
 
 
-def affines_close(p: AffineFunc, q: AffineFunc, tol: float = DISTINCT_TOL) -> bool:
-    """True if two affine functions agree componentwise within ``tol``."""
-    return bool(
-        np.all(np.abs(p.gradient - q.gradient) < tol)
-        and abs(p.offset - q.offset) < tol
-    )
-
-
-def check_distinct(pieces: list[AffineFunc], tol: float = DISTINCT_TOL) -> None:
-    """Raises DuplicatePieces if any two pieces coincide within ``tol``."""
+def check_distinct(pieces: list[AffineFunc]) -> None:
+    """Raises DuplicatePieces if any two pieces agree componentwise within
+    ``DISTINCT_TOL``."""
     for i, j in itertools.combinations(range(len(pieces)), 2):
-        if affines_close(pieces[i], pieces[j], tol):
-            raise DuplicatePieces(f"pieces {i} and {j} coincide within {tol}")
+        p, q = pieces[i], pieces[j]
+        if (np.all(np.abs(p.gradient - q.gradient) < DISTINCT_TOL)
+                and abs(p.offset - q.offset) < DISTINCT_TOL):
+            raise DuplicatePieces(f"pieces {i} and {j} coincide within {DISTINCT_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +138,16 @@ def box_halfspaces(lo: NDArray, hi: NDArray) -> tuple[NDArray, NDArray]:
     return A, c
 
 
-def polytope_vertices(
-    A: NDArray[np.float64], c: NDArray[np.float64], tol: float = GEOM_TOL
-) -> NDArray[np.float64]:
+def polytope_vertices(A: NDArray[np.float64], c: NDArray[np.float64]) -> NDArray[np.float64]:
     """Enumerates vertices of the polytope ``{x : A x <= c}``.
 
     Candidate vertices are intersections of ``d`` of the bounding
-    hyperplanes, kept when they satisfy all inequalities within ``tol``.
+    hyperplanes, kept when they satisfy all inequalities within ``GEOM_TOL``.
     Near-duplicate vertices are merged.
 
     Args:
         A: Half-space normals, shape ``(k, d)``.
         c: Half-space offsets, shape ``(k,)``.
-        tol: Feasibility slack.
 
     Returns:
         Array of vertices, shape ``(v, d)`` (possibly empty).
@@ -167,7 +161,7 @@ def polytope_vertices(
         if abs(np.linalg.det(M)) < 1e-12:
             continue
         x = np.linalg.solve(M, rhs)
-        if np.all(A @ x <= c + tol):
+        if np.all(A @ x <= c + GEOM_TOL):
             verts.append(x)
     if not verts:
         return np.empty((0, d))
@@ -274,21 +268,22 @@ class CpwlPieces:
         lo, hi = self.domain_box
         return rng.uniform(lo, hi, size=(n, self.dim))
 
-    def validate(self, rng: np.random.Generator, samples: int = 2000) -> None:
+    def validate(self, rng: np.random.Generator) -> None:
         """Sampling check that regions cover the domain and values are continuous.
 
-        ``samples`` uniform points of the domain box are drawn.  Every one
-        must belong to at least one region (weak inequalities within
-        ``GEOM_TOL``), and the pieces of all regions containing it must agree
-        within 1e-8 (which is how overlapping interiors surface).  The first
-        failing point in sample order is reported.  All points are checked
-        in one batch, so memory is ``samples x (pieces + regions)`` entries.
+        ``VALIDATE_SAMPLES`` uniform points of the domain box are drawn.
+        Every one must belong to at least one region (weak inequalities
+        within ``GEOM_TOL``), and the pieces of all regions containing it
+        must agree within 1e-8 (which is how overlapping interiors surface).
+        The first failing point in sample order is reported.  All points are
+        checked in one batch, so memory is ``VALIDATE_SAMPLES x (pieces +
+        regions)`` entries.
 
         Raises:
             OutsideDomain: If a point lies in no region.
             ValueError: If the containing pieces disagree at a point.
         """
-        X = self.sample_domain(samples, rng)
+        X = self.sample_domain(VALIDATE_SAMPLES, rng)
         P = _piece_values(self.pieces, X)
         inside = _membership(self, X)
         covered = inside.any(axis=1)

@@ -37,6 +37,21 @@ from .relu_net import ReluNetwork
 
 logger = logging.getLogger(__name__)
 
+#: Gauss-Legendre points per cell for every integral the solvers take.
+QUAD_ORDER = 5
+#: Armijo sufficient-decrease constant of the knot line search.
+ARMIJO_C = 1e-4
+#: The knot optimization has converged once the gradient's max-abs is below this.
+GRAD_TOL = 1e-10
+#: A knot step that pushes two knots closer than this is rejected; being
+#: positive, it keeps every accepted step strictly increasing, so the solver
+#: checks its knots only once.
+GAP_FLOOR = 1e-6
+#: The line search has stalled once its step falls below this.
+ETA_MIN = 1e-14
+#: Share of the total error indicator that one adaptive pass marks.
+AFEM_THETA = 0.5
+
 
 # ---------------------------------------------------------------------------
 # Problem definition
@@ -58,7 +73,7 @@ class Bvp1dProblem:
     du: callable
     f: callable
     name: str = "custom"
-    _seminorm_sq: float | None = None
+    _seminorm_sq: float | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def standard(cls, K: float = 0.01) -> "Bvp1dProblem":
@@ -98,34 +113,20 @@ class Bvp1dProblem:
 
 @dataclass
 class SolverConfig:
-    """Knot-optimization settings.
+    """Knot-optimization settings.  The line search's other constants are
+    the module's ``ARMIJO_C``, ``GRAD_TOL``, ``GAP_FLOOR``, ``ETA_MIN`` and
+    ``QUAD_ORDER``.
 
     Attributes:
         N: Total number of knots including the two endpoints (the uniform
             grid with ``N`` knots has spacing ``1/(N-1)``).
         eta: Initial line-search step.
         max_iter: Maximum knot-update iterations.
-        armijo_c: Sufficient-decrease constant.
-        grad_tol: Stop when the gradient's max-abs falls below this.
-        gap_floor: Reject steps that push two knots closer than this.
-        eta_min: Declare the line search stalled below this step size.
-        quad_order: Gauss-Legendre points per cell for all integrals.
     """
 
     N: int
     eta: float = 0.5
     max_iter: int = 200
-    armijo_c: float = 1e-4
-    grad_tol: float = 1e-10
-    gap_floor: float = 1e-6
-    eta_min: float = 1e-14
-    quad_order: int = 5
-
-    def __post_init__(self) -> None:
-        # A positive floor keeps every accepted knot step strictly
-        # increasing, so the solver checks its knots only once.
-        if not self.gap_floor > 0:
-            raise ValueError(f"gap_floor must be positive, not {self.gap_floor}")
 
 
 @dataclass
@@ -223,7 +224,7 @@ def eval_state(t: NDArray, theta: NDArray, x: NDArray) -> NDArray:
 
 @_knots_checked
 def energy(
-    problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = 5
+    problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = QUAD_ORDER
 ) -> float:
     """``E(u_h) = 1/2 int (u_h')^2 - int f u_h`` by per-cell Gauss rules."""
     theta = np.asarray(theta, dtype=float)
@@ -238,7 +239,7 @@ def energy(
 
 @_knots_checked
 def grad_knots(
-    problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = 5
+    problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = QUAD_ORDER
 ) -> NDArray:
     """Exact fixed-slope energy gradient with respect to the interior knots.
 
@@ -264,7 +265,7 @@ def grad_knots(
 
 @_knots_checked
 def solve_fem_on_grid(
-    problem: Bvp1dProblem, t: NDArray, quad_order: int = 5
+    problem: Bvp1dProblem, t: NDArray, quad_order: int = QUAD_ORDER
 ) -> NDArray:
     """Optimal slopes: standard P1 finite element solve on the grid ``t``.
 
@@ -296,7 +297,7 @@ def solve_fem_on_grid(
 
 @_knots_checked
 def h1_error(
-    problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = 5
+    problem: Bvp1dProblem, t: NDArray, theta: NDArray, quad_order: int = QUAD_ORDER
 ) -> float:
     """H1-seminorm error ``(int (u_h' - u')^2)^(1/2)`` by per-cell Gauss."""
     X, W = _gauss_cells(t, quad_order)
@@ -305,7 +306,7 @@ def h1_error(
 
 
 def make_state(
-    problem: Bvp1dProblem, t: NDArray, theta: NDArray | None = None, quad_order: int = 5
+    problem: Bvp1dProblem, t: NDArray, theta: NDArray | None = None, quad_order: int = QUAD_ORDER
 ) -> Bvp1dState:
     """Bundles a grid (and optionally slopes) into an evaluated state."""
     t = _check_knots(t)
@@ -324,17 +325,12 @@ def make_state(
 # ---------------------------------------------------------------------------
 
 
-def solve_afem(
-    problem: Bvp1dProblem,
-    N: int,
-    theta_frac: float = 0.5,
-    quad_order: int = 5,
-) -> NDArray:
+def solve_afem(problem: Bvp1dProblem, N: int) -> NDArray:
     """Adaptive bisection refinement until exactly ``N`` knots in total.
 
     Starts from a uniform grid with 5 knots.  Each pass solves the
     fixed-grid problem, computes per-cell H1 error indicators against the
-    exact solution, marks a minimal set of cells holding a ``theta_frac``
+    exact solution, marks a minimal set of cells holding an ``AFEM_THETA``
     share of the total indicator (largest first), and bisects them.  The
     final pass marks only as many cells as still fit the target.
 
@@ -349,13 +345,13 @@ def solve_afem(
     target_N = N - 2
     t = np.linspace(0.0, 1.0, 5)
     while len(t) - 2 < target_N:
-        theta = solve_fem_on_grid.unchecked(problem, t, quad_order)
-        X, W = _gauss_cells(t, quad_order)
+        theta = solve_fem_on_grid.unchecked(problem, t)
+        X, W = _gauss_cells(t, QUAD_ORDER)
         diff = theta[:, None] - problem.du(X)
         eta_cells = np.sum(W * diff * diff, axis=1)
         order = np.argsort(eta_cells)[::-1]
         csum = np.cumsum(eta_cells[order])
-        mark = int(np.searchsorted(csum, theta_frac * csum[-1])) + 1
+        mark = int(np.searchsorted(csum, AFEM_THETA * csum[-1])) + 1
         room = target_N - (len(t) - 2)
         mark = min(mark, room)
         mids = 0.5 * (t[order[:mark]] + t[order[:mark] + 1])
@@ -378,7 +374,7 @@ def solve_algorithm1(
     Each iteration: solve for the optimal slopes on the current knots,
     compute the fixed-slope knot gradient, and backtrack from
     ``config.eta`` until the fixed-slope energy decreases sufficiently
-    (Armijo) while knots stay ordered with gaps above ``gap_floor``.
+    (Armijo) while knots stay ordered with gaps above ``GAP_FLOOR``.
     Re-solving the slopes afterwards can only decrease the energy further,
     so the full energy is monotone.
 
@@ -396,12 +392,11 @@ def solve_algorithm1(
     Raises:
         KnotOrderViolated: If the initial knots are not ``0 = t_0 < ... <
             t_n = 1``.  They are checked once: every accepted step keeps
-            the gaps above ``gap_floor > 0`` and the endpoints fixed.
+            the gaps above ``GAP_FLOOR > 0`` and the endpoints fixed.
     """
-    q = config.quad_order
     if isinstance(t_init, str):
         if t_init == "afem":
-            t = solve_afem(problem, config.N, quad_order=q)
+            t = solve_afem(problem, config.N)
         elif t_init == "uniform":
             t = np.linspace(0.0, 1.0, config.N)
         else:
@@ -412,29 +407,28 @@ def solve_algorithm1(
     trace: list[dict] = []
     converged = False
     stalled = False
-    theta = solve_fem_on_grid.unchecked(problem, t, q)
+    theta = solve_fem_on_grid.unchecked(problem, t)
     for it in range(config.max_iter):
-        E0 = energy.unchecked(problem, t, theta, q)
-        g = grad_knots.unchecked(problem, t, theta, q)
+        E0 = energy.unchecked(problem, t, theta)
+        g = grad_knots.unchecked(problem, t, theta)
         gnorm = float(np.max(np.abs(g)))
         trace.append(
             {
                 "iter": it,
                 "energy": E0,
-                "h1_error": h1_error.unchecked(problem, t, theta, q),
+                "h1_error": h1_error.unchecked(problem, t, theta),
                 "grad_norm": gnorm,
             }
         )
-        if gnorm < config.grad_tol:
+        if gnorm < GRAD_TOL:
             converged = True
             break
         gsq = float(np.sum(g * g))
         eta = config.eta
-        while eta >= config.eta_min:
+        while eta >= ETA_MIN:
             t_try = t - eta * g
-            if not np.any(np.diff(t_try) < config.gap_floor) and (
-                energy.unchecked(problem, t_try, theta, q)
-                <= E0 - config.armijo_c * eta * gsq
+            if not np.any(np.diff(t_try) < GAP_FLOOR) and (
+                energy.unchecked(problem, t_try, theta) <= E0 - ARMIJO_C * eta * gsq
             ):
                 break
             eta *= 0.5
@@ -444,8 +438,8 @@ def solve_algorithm1(
             break
         trace[-1]["eta"] = eta
         t = t_try
-        theta = solve_fem_on_grid.unchecked(problem, t, q)
-    state = make_state(problem, t, theta, q)
+        theta = solve_fem_on_grid.unchecked(problem, t)
+    state = make_state(problem, t, theta)
     state.trace = trace
     state.converged = converged
     state.stalled = stalled

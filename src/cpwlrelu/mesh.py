@@ -1,16 +1,17 @@
 """Conforming simplicial meshes and piecewise-linear nodal interpolation.
 
 A mesh is a list of vertices in R^d plus a list of d-simplices given by
-vertex indices.  Loading or building a mesh can run a conformity check:
-simplices must be non-degenerate, pairwise non-overlapping in their
-interiors, and no vertex may lie inside or on a simplex it is not part of
-(no hanging nodes).  Every geometric test reads the stored barycentric
-transforms (``bary_inverse``): a point is on an element when its
-coordinates there are all ``>= -BARY_TOL``, and two elements are disjoint
-when, for some facet of one, every vertex of the other has that facet's
-coordinate ``<= BARY_TOL``.  A linear program decides only the pairs that
-no facet separates; on a conforming mesh these occur only for d >= 3,
-where two elements can be separated along a pair of edges.
+vertex indices.  Building a mesh can run a conformity check, and loading
+one from a file always does: simplices must be non-degenerate, pairwise
+non-overlapping in their interiors, and no vertex may lie inside or on a
+simplex it is not part of (no hanging nodes).  Every geometric test reads
+the stored barycentric transforms (``bary_inverse``): a point is on an
+element when its coordinates there are all ``>= -BARY_TOL``, and two
+elements are disjoint when, for some facet of one, every vertex of the
+other has that facet's coordinate ``<= BARY_TOL``.  A linear program
+decides only the pairs that no facet separates; on a conforming mesh these
+occur only for d >= 3, where two elements can be separated along a pair of
+edges.
 
 ``build_mesh`` computes the mesh's tables once, and the local objects the
 network compiler consumes read them: the facet table (``neighbors[k, j]``
@@ -361,9 +362,7 @@ class StarTable(NamedTuple):
             )
 
 
-def vertex_stars(
-    mesh: SimplicialMesh, centers: NDArray[np.int64], tol: float = BARY_TOL
-) -> StarTable:
+def vertex_stars(mesh: SimplicialMesh, centers: NDArray[np.int64]) -> StarTable:
     """The stars of ``centers``, their hat affines and convexity, in one pass.
 
     On each element ``k`` containing vertex ``i`` the hat of ``i`` is its
@@ -378,9 +377,8 @@ def vertex_stars(
     no neighbour (``neighbors == -1``); every other facet of an element of
     the star is shared with another.  The facet opposite local vertex ``j``
     of element ``k`` supports the star iff every star vertex has
-    barycentric coordinate ``lam_j >= -tol`` in ``k``; this is tested on
-    all (boundary facet, star vertex) pairs at once, so ``tol`` is
-    barycentric.
+    barycentric coordinate ``lam_j >= -BARY_TOL`` in ``k``; this is tested
+    on all (boundary facet, star vertex) pairs at once.
     """
     d, n = mesh.dim, mesh.num_vertices
     centers = np.asarray(centers, dtype=np.int64).reshape(-1)
@@ -417,7 +415,7 @@ def vertex_stars(
     lam = mesh.bary_inverse[elem[fk[facet]], fj[facet]]
     lam = np.einsum("pc,pc->p", lam, hom[vert])
     convex = np.ones(len(centers), dtype=bool)
-    convex[owner[fk[facet[lam < -tol]]]] = False
+    convex[owner[fk[facet[lam < -BARY_TOL]]]] = False
     return StarTable(centers, starts, elem, rows, residual, convex)
 
 
@@ -438,11 +436,10 @@ def vertex_star(mesh: SimplicialMesh, i: int) -> VertexStar:
     )
 
 
-def is_locally_convex(mesh: SimplicialMesh, i: int, tol: float = BARY_TOL) -> bool:
+def is_locally_convex(mesh: SimplicialMesh, i: int) -> bool:
     """Tests whether the star of vertex ``i`` is a convex set: the
-    :func:`vertex_stars` pass on one vertex, whose docstring gives the test
-    and the meaning of ``tol``."""
-    return bool(vertex_stars(mesh, [i], tol).convex[0])
+    :func:`vertex_stars` pass on one vertex, whose docstring gives the test."""
+    return bool(vertex_stars(mesh, [i]).convex[0])
 
 
 def compute_kh(mesh: SimplicialMesh) -> int:
@@ -506,10 +503,10 @@ class _BucketGrid(NamedTuple):
     load: NDArray[np.int64]
 
 
-def _bucket_grid(mesh: SimplicialMesh, tol: float) -> _BucketGrid:
+def _bucket_grid(mesh: SimplicialMesh) -> _BucketGrid:
     """Builds the bucket grid of :func:`find_simplex` (see the module docstring)."""
     d, m = mesh.dim, mesh.num_simplices
-    lo, hi = _padded_boxes(mesh.vertices[mesh.simplices], max(tol, 0.0))
+    lo, hi = _padded_boxes(mesh.vertices[mesh.simplices], BARY_TOL)
     box_lo, box_hi = lo.min(axis=0), hi.max(axis=0)
     buckets = m
     while True:
@@ -538,12 +535,12 @@ def _bucket_grid(mesh: SimplicialMesh, tol: float) -> _BucketGrid:
     return _BucketGrid(box_lo, box_hi, base, width, shape, members, load)
 
 
-def find_simplex(mesh: SimplicialMesh, X: NDArray[np.float64], tol: float = BARY_TOL) -> NDArray[np.int64]:
+def find_simplex(mesh: SimplicialMesh, X: NDArray[np.float64]) -> NDArray[np.int64]:
     """The lowest index of an element containing each point, or -1.
 
     An element contains ``x`` when all barycentric coordinates of ``x`` in
-    it are ``>= -tol``.  The points are located through a bucket grid (see
-    the module docstring); a batch tests at most ``LOCATE_CHUNK_PAIRS``
+    it are ``>= -BARY_TOL``.  The points are located through a bucket grid
+    (see the module docstring); a batch tests at most ``LOCATE_CHUNK_PAIRS``
     (point, element) pairs, or one point's whole bucket.
 
     Args:
@@ -563,7 +560,7 @@ def find_simplex(mesh: SimplicialMesh, X: NDArray[np.float64], tol: float = BARY
         raise DimensionMismatch(
             f"mesh expects points of dimension {d}, got points of shape {X.shape}"
         )
-    g = _bucket_grid(mesh, tol)
+    g = _bucket_grid(mesh)
 
     # Each point's bucket; a point outside the grid's box (or NaN) has no
     # candidates, and its coordinates are never computed with.
@@ -589,7 +586,7 @@ def find_simplex(mesh: SimplicialMesh, X: NDArray[np.float64], tol: float = BARY
         lam = Bk[d]  # lam[j, p]: coordinate j of the pair's point in the pair's element
         for a in range(d):
             lam += Bk[a] * np.repeat(XT[a, done:stop], c)
-        hit = np.flatnonzero(np.all(lam >= -tol, axis=0))
+        hit = np.flatnonzero(np.all(lam >= -BARY_TOL, axis=0))
         # A point's pairs run in index order, so its first hit is the lowest.
         p = pair_pt[hit]
         lowest = np.ones(p.size, dtype=bool)
@@ -663,8 +660,9 @@ def mesh_to_dict(mesh: SimplicialMesh) -> dict:
     }
 
 
-def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
-    """Reads a mesh dict; a malformed dict raises ValueError."""
+def mesh_from_dict(d: dict) -> SimplicialMesh:
+    """Reads and validates a mesh dict; a malformed dict raises ValueError,
+    and a non-conforming mesh NonConforming."""
     if not isinstance(d, dict):
         raise ValueError(f"a mesh must be a JSON object, not {type(d).__name__}")
     if d.get("schema", SCHEMA_VERSIONS["mesh"]) != SCHEMA_VERSIONS["mesh"]:
@@ -691,7 +689,7 @@ def mesh_from_dict(d: dict, validate: bool = True) -> SimplicialMesh:
         raise ValueError(
             f"mesh simplices must hold integer vertex indices, not {entries[bad][0]!r}"
         )
-    mesh = build_mesh(vertices, indices.astype(np.int64), validate=validate)
+    mesh = build_mesh(vertices, indices.astype(np.int64))
     if given is not None:
         derived = mesh.boundary_vertices.tolist()
         if given != derived:
@@ -706,6 +704,6 @@ def save_mesh(mesh: SimplicialMesh, path: str) -> None:
         fh.write(json.dumps(mesh_to_dict(mesh)))
 
 
-def load_mesh(path: str, validate: bool = True) -> SimplicialMesh:
+def load_mesh(path: str) -> SimplicialMesh:
     with open(path, encoding="utf-8") as fh:
-        return mesh_from_dict(json.load(fh), validate=validate)
+        return mesh_from_dict(json.load(fh))

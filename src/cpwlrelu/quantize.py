@@ -47,9 +47,6 @@ class QuantGrid:
         mags = 2.0 ** (self.k + exps.astype(float))
         return np.sort(np.concatenate([-mags, [0.0], mags]))
 
-    def contains(self, w: float, tol: float = 0.0) -> bool:
-        return bool(np.min(np.abs(self.values - w)) <= tol)
-
 
 def project(w: NDArray[np.float64] | float, grid: QuantGrid) -> NDArray[np.float64] | float:
     """Projects values onto the grid (nearest; ties go to smaller magnitude).

@@ -36,6 +36,9 @@ logger = logging.getLogger(__name__)
 
 #: Feature-matrix rank threshold factor for the independence check.
 RANK_TOL_FACTOR = 1e-8
+#: A hidden channel whose weights and bias are within this of zero (bias at
+#: most this) is pruned as dead.
+PRUNE_TOL = 1e-12
 
 #: Activation entries (float64) one evaluation chunk may hold in its widest
 #: layer; 2**22 entries are 32 MiB.
@@ -213,15 +216,15 @@ def pad_network(net: ReluNetwork, target_hidden: int) -> ReluNetwork:
     return builder.finish([(np.ones(1), np.zeros(1, dtype=np.int64))])
 
 
-def prune_dead_channels(net: ReluNetwork, tol: float = 1e-12) -> ReluNetwork:
+def prune_dead_channels(net: ReluNetwork) -> ReluNetwork:
     """Removes hidden channels that are provably inactive at every input.
 
-    A channel whose incoming weights are all within ``tol`` of zero and
-    whose bias is at most ``tol`` outputs ``relu(b) <= tol`` everywhere, so
-    dropping it (and the columns that read it) changes the computed
-    function by a negligible constant at most.  Repeats until stable, since
-    removing a channel can zero out a downstream row.  A layer always
-    keeps at least one channel so shapes stay valid.
+    A channel whose incoming weights are all within ``PRUNE_TOL`` of zero and
+    whose bias is at most ``PRUNE_TOL`` outputs ``relu(b) <= PRUNE_TOL``
+    everywhere, so dropping it (and the columns that read it) changes the
+    computed function by a negligible constant at most.  Repeats until
+    stable, since removing a channel can zero out a downstream row.  A layer
+    always keeps at least one channel so shapes stay valid.
     """
     layers = [(W, np.asarray(b, dtype=float).copy()) for W, b in net.layers]
     changed = True
@@ -229,7 +232,7 @@ def prune_dead_channels(net: ReluNetwork, tol: float = 1e-12) -> ReluNetwork:
         changed = False
         for li in range(len(layers) - 1):
             W, b = layers[li]
-            alive = ((abs(W) > tol).getnnz(axis=1) > 0) | (b > tol)
+            alive = ((abs(W) > PRUNE_TOL).getnnz(axis=1) > 0) | (b > PRUNE_TOL)
             if alive.all():
                 continue
             if not alive.any():
@@ -294,22 +297,20 @@ def independence_check(
     W: NDArray[np.float64],
     b: NDArray[np.float64],
     rng: np.random.Generator,
-    samples: int | None = None,
     box: float = 10.0,
 ) -> bool:
     """Tests linear independence of the units ``x -> relu(w_i . x + b_i)``.
 
     First verifies that no two rows ``(w_i, b_i)`` are proportional (which
     would make the corresponding units dependent regardless of sampling);
-    then forms the feature matrix of the units on uniform random points in
-    ``[-box, box]^d`` and compares its numerical rank against the unit
+    then forms the feature matrix of the units on ``max(200, 20 m)`` uniform
+    random points in ``[-box, box]^d`` and compares its numerical rank against the unit
     count.
 
     Args:
         W: First-layer weights, shape ``(m, d)``.
         b: First-layer biases, shape ``(m,)``.
         rng: Random generator for the sample points.
-        samples: Number of sample points (default ``max(200, 20 m)``).
         box: Half-width of the sampling box.
 
     Returns:
@@ -330,9 +331,7 @@ def independence_check(
                 raise PairwiseDependent(
                     f"first-layer rows {i} and {j} are proportional"
                 )
-    if samples is None:
-        samples = max(200, 20 * m)
-    X = rng.uniform(-box, box, size=(samples, d))
+    X = rng.uniform(-box, box, size=(max(200, 20 * m), d))
     F = relu(X @ W.T + b)
     s = np.linalg.svd(F, compute_uv=False)
     rank = int(np.sum(s > RANK_TOL_FACTOR * s[0])) if s[0] > 0 else 0

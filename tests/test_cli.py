@@ -254,6 +254,20 @@ def test_compile_rejects_ragged_simplices(tmp_path, mesh_file, coeff_file, capsy
     assert "ragged mesh 'simplices': row 1" in err and "Traceback" not in err
 
 
+def test_compile_rejects_a_hanging_node_mesh(tmp_path, capsys):
+    """A mesh file is always validated: vertex 3 of the lower triangle sits
+    on the upper triangle's edge."""
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1.5, -1.0], [-0.5, -1.0]]
+    mpath, cpath = tmp_path / "hanging.json", tmp_path / "c.json"
+    mpath.write_text(json.dumps({"vertices": verts, "simplices": [[0, 1, 2], [3, 4, 5]]}))
+    cpath.write_text(json.dumps([0.0] * len(verts)))
+    rc = _cli_main(["compile-fem", "--mesh", str(mpath), "--coeffs", str(cpath),
+                    "-o", str(tmp_path / "n.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "vertex 3 lies on or inside element 0" in err and "Traceback" not in err
+
+
 def test_compile_fem_shallow_over_the_valence_cap_is_an_error(tmp_path, capsys):
     mesh = kuhn_cube_mesh(2)
     mpath, cpath = tmp_path / "kuhn.json", tmp_path / "c.json"

@@ -119,11 +119,6 @@ def test_every_knot_entry_point_checks_its_knots(problem, call):
         call(problem, _UNORDERED)
 
 
-def test_solver_config_needs_a_positive_gap_floor():
-    with pytest.raises(ValueError, match="gap_floor"):
-        SolverConfig(N=9, gap_floor=0.0)
-
-
 def test_energy_quad_oracle(problem):
     t = np.array([0.0, 0.3, 0.7, 1.0])
     theta = np.array([1.0, -0.5, 0.25])
@@ -263,12 +258,21 @@ def test_make_state_defaults_to_galerkin(problem):
     )
 
 
-def test_optimizer_converged_exit(problem):
+def test_optimizer_converged_exit(problem, monkeypatch):
     """A gradient tolerance above any gradient stops before the first move."""
-    state = solve_algorithm1(problem, SolverConfig(N=9, grad_tol=1e9))
+    monkeypatch.setattr(G, "GRAD_TOL", 1e9)
+    state = solve_algorithm1(problem, SolverConfig(N=9))
     assert state.converged and not state.stalled
     assert len(state.trace) == 1
     assert np.array_equal(state.t, solve_afem(problem, 9))
+
+
+def test_optimizer_keeps_knot_gaps_above_the_floor(problem):
+    """Every accepted knot step keeps the knots strictly increasing, with no
+    gap below ``GAP_FLOOR``."""
+    state = solve_algorithm1(problem, SolverConfig(N=23, max_iter=30), t_init="uniform")
+    assert np.all(np.diff(state.t) > 0)
+    assert np.diff(state.t).min() >= G.GAP_FLOOR
 
 
 def test_optimizer_stalled_exit(problem):

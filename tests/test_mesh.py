@@ -5,6 +5,7 @@ triangle incircle/circumcircle, regular simplex ratios), the affine patch
 test for interpolation, and direct evaluation for hat functions.
 """
 
+import json
 import tracemalloc
 import warnings
 
@@ -78,12 +79,17 @@ def test_rejects_overtriangulated_facet():
         build_mesh(verts, simp)
 
 
-def test_rejects_hanging_node():
-    # A vertex of the lower triangle sits on the upper triangle's edge.
+def _hanging_node_arrays():
+    """Two triangles; a vertex of the lower one (vertex 3) sits on the upper
+    one's edge."""
     verts = np.array(
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1.5, -1.0], [-0.5, -1.0]]
     )
-    simp = np.array([[0, 1, 2], [3, 4, 5]])
+    return verts, np.array([[0, 1, 2], [3, 4, 5]])
+
+
+def test_rejects_hanging_node():
+    verts, simp = _hanging_node_arrays()
     with pytest.raises(NonConforming):
         build_mesh(verts, simp)
     # without deep validation the same mesh is accepted
@@ -352,7 +358,7 @@ def test_find_simplex_matches_lowest_index_oracle(mesh_corpus, rng):
         lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
         far = (lo + hi) / 2 + 10.0 * (hi - lo) * rng.normal(size=(20, mesh.dim))
         near, off = _beyond_boundary(mesh, 0.5 * BARY_TOL), _beyond_boundary(mesh, 1e-6)
-        grid = mesh_module._bucket_grid(mesh, BARY_TOL)
+        grid = mesh_module._bucket_grid(mesh)
         X = np.vstack([sample_points(mesh, 300, rng), mesh.vertices,
                        _facet_midpoints(mesh)[0], near, off, far, [hi + 1e6, grid.lo, grid.hi]])
         got = find_simplex(mesh, X)
@@ -365,7 +371,7 @@ def test_find_simplex_matches_lowest_index_oracle(mesh_corpus, rng):
         assert np.all(find_simplex(mesh, near) >= 0), name
         assert np.all(find_simplex(mesh, off) == -1), name
     strip = grids[1][1]
-    shape = mesh_module._bucket_grid(strip, BARY_TOL).shape
+    shape = mesh_module._bucket_grid(strip).shape
     assert shape[1] == 1 and shape[0] > 1
 
 
@@ -419,7 +425,7 @@ def test_find_simplex_on_slivers_keeps_table_and_memory_small(rng):
     P = np.stack([np.cos(t), np.sin(t)], axis=1)
     mesh = build_mesh(P, Delaunay(P).simplices, validate=False)
     m = mesh.num_simplices
-    members = mesh_module._bucket_grid(mesh, BARY_TOL).members
+    members = mesh_module._bucket_grid(mesh).members
     assert members.size <= LOCATE_ENTRIES_PER_ELEMENT * m
     X = sample_points(mesh, 5000, rng)
     tracemalloc.start()
@@ -562,6 +568,18 @@ def test_mesh_roundtrip(mesh_corpus, tmp_path):
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.simplices, mesh.simplices)
         assert np.array_equal(back.boundary_vertices, mesh.boundary_vertices)
+
+
+def test_load_mesh_always_validates(tmp_path):
+    """A mesh read from a file passes the full conformity check: the
+    hanging-node mesh of ``test_rejects_hanging_node`` is refused."""
+    from cpwlrelu.mesh import load_mesh
+
+    verts, simp = _hanging_node_arrays()
+    p = tmp_path / "hanging.json"
+    p.write_text(json.dumps({"vertices": verts.tolist(), "simplices": simp.tolist()}))
+    with pytest.raises(NonConforming):
+        load_mesh(str(p))
 
 
 def test_mesh_dict_tampered_boundary_rejected():

@@ -71,6 +71,15 @@ def test_library_tracing_installs_and_uninstalls(monkeypatch):
         relu_net.eval_network(relu_net.affine_network([1.0], 0.0), np.zeros((3, 1)))
         assert [s[0] for s in tracer.spans] == ["relu_net.eval_network"]
         assert tracer.counters["relu_net.eval_points"] == 3
+        # the hooks that read arguments by position still find them
+        square = mesh.build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                                 np.array([[0, 1, 3], [0, 3, 2]]))
+        mesh.find_simplex(square, np.full((5, 2), 0.25))
+        assert tracer.counters["mesh.located_points"] == 5
+        dead = relu_net.ReluNetwork(1, [(np.array([[1.0], [0.0]]), np.zeros(2)),
+                                        (np.array([[1.0, 1.0]]), np.zeros(1))])
+        assert relu_net.prune_dead_channels(dead).size == 1
+        assert tracer.counters["relu_net.pruned_channels"] == 1
     finally:
         tracer.uninstall()
     after = _bindings()
